@@ -46,7 +46,7 @@ def _load_kernel(args) -> Tuple[mg.Kernel, Optional[object], Optional[Tuple]]:
     if getattr(args, "graph", None):
         kernel = ser.kernel_from_obj(ser.load_json(args.graph))
         if getattr(args, "killing", None):
-            kernel = kernel.with_killing(Fraction(args.killing))
+            kernel = kernel.with_killing(_fraction("--killing", args.killing))
         return kernel, None, None
     if getattr(args, "group", None):
         group = group_from_spec(args.group)
@@ -56,6 +56,13 @@ def _load_kernel(args) -> Tuple[mg.Kernel, Optional[object], Optional[Tuple]]:
             raise InputParseError("--radius is required with --group")
         return gw.cayley_kernel(group, gens, radius), group, gens
     raise InputParseError("provide either --graph or --group/--gens")
+
+
+def _fraction(flag: str, text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputParseError(f"{flag} must be a rational number, got {text!r}") from exc
 
 
 def _label(group, x) -> str:
@@ -194,21 +201,26 @@ def cmd_walk_cv_fit(args):
 
 def _parse_times(text: str) -> List[int]:
     try:
-        return [int(v) for v in text.split(",") if v.strip()]
+        values = [int(v) for v in text.split(",") if v.strip()]
     except ValueError as exc:
         raise InputParseError(f"bad times list {text!r}") from exc
+    if not values:
+        raise InputParseError(f"empty times list {text!r}")
+    return values
 
 
 def cmd_walk_escape(args):
     group = group_from_spec(args.group)
     gens = parse_generators(group, args.gens)
     times = _parse_times(args.times)
+    if min(times) < 0:
+        raise InputParseError(f"times must be >= 0, got {args.times!r}")
     t_max = max(times)
     dists = ev.walk_distributions(group, gens, t_max,
                                   prune_eps=args.prune_eps,
                                   max_support=args.max_support)
     table = gw.word_ball(group, gens, t_max)
-    alpha = Fraction(args.alpha)
+    alpha = _fraction("--alpha", args.alpha)
     rows = []
     for t in times:
         val = ev.escape_probability(dists[t], table, alpha)
@@ -247,7 +259,10 @@ def _load_test_function(path: str) -> dict:
     obj = ser.load_json(path)
     if not isinstance(obj, dict):
         raise InputParseError(f"test function file {path} must be a JSON map")
-    return {ser.decode_vertex(json.loads(k)): float(v) for k, v in obj.items()}
+    try:
+        return {ser.decode_vertex(json.loads(k)): float(v) for k, v in obj.items()}
+    except (ValueError, TypeError) as exc:
+        raise InputParseError(f"malformed test function in {path}: {exc}") from exc
 
 
 def cmd_dirichlet_sector(args):

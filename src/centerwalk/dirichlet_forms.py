@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import math
 import random
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import PreconditionError, StructuralError
-from .markov_graph import CycleDecomposition, Kernel, Measure, Vertex
+from .markov_graph import CycleDecomposition, Kernel, Measure, Vertex, adjoint_kernel, bfs, lost_mass
 from .weights import Weight, sort_key
 
 TestFunction = Mapping[Vertex, Weight]
@@ -286,15 +285,7 @@ def sector_ratio(
 
 def distance_map(kernel: Kernel, origin: Vertex) -> Dict[Vertex, int]:
     """Undirected BFS distances from origin across the whole window."""
-    dist = {origin: 0}
-    queue = deque([origin])
-    while queue:
-        u = queue.popleft()
-        for v in kernel.undirected_neighbors(u):
-            if v in kernel.window and v not in dist:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    return dist
+    return bfs([origin], kernel.undirected_neighbors)[0]
 
 
 def weighted_form_ratios(
@@ -362,9 +353,13 @@ def green_partial(kernel: Kernel, x: Vertex, y: Vertex, horizon: int) -> Weight:
     return total
 
 
-def _killed_matrix(kernel: Kernel):
+def _green_rows(kernel: Kernel, sources: Sequence[Vertex]):
+    # Green rows g(x, .) = e_x (I - Q)^-1 of a killed chain, one per source,
+    # from a single sparse LU factorization, as arrays over the returned
+    # vertex index; a singular or non-finite system means nothing is killed.
     import numpy as np
     from scipy import sparse
+    from scipy.sparse.linalg import splu
 
     order = kernel.sorted_vertices()
     index = {x: i for i, x in enumerate(order)}
@@ -376,7 +371,19 @@ def _killed_matrix(kernel: Kernel):
             vals.append(float(w))
     n = len(order)
     q = sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    return order, index, sparse.identity(n, format="csr") - q
+    try:
+        lu = splu((sparse.identity(n, format="csr") - q).T.tocsc())
+    except RuntimeError as exc:
+        raise PreconditionError(f"singular system; the chain has no killing ({exc})") from exc
+    out = []
+    for x in sources:
+        rhs = np.zeros(n)
+        rhs[index[x]] = 1.0
+        u = lu.solve(rhs)
+        if not np.all(np.isfinite(u)):
+            raise PreconditionError("singular system; the chain has no killing")
+        out.append(u)
+    return index, out
 
 
 def green_absorbing(kernel: Kernel, x: Vertex) -> Dict[Vertex, float]:
@@ -385,36 +392,10 @@ def green_absorbing(kernel: Kernel, x: Vertex) -> Dict[Vertex, float]:
     Requires the killed spectral radius to be < 1 (some state must leak
     mass); a singular system signals that nothing is killed.
     """
-    from scipy.sparse.linalg import splu
-
-    import numpy as np
-
     if x not in kernel.window:
         raise StructuralError(f"vertex {x!r} outside the window")
-    order, index, a = _killed_matrix(kernel)
-    rhs = np.zeros(len(order))
-    rhs[index[x]] = 1.0
-    try:
-        lu = splu(a.T.tocsc())
-    except RuntimeError as exc:
-        raise PreconditionError(f"singular system; the chain has no killing ({exc})") from exc
-    u = lu.solve(rhs)
-    if not np.all(np.isfinite(u)):
-        raise PreconditionError("singular system; the chain has no killing")
-    return {y: float(u[index[y]]) for y in order}
-
-
-def adjoint_kernel(kernel: Kernel, m: Measure) -> Kernel:
-    """q*(x, y) = m(y) q(y, x) / m(x) without the invariance precondition.
-
-    Used to assemble the symmetrized kernel; on killed windows the adjoint
-    rows are complete, so no depth is lost.
-    """
-    rows: Dict[Vertex, Dict[Vertex, Weight]] = {}
-    for y in kernel.sorted_vertices():
-        rows[y] = {x: m(x) * w / m(y) for x, w in kernel.in_row(y).items()}
-    depth = {x: (kernel.depth(x) - 1 if kernel.depth(x) != math.inf else math.inf) for x in kernel.window}
-    return Kernel(rows, depth=depth, substochastic=True, tol=kernel.tol)
+    index, (u,) = _green_rows(kernel, [x])
+    return {y: float(u[i]) for y, i in index.items()}
 
 
 def symmetrized_kernel(kernel: Kernel, m: Measure) -> Kernel:
@@ -429,10 +410,7 @@ def symmetrized_kernel(kernel: Kernel, m: Measure) -> Kernel:
             row[y] = row.get(y, 0) + w / 2
         rows[x] = row
     depth = {x: adj.depth(x) for x in kernel.window}
-    sub = kernel.substochastic or any(
-        sum(row.values(), Fraction(0)) < 1 - kernel.tol for row in rows.values()
-    )
-    return Kernel(rows, depth=depth, substochastic=sub, tol=kernel.tol)
+    return Kernel(rows, depth=depth, substochastic=lost_mass(kernel, rows), tol=kernel.tol)
 
 
 @dataclass
@@ -457,14 +435,7 @@ def _interior_of_ball(parent: Kernel, killed: Kernel, margin: int) -> List[Verte
         x for x in killed.sorted_vertices()
         if any(y not in ball for y in parent.row(x))
     ]
-    dist = {x: 0 for x in leak}
-    queue = deque(leak)
-    while queue:
-        u = queue.popleft()
-        for v in killed.undirected_neighbors(u):
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                queue.append(v)
+    dist, _ = bfs(leak, killed.undirected_neighbors)
     return [x for x in killed.sorted_vertices() if dist.get(x, math.inf) >= margin]
 
 
@@ -483,10 +454,6 @@ def green_comparison(
     g0 <= M^2 g for the empirically estimated sector constant M, at
     interior points at least C0 steps from the leaking layer.
     """
-    from scipy.sparse.linalg import splu
-
-    import numpy as np
-
     ball = set(ball)
     if not ball <= kernel.window:
         raise StructuralError("ball must lie inside the kernel window")
@@ -503,14 +470,8 @@ def green_comparison(
 
     diags = []
     for kk in (killed, killed0):
-        order, index, a = _killed_matrix(kk)
-        lu = splu(a.T.tocsc())
-        diag = {}
-        for x in interior:
-            rhs = np.zeros(len(order))
-            rhs[index[x]] = 1.0
-            diag[x] = float(lu.solve(rhs)[index[x]])
-        diags.append(diag)
+        index, rows = _green_rows(kk, interior)
+        diags.append({x: float(u[index[x]]) for x, u in zip(interior, rows)})
     g_diag, g0_diag = diags
 
     sector_m = sector_ratio(killed, m, dec=None, trials=trials, seed=seed)

@@ -13,14 +13,13 @@ that separates the two conditions.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .errors import BudgetExhaustedError, PreconditionError, StructuralError
+from .errors import PreconditionError, StructuralError
 from .groups import FiniteCyclic, FreeGroup, Group, IntegerLattice
-from .markov_graph import Cycle, CycleDecomposition, Kernel, split_edge_walk
+from .markov_graph import Cycle, CycleDecomposition, Kernel, bfs, split_edge_walk
 from .weights import Weight, sort_key
 
 
@@ -142,41 +141,39 @@ def c1_search(
     identity = group.identity
     failed: set = set()
     nodes = 0
-
-    def dfs(prod, counts: Tuple[int, ...], path: List[int]) -> bool:
-        nonlocal nodes
-        if not any(counts):
-            return prod == identity
-        for i in range(k):
-            if counts[i] == 0:
-                continue
-            nodes += 1
-            if nodes > node_budget:
-                raise BudgetExhaustedError(f"node budget {node_budget} exhausted")
-            child = group.multiply(prod, gens[i])
-            nxt = counts[:i] + (counts[i] - 1,) + counts[i + 1:]
-            key = (child, nxt)
-            if key in failed:
-                continue
-            path.append(i + 1)
-            if dfs(child, nxt, path):
-                return True
-            path.pop()
-            failed.add(key)
-        return False
-
     for n in range(1, n_max + 1):
         if any((n * t) % mod for t, mod in zip(report.torsion_sums, report.moduli)):
             continue
+        # explicit depth-first stack of (partial product, remaining counts,
+        # generators left to try); path holds the 1-based choices so far
         path: List[int] = []
-        try:
-            if dfs(identity, (n,) * k, path):
-                witness = C1Witness(n=n, sigma=tuple(path))
-                witness.validate(group, gens)
-                return C1SearchResult(status="witness", witness=witness,
-                                      n_checked=n, nodes=nodes)
-        except BudgetExhaustedError:
-            return C1SearchResult(status="budget_exhausted", n_checked=n - 1, nodes=nodes)
+        stack = [(identity, (n,) * k, iter(range(k)))]
+        while stack:
+            prod, counts, todo = stack[-1]
+            for i in todo:
+                if counts[i] == 0:
+                    continue
+                nodes += 1
+                if nodes > node_budget:
+                    return C1SearchResult(status="budget_exhausted", n_checked=n - 1, nodes=nodes)
+                child = group.multiply(prod, gens[i])
+                nxt = counts[:i] + (counts[i] - 1,) + counts[i + 1:]
+                if (child, nxt) in failed:
+                    continue
+                path.append(i + 1)
+                if child == identity and not any(nxt):
+                    witness = C1Witness(n=n, sigma=tuple(path))
+                    witness.validate(group, gens)
+                    return C1SearchResult(status="witness", witness=witness,
+                                          n_checked=n, nodes=nodes)
+                stack.append((child, nxt, iter(range(k))))
+                break
+            else:
+                # every continuation of this state failed
+                stack.pop()
+                if stack:
+                    path.pop()
+                    failed.add((prod, counts))
     return C1SearchResult(status="not_found", n_checked=n_max, nodes=nodes)
 
 
@@ -203,45 +200,25 @@ def _directions(group: Group, gens: Sequence) -> List:
     return sorted(dirs, key=sort_key)
 
 
+def _cayley_neighbors(group: Group, gens: Sequence):
+    dirs = _directions(group, gens)
+    return lambda x: (group.multiply(x, g) for g in dirs)
+
+
 def word_ball(group: Group, gens: Sequence, radius: int) -> Dict[object, int]:
     """BFS distances from the identity over gens and their inverses."""
     if radius < 0:
         raise PreconditionError("radius must be >= 0")
-    dirs = _directions(group, gens)
-    dist = {group.identity: 0}
-    queue = deque([group.identity])
-    while queue:
-        x = queue.popleft()
-        if dist[x] == radius:
-            continue
-        for g in dirs:
-            y = group.multiply(x, g)
-            if y not in dist:
-                dist[y] = dist[x] + 1
-                queue.append(y)
-    return dist
+    return bfs([group.identity], _cayley_neighbors(group, gens), radius)[0]
 
 
 def word_distance(group: Group, gens: Sequence, x, radius: int) -> Optional[int]:
     """Word length of x over gens and inverses; None when it exceeds radius."""
+    if radius < 0:
+        raise PreconditionError("radius must be >= 0")
     x = group.validate(x)
-    if x == group.identity:
-        return 0
-    dirs = _directions(group, gens)
-    dist = {group.identity: 0}
-    queue = deque([group.identity])
-    while queue:
-        u = queue.popleft()
-        if dist[u] == radius:
-            continue
-        for g in dirs:
-            v = group.multiply(u, g)
-            if v not in dist:
-                if v == x:
-                    return dist[u] + 1
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    return None
+    dist, _ = bfs([group.identity], _cayley_neighbors(group, gens), radius, target=x)
+    return dist.get(x)
 
 
 def cayley_kernel(group: Group, gens: Sequence, radius: int) -> Kernel:
@@ -361,10 +338,6 @@ class CancellationGraph:
     n: int
     edges: Tuple[Tuple[int, int], ...]
     reduced_word: Tuple[int, ...]
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
 
     # short alias used by the reports
     @property

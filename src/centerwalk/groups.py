@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InputParseError, StructuralError
-from .weights import sort_key
 
 
 @dataclass(frozen=True)
@@ -504,7 +503,3 @@ def split_generator_literals(text: str) -> List[str]:
 
 def parse_generators(group: Group, text: str) -> Tuple:
     return tuple(group.parse_element(part) for part in split_generator_literals(text))
-
-
-def element_sort(elements: Iterable) -> List:
-    return sorted(elements, key=sort_key)

@@ -21,13 +21,53 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import PreconditionError, StructuralError
 from .weights import DEFAULT_TOL, Weight, all_exact, edge_key, is_exact, sort_key
 
 Vertex = object
 Edge = Tuple[Vertex, Vertex]
+
+
+def bfs(sources: Iterable[Vertex], neighbors: Callable[[Vertex], Iterable[Vertex]],
+        radius: Optional[int] = None, target: Optional[Vertex] = None
+        ) -> Tuple[Dict[Vertex, int], Dict[Vertex, Vertex]]:
+    """Breadth-first distances and parents from ``sources`` (all at distance 0).
+
+    ``neighbors(x)`` lists x's neighbors in discovery order.  Vertices at
+    ``radius`` are not expanded; the search stops once ``target`` is found.
+    Both maps are in discovery order, and a source is its own parent.
+    """
+    dist = dict.fromkeys(sources, 0)
+    parent = {x: x for x in dist}
+    if target in dist:
+        return dist, parent
+    queue = deque(dist)
+    while queue:
+        x = queue.popleft()
+        d = dist[x]
+        if d == radius:
+            continue
+        for y in neighbors(x):
+            if y not in dist:
+                dist[y] = d + 1
+                parent[y] = x
+                if y == target:
+                    return dist, parent
+                queue.append(y)
+    return dist, parent
+
+
+def _bfs_path(neighbors: Callable, x: Vertex, y: Vertex, radius: Optional[int] = None) -> Optional[List[Vertex]]:
+    """Shortest path [x, ..., y] under ``neighbors``; None when y is not within radius."""
+    _, parent = bfs([x], neighbors, radius, target=y)
+    if y not in parent:
+        return None
+    path = [y]
+    while path[-1] != x:
+        path.append(parent[path[-1]])
+    return path[::-1]
 
 
 class Measure:
@@ -100,18 +140,8 @@ class Kernel:
         # Fallback convention: depth = visible undirected distance to the
         # frontier, plus one; exact when no in-edges arrive from outside.
         frontier = [x for x in self._rows if any(y not in self.window for y in self._rows[x])]
-        depth = {x: math.inf for x in self._rows}
-        queue = deque()
-        for x in sorted(frontier, key=sort_key):
-            depth[x] = 1
-            queue.append(x)
-        while queue:
-            x = queue.popleft()
-            for y in self.undirected_neighbors(x):
-                if depth[y] == math.inf:
-                    depth[y] = depth[x] + 1
-                    queue.append(y)
-        return depth
+        dist, _ = bfs(sorted(frontier, key=sort_key), self.undirected_neighbors)
+        return {x: dist[x] + 1 if x in dist else math.inf for x in self._rows}
 
     # -- row access ------------------------------------------------------
 
@@ -129,9 +159,6 @@ class Kernel:
 
     def weight(self, x: Vertex, y: Vertex) -> Weight:
         return self._rows.get(x, {}).get(y, 0)
-
-    def row_sum(self, x: Vertex) -> Weight:
-        return self._row_sums[x]
 
     def defect(self, x: Vertex) -> Weight:
         """Killing mass 1 - sum(row); zero for stochastic rows."""
@@ -153,9 +180,6 @@ class Kernel:
 
     def depth(self, x: Vertex) -> float:
         return self._depth.get(x, 0)
-
-    def is_interior(self, x: Vertex, margin: float = 1) -> bool:
-        return self.depth(x) >= margin
 
     def interior_vertices(self, margin: float = 1) -> List[Vertex]:
         return [x for x in self.sorted_vertices() if self.depth(x) >= margin]
@@ -220,38 +244,20 @@ def step_kernel(
     if (radius is None) == (window is None):
         raise PreconditionError("specify exactly one of radius or window")
 
+    def neighbors(x):
+        return [_add(x, s) for s in offsets]
+
     if radius is not None:
-        dist = {origin: 0}
-        queue = deque([origin])
-        while queue:
-            x = queue.popleft()
-            if dist[x] == radius:
-                continue
-            for s in offsets:
-                y = _add(x, s)
-                if y not in dist:
-                    dist[y] = dist[x] + 1
-                    queue.append(y)
+        dist, _ = bfs([origin], neighbors, radius)
         vertices = set(dist)
         depth = {x: radius - d + 1 for x, d in dist.items()}
     else:
         vertices = set(window)
         # inward BFS from the layer adjacent to the complement
-        depth = {}
-        queue = deque()
-        for x in sorted(vertices, key=sort_key):
-            if any(_add(x, s) not in vertices for s in offsets):
-                depth[x] = 1
-                queue.append(x)
-        while queue:
-            x = queue.popleft()
-            for s in offsets:
-                y = _add(x, s)
-                if y in vertices and y not in depth:
-                    depth[y] = depth[x] + 1
-                    queue.append(y)
-        for x in vertices:
-            depth.setdefault(x, math.inf)
+        frontier = [x for x in sorted(vertices, key=sort_key)
+                    if any(y not in vertices for y in neighbors(x))]
+        dist, _ = bfs(frontier, lambda x: [y for y in neighbors(x) if y in vertices])
+        depth = {x: dist[x] + 1 if x in dist else math.inf for x in vertices}
 
     rows = {x: {} for x in vertices}
     for x in vertices:
@@ -290,10 +296,6 @@ class Cycle:
     def edges(self) -> Tuple[Edge, ...]:
         v = self.vertices
         return tuple((v[i], v[i + 1]) for i in range(len(v) - 1))
-
-    def is_edge_self_avoiding(self) -> bool:
-        e = self.edges()
-        return len(set(e)) == len(e)
 
     def reversed(self) -> "Cycle":
         return Cycle(tuple(reversed(self.vertices)))
@@ -339,24 +341,23 @@ def split_edge_walk(vertices: Sequence[Vertex]) -> List[Tuple[Vertex, ...]]:
     """Split a closed walk into edge self-avoiding closed walks.
 
     Whenever an oriented edge repeats, the stretch between its two
-    occurrences is itself closed and is split off recursively; coverage
-    multiplicities are preserved exactly.
+    occurrences is itself closed and is split off, and both parts are split
+    again, the stretch first; coverage multiplicities are preserved exactly.
     """
-    edges = [(vertices[i], vertices[i + 1]) for i in range(len(vertices) - 1)]
-
-    def rec(es: List[Edge]) -> List[List[Edge]]:
+    out = []
+    todo = [[(vertices[i], vertices[i + 1]) for i in range(len(vertices) - 1)]]
+    while todo:
+        es = todo.pop()
         seen: Dict[Edge, int] = {}
         for j, e in enumerate(es):
             if e in seen:
                 i = seen[e]
-                return rec(es[i:j]) + rec(es[:i] + es[j:])
+                todo += [es[:i] + es[j:], es[i:j]]
+                break
             seen[e] = j
-        return [es]
-
-    out = []
-    for es in rec(edges):
-        if es:
-            out.append(tuple([es[0][0]] + [e[1] for e in es]))
+        else:
+            if es:
+                out.append(tuple([es[0][0]] + [e[1] for e in es]))
     return out
 
 
@@ -508,22 +509,12 @@ def circulation_to_cycles(
             cycle_vertices: Tuple[Vertex, ...] = (src, src)
         else:
             # shortest directed return path dst -> src in the residual support
-            parent: Dict[Vertex, Vertex] = {dst: dst}
-            queue = deque([dst])
-            while queue and src not in parent:
-                u = queue.popleft()
-                for v in sorted(out_edges.get(u, ()), key=sort_key):
-                    if v not in parent:
-                        parent[v] = u
-                        queue.append(v)
-            if src not in parent:
+            back = _bfs_path(lambda u: sorted(out_edges.get(u, ()), key=sort_key), dst, src)
+            if back is None:
                 raise PreconditionError(
                     f"no directed cycle through edge {start!r}; flow is not decomposable"
                 )
-            back = [src]
-            while back[-1] != dst:
-                back.append(parent[back[-1]])
-            cycle_vertices = (src,) + tuple(reversed(back))
+            cycle_vertices = (src,) + tuple(back)
         cycle = Cycle(cycle_vertices)
         qmin = min(residual[e] for e in cycle.edges())
         for e in cycle.edges():
@@ -554,44 +545,8 @@ def graph_distance(kernel: Kernel, x: Vertex, y: Vertex, radius: int) -> Optiona
         raise PreconditionError("radius must be >= 0")
     if x not in kernel.window or y not in kernel.window:
         raise StructuralError("both endpoints must lie in the window")
-    if x == y:
-        return 0
-    dist = {x: 0}
-    queue = deque([x])
-    while queue:
-        u = queue.popleft()
-        if dist[u] == radius:
-            continue
-        for v in kernel.undirected_neighbors(u):
-            if v not in dist and v in kernel.window:
-                dist[v] = dist[u] + 1
-                if v == y:
-                    return dist[v]
-                queue.append(v)
-    return None
-
-
-def _geodesic(kernel: Kernel, x: Vertex, y: Vertex, radius: int) -> Optional[List[Vertex]]:
-    if x == y:
-        return [x]
-    parent: Dict[Vertex, Vertex] = {x: x}
-    dist = {x: 0}
-    queue = deque([x])
-    while queue:
-        u = queue.popleft()
-        if dist[u] == radius:
-            continue
-        for v in kernel.undirected_neighbors(u):
-            if v not in parent and v in kernel.window:
-                parent[v] = u
-                dist[v] = dist[u] + 1
-                if v == y:
-                    path = [y]
-                    while path[-1] != x:
-                        path.append(parent[path[-1]])
-                    return list(reversed(path))
-                queue.append(v)
-    return None
+    path = _bfs_path(kernel.undirected_neighbors, x, y, radius)
+    return None if path is None else len(path) - 1
 
 
 def directed_detour(
@@ -607,7 +562,7 @@ def directed_detour(
     reverse orientation is replaced by the complement of a covering cycle,
     whose edges all have positive weight.
     """
-    geo = _geodesic(kernel, x, y, radius)
+    geo = _bfs_path(kernel.undirected_neighbors, x, y, radius)
     if geo is None:
         raise PreconditionError(f"no undirected path from {x!r} to {y!r} within radius {radius}")
     path = [x]
@@ -659,11 +614,24 @@ def time_reversal(kernel: Kernel, m: Measure) -> Kernel:
             raise PreconditionError(
                 f"measure is not invariant: residual {worst[1]} at {worst[0]!r}"
             )
+    return adjoint_kernel(kernel, m)
+
+
+def adjoint_kernel(kernel: Kernel, m: Measure) -> Kernel:
+    """q*(x, y) = m(y) q(y, x) / m(x) without the invariance precondition.
+
+    Every certified depth drops by one, since a row of the adjoint is
+    complete only where the in-row of the kernel is.
+    """
     rows: Dict[Vertex, Dict[Vertex, Weight]] = {}
     for y in kernel.sorted_vertices():
         rows[y] = {x: m(x) * w / m(y) for x, w in kernel.in_row(y).items()}
-    depth = {x: (kernel.depth(x) - 1 if kernel.depth(x) != math.inf else math.inf) for x in kernel.window}
-    sub = kernel.substochastic or any(
+    depth = {x: kernel.depth(x) - 1 for x in kernel.window}
+    return Kernel(rows, depth=depth, substochastic=lost_mass(kernel, rows), tol=kernel.tol)
+
+
+def lost_mass(kernel: Kernel, rows: Mapping[Vertex, Mapping[Vertex, Weight]]) -> bool:
+    """Rows derived from ``kernel`` are substochastic if it is or some row sums below 1."""
+    return kernel.substochastic or any(
         sum(row.values(), Fraction(0)) < 1 - kernel.tol for row in rows.values()
     )
-    return Kernel(rows, depth=depth, substochastic=sub, tol=kernel.tol)

@@ -59,7 +59,7 @@ def kernel_from_obj(obj: Mapping) -> Kernel:
             if src not in rows:
                 raise InputParseError(f"edge source {e['src']!r} not among the vertices")
             rows[src][dst] = rows[src].get(dst, 0) + w
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputParseError(f"malformed graph object: {exc!r}") from exc
     return Kernel(rows, substochastic=bool(obj.get("substochastic", False)))
 
@@ -82,7 +82,7 @@ def decomposition_from_obj(obj: Mapping) -> CycleDecomposition:
             for c in obj["cycles"]
         )
         return CycleDecomposition(entries)
-    except (KeyError, TypeError, StructuralError) as exc:
+    except (KeyError, TypeError, ValueError, StructuralError) as exc:
         raise InputParseError(f"malformed decomposition object: {exc!r}") from exc
 
 
@@ -92,7 +92,7 @@ def flow_from_obj(obj: Mapping) -> Dict[tuple, object]:
             (decode_vertex(e["src"]), decode_vertex(e["dst"])): parse_weight(e["w"])
             for e in obj["edges"]
         }
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputParseError(f"malformed flow object: {exc!r}") from exc
 
 

@@ -230,6 +230,41 @@ def test_cli_error_paths(tmp_path, capsys):
     assert code == 2
 
 
+def test_cli_input_errors_are_json(tmp_path, capsys):
+    bad_weight = triangle_graph_obj()
+    bad_weight["edges"][0]["w"] = "x/y"
+    files = {
+        "tri.json": triangle_graph_obj(),
+        "tri_dec.json": triangle_dec_obj(),
+        "bad_weight.json": bad_weight,
+        "bad_f.json": {"not json": 1.0},
+    }
+    for name, obj in files.items():
+        (tmp_path / name).write_text(json.dumps(obj))
+    escape = ["walk", "escape", "--group", "z:1", "--gens", "[1],[-1]"]
+    cases = [
+        (escape + ["--alpha", "abc", "--times", "4"], 2, "parse_error"),
+        (escape + ["--alpha", "1/2", "--times", ","], 2, "parse_error"),
+        (escape + ["--alpha", "1/2", "--times=-1,2"], 2, "parse_error"),
+        (["centering", "verify", "--graph", "bad_weight.json", "--dec", "tri_dec.json"], 2, "parse_error"),
+        (["dirichlet", "sector", "--graph", "tri.json", "--killing", "abc", "--seed", "1"], 2, "parse_error"),
+        (["dirichlet", "sector", "--graph", "tri.json", "--f", "bad_f.json", "--g", "bad_f.json",
+          "--seed", "1"], 2, "parse_error"),
+        # a negative radius used to search the whole group
+        (["group", "dist", "--group", "z:2", "--gens", "[1,0],[-1,0]", "--element", "[0,1]",
+          "--radius=-1"], 3, "validation_error"),
+        # the unkilled 3-rotation: I - Q is singular
+        (["green", "compare", "--graph", "tri.json", "--dec", "tri_dec.json",
+          "--trials", "10", "--seed", "1"], 3, "validation_error"),
+    ]
+    for argv, exit_code, error_code in cases:
+        argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+        assert main(argv) == exit_code, argv
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"]["code"] == error_code, argv
+        assert err["error"]["message"]
+
+
 def test_cli_determinism(tmp_path):
     args = ["dirichlet", "sector", "--group", "z:1", "--gens", "[1],[1],[-2]",
             "--radius", "10", "--trials", "40", "--seed", "11"]

@@ -281,6 +281,10 @@ def test_green_comparison_reversible_equal(srw, counting):
 def test_distance_map(zwalk):
     d = distance_map(zwalk, 0)
     assert d[0] == 0 and d[1] == 1 and d[-2] == 1 and d[4] == 2
+    # string labels: the directed 4-cycle a -> b -> c -> d -> a, undirected
+    labels = "abcd"
+    ring = cw.Kernel({v: {labels[(i + 1) % 4]: Fraction(1)} for i, v in enumerate(labels)})
+    assert distance_map(ring, "a") == {"a": 0, "b": 1, "d": 1, "c": 2}
 
 
 def test_symmetrized_weights_symmetric(zwalk, counting):

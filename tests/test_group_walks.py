@@ -59,6 +59,7 @@ def test_c1_search_respects_c2_obstruction():
 def test_c1_search_f2_exhaustive_small():
     res = cw.c1_search(F2, cw.F2_SEQUENCE, n_max=1)
     assert res.status == "not_found" and res.n_checked == 1
+    assert res.nodes == 1042  # the memoized search visits a fixed set of states
     # independent oracle: every one of the 720 orderings misses the identity
     assert cw.brute_force_c1(F2, cw.F2_SEQUENCE, 1) is None
 
@@ -67,6 +68,14 @@ def test_c1_search_budget_status():
     res = cw.c1_search(F2, cw.F2_SEQUENCE, n_max=2, node_budget=100)
     assert res.status == "budget_exhausted"
     assert res.n_checked == 0
+
+
+def test_c1_search_deep_witness():
+    # the only witness on Z_1500 with generator 1 is 1500 steps deep
+    res = cw.c1_search(cw.FiniteCyclic(1500), (1,), n_max=1500)
+    assert res.found and res.witness.n == 1500
+    assert res.witness.sigma == (1,) * 1500
+    assert res.nodes == 1500
 
 
 def test_c1_witness_implies_c2():
@@ -124,6 +133,9 @@ def test_word_distance_and_ball():
     for x in ((3, 0), (2, -2), (0, 0)):
         assert cw.word_distance(Z2, Z2_GENS, x, radius=8) == abs(x[0]) + abs(x[1])
     assert cw.word_distance(Z2, Z2_GENS, (5, 5), radius=3) is None
+    # an element exactly at the radius is found; one step beyond is not
+    assert cw.word_distance(Z2, Z2_GENS, (2, -1), radius=3) == 3
+    assert cw.word_distance(Z2, Z2_GENS, (2, -2), radius=3) is None
     # free group: reduced word length
     f2_gens = ((1,), (-1,), (2,), (-2,))
     assert cw.word_distance(F2, f2_gens, (1, 2, 1), radius=5) == 3

@@ -172,6 +172,37 @@ def test_valid_decomposition_implies_invariance(rotation3, rotation3_dec, counti
     assert rep.max_abs_residual == 0
 
 
+def test_frontier_depth_of_loaded_kernel():
+    # path 0 -> 1 -> ... -> 5 -> 6 with 6 outside the window, plus a closed
+    # 2-cycle {7, 8} that no path connects to the frontier
+    rows = {x: {x + 1: Fraction(1)} for x in range(6)}
+    rows[7] = {8: Fraction(1)}
+    rows[8] = {7: Fraction(1)}
+    kernel = cw.Kernel(rows)
+    assert [kernel.depth(x) for x in range(6)] == [6, 5, 4, 3, 2, 1]
+    assert kernel.depth(7) == kernel.depth(8) == math.inf
+
+
+def test_step_kernel_window_depth_oracle():
+    # depth = number of undirected steps needed to leave the window,
+    # against a brute-force layer search over all of Z^2
+    steps = {(1, 0): Fraction(1, 3), (0, 1): Fraction(1, 3), (-1, -1): Fraction(1, 3)}
+    moves = list(steps) + [(-a, -b) for a, b in steps]
+    window = {(x, y) for x in range(-4, 5) for y in range(-3, 4) if (x, y) not in {(0, 2), (2, -1)}}
+    kernel = cw.step_kernel(steps, window=window)
+
+    def oracle(v):
+        layer, seen, d = {v}, {v}, 0
+        while layer <= window:
+            layer = {(a + s, b + t) for a, b in layer for s, t in moves} - seen
+            seen |= layer
+            d += 1
+        return d
+
+    for v in window:
+        assert kernel.depth(v) == oracle(v), v
+
+
 def test_graph_distance_basics(srw, zwalk):
     assert cw.graph_distance(srw, 0, 5, radius=10) == 5
     assert cw.graph_distance(srw, 3, 3, radius=0) == 0
@@ -252,6 +283,8 @@ def test_split_edge_walk_multiplicity():
     pieces = split_edge_walk((0, 1, 0, 1, 0))
     assert sorted(pieces) == [(0, 1, 0), (0, 1, 0)]
     assert split_edge_walk((0, 1, 2, 0)) == [(0, 1, 2, 0)]
+    # 1500 repeats of (0,1): deeper than the interpreter's recursion limit
+    assert split_edge_walk([0, 1] * 1500 + [0]) == [(0, 1, 0)] * 1500
 
 
 def test_killed_kernel_depth_infinite(zwalk):
