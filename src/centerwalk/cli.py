@@ -20,9 +20,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
+import traceback
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -63,6 +65,13 @@ def _fraction(flag: str, text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputParseError(f"{flag} must be a rational number, got {text!r}") from exc
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _label(group, x) -> str:
@@ -385,9 +394,16 @@ def _group_walk_args(p, *, tmax=False, paths=False):
     p.add_argument("--max-support", type=int, default=None)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a typed error instead of usage text and an exit."""
+
+    def error(self, message):
+        raise InputParseError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    root = argparse.ArgumentParser(prog="centerwalk", description=__doc__,
-                                   formatter_class=argparse.RawDescriptionHelpFormatter)
+    root = _Parser(prog="centerwalk", description=__doc__,
+                   formatter_class=argparse.RawDescriptionHelpFormatter)
     tops = root.add_subparsers(dest="module", required=True)
 
     centering = tops.add_parser("centering").add_subparsers(dest="action", required=True)
@@ -436,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_walk_evolve)
     p = walk.add_parser("cv-fit")
     _group_walk_args(p, tmax=True)
-    p.add_argument("--d-exp", type=float, default=0.0)
+    p.add_argument("--d-exp", type=_finite_float, default=0.0)
     _add_common(p)
     p.set_defaults(func=cmd_walk_cv_fit)
     p = walk.add_parser("escape")
@@ -504,15 +520,19 @@ def _emit(args, report: dict, csv_payload) -> bytes:
     return json.dumps(report, indent=2, sort_keys=True).encode() + b"\n"
 
 
+def _error(code: str, message: str, exit_code: int) -> int:
+    payload = {"error": {"code": code, "message": message}}
+    sys.stderr.write(json.dumps(payload, sort_keys=True) + "\n")
+    return exit_code
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        if exc.code not in (0, None):
-            payload = {"error": {"code": "parse_error", "message": "bad command line"}}
-            sys.stderr.write(json.dumps(payload) + "\n")
-            return 2
+    except InputParseError as exc:
+        return _error(exc.code, str(exc), exc.exit_code)
+    except SystemExit:  # --help
         return 0
     command = f"{args.module} {args.action}"
     config = {
@@ -522,19 +542,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     started = time.monotonic()
     try:
         results, csv_payload = args.func(args)
+        report = ser.make_report(command, config, results, round(time.monotonic() - started, 6))
+        blob = _emit(args, report, csv_payload)
+        if args.out:
+            tmp = args.out + ".tmp"
+            with open(tmp, "wb") as fh:
+                fh.write(blob)
+            os.replace(tmp, args.out)
+        else:
+            sys.stdout.buffer.write(blob)
     except CenterwalkError as exc:
-        payload = {"error": {"code": exc.code, "message": str(exc)}}
-        sys.stderr.write(json.dumps(payload, sort_keys=True) + "\n")
-        return exc.exit_code
-    report = ser.make_report(command, config, results, round(time.monotonic() - started, 6))
-    blob = _emit(args, report, csv_payload)
-    if args.out:
-        tmp = args.out + ".tmp"
-        with open(tmp, "wb") as fh:
-            fh.write(blob)
-        os.replace(tmp, args.out)
-    else:
-        sys.stdout.buffer.write(blob)
+        return _error(exc.code, str(exc), exc.exit_code)
+    except Exception as exc:
+        # the last resort: a defect, not bad input; report where it was raised
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        return _error("internal_error", f"{type(exc).__name__}: {exc} "
+                      f"({os.path.basename(where.filename)}:{where.lineno} in {where.name})", 1)
     return 0
 
 

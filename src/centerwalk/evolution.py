@@ -10,6 +10,7 @@ distribution is flagged approximate.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import random
 import statistics
@@ -124,12 +125,15 @@ def evolve(
     """Right convolution: the law after one more independent step.
 
     Exact integer arithmetic unless either input is approximate or pruning
-    is requested; pruning drops atoms below ``prune_eps`` and renormalizes.
+    is requested; pruning drops atoms below ``prune_eps`` (a finite
+    positive mass) and renormalizes.
     """
     if dist.group.spec_string != step.group.spec_string:
         raise PreconditionError(
             f"distributions live on different groups: {dist.group.name} vs {step.group.name}"
         )
+    if prune_eps is not None and not (math.isfinite(prune_eps) and prune_eps > 0):
+        raise PreconditionError(f"prune_eps must be a finite positive mass, got {prune_eps!r}")
     group = dist.group
     exact = not dist.approximate and not step.approximate and prune_eps is None
     if exact:
@@ -150,8 +154,12 @@ def evolve(
         for g, pg in (step.items() if not step.approximate else step._values.items()):
             y = group.multiply(x, g)
             vals[y] = vals.get(y, 0.0) + px * float(pg)
-    if prune_eps:
+    if prune_eps is not None:
         vals = {x: v for x, v in vals.items() if v >= prune_eps}
+        if not vals:
+            raise PreconditionError(
+                f"pruning at prune_eps={prune_eps!r} removes every atom at t={dist.t + step.t}"
+            )
         mass = sum(vals.values())
         vals = {x: v / mass for x, v in vals.items()}
     if max_support is not None and len(vals) > max_support:
@@ -221,6 +229,8 @@ def fit_cv_constant(
     so geometric bisection over the bracket pins the minimal constant to
     the requested relative precision.
     """
+    if not math.isfinite(d_exp):
+        raise PreconditionError(f"d_exp must be finite, got {d_exp!r}")
     dist_fn = _distance_fn(distance)
     mval = m if m is not None else (lambda x: 1.0)
     points: List[Tuple[int, object, float, int, float]] = []
@@ -295,39 +305,55 @@ def path_rng(seed: int, index: int) -> random.Random:
 
     Documented so identical seeds reproduce identical index streams across
     runs and platforms; paths are independent and may be generated in any
-    order.
+    order.  The stream contract of the samplers: step j of path i takes
+    generator ``gens[r]``, where r is the j-th ``randrange(K)`` of
+    ``path_rng(seed, i)`` and K = len(gens).  ``_path_indices`` replays
+    exactly these draws in bulk.
     """
     digest = hashlib.sha256(f"{seed}:{index}".encode()).digest()
     return random.Random(int.from_bytes(digest, "big"))
+
+
+def _path_indices(seed: int, index: int, t: int, k: int) -> List[int]:
+    """The first t ``randrange(k)`` draws of ``path_rng(seed, index)``, in one pass.
+
+    ``randrange(k)`` takes the top ``k.bit_length()`` bits of the next
+    32-bit MT19937 word and rejects values >= k (k < 2**32 here), and
+    ``getrandbits(32 * n)`` returns the next n words, least significant
+    first.  So one C-level draw, a shift and a mask replay the stream.
+    """
+    if k < 1:
+        raise PreconditionError("empty generating sequence")
+    if k == 1:
+        return [0] * t
+    import numpy as np
+
+    rng = path_rng(seed, index)
+    shift = 32 - k.bit_length()
+    out: List[int] = []
+    while len(out) < t:
+        # enough words for the missing draws at the expected rejection rate, plus slack
+        n = (t - len(out)) * (1 << k.bit_length()) // k + 16
+        words = np.frombuffer(rng.getrandbits(32 * n).to_bytes(4 * n, "little"), "<u4") >> shift
+        out += words[words < k].tolist()
+    return out[:t]
 
 
 def mc_sample(group: Group, gens: Sequence, t: int, n_paths: int, seed: int) -> List[List]:
     """Sampled trajectories (length t+1 each, starting at the identity)."""
     gens = tuple(group.validate(g) for g in gens)
     k = len(gens)
-    paths = []
-    for i in range(n_paths):
-        rng = path_rng(seed, i)
-        x = group.identity
-        path = [x]
-        for _ in range(t):
-            x = group.multiply(x, gens[rng.randrange(k)])
-            path.append(x)
-        paths.append(path)
-    return paths
+    return [
+        list(itertools.accumulate((gens[j] for j in _path_indices(seed, i, t, k)),
+                                  group.multiply, initial=group.identity))
+        for i in range(n_paths)
+    ]
 
 
 def _mc_endpoints(group: Group, gens: Sequence, t: int, n_paths: int, seed: int) -> List:
     gens = tuple(group.validate(g) for g in gens)
     k = len(gens)
-    out = []
-    for i in range(n_paths):
-        rng = path_rng(seed, i)
-        x = group.identity
-        for _ in range(t):
-            x = group.multiply(x, gens[rng.randrange(k)])
-        out.append(x)
-    return out
+    return [group.product(gens[j] for j in _path_indices(seed, i, t, k)) for i in range(n_paths)]
 
 
 @dataclass

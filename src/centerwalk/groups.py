@@ -17,6 +17,7 @@ elements is exact:
 from __future__ import annotations
 
 import ast
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -129,6 +130,9 @@ class IntegerLattice(Group):
 
     def multiply(self, x, y):
         return tuple(a + b for a, b in zip(x, y))
+
+    def product(self, elements: Iterable):
+        return tuple(map(sum, zip(self.identity, *elements)))
 
     def inverse(self, x):
         return tuple(-a for a in x)
@@ -302,11 +306,30 @@ class WreathZZ(Group):
         return tuple(sorted((p, v) for p, v in lamps.items() if v != 0))
 
     def multiply(self, x, y):
-        shift, lamps = x[0], dict(x[1])
+        # splice y's lamps into x's sorted tuple; untouched pairs are shared
+        shift = x[0]
+        lamps = list(x[1])
+        i = 0
         for p, v in y[1]:
-            p2 = p + x[0]
-            lamps[p2] = lamps.get(p2, 0) + v
-        return (shift + y[0], self._pack(lamps))
+            p += shift
+            i = bisect_left(lamps, (p,), i)
+            if i < len(lamps) and lamps[i][0] == p:
+                v += lamps[i][1]
+                if v:
+                    lamps[i] = (p, v)
+                else:
+                    del lamps[i]
+            else:
+                lamps.insert(i, (p, v))
+        return (shift + y[0], tuple(lamps))
+
+    def product(self, elements: Iterable):
+        shift, lamps = 0, {}
+        for s, ls in elements:
+            for p, v in ls:
+                lamps[p + shift] = lamps.get(p + shift, 0) + v
+            shift += s
+        return (shift, self._pack(lamps))
 
     def inverse(self, x):
         shift = -x[0]
@@ -369,6 +392,17 @@ class FreeGroup(Group):
                 buf.pop()
             else:
                 buf.append(letter)
+        return tuple(buf)
+
+    def product(self, elements: Iterable):
+        # one cancellation stack for the whole word
+        buf: List[int] = []
+        for x in elements:
+            for letter in x:
+                if buf and buf[-1] == -letter:
+                    buf.pop()
+                else:
+                    buf.append(letter)
         return tuple(buf)
 
     def inverse(self, x):

@@ -1,11 +1,15 @@
 """Wire formats and the command-line surface."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 import centerwalk as cw
+from centerwalk import cli
 from centerwalk import serialization as ser
 from centerwalk.cli import main
 
@@ -242,6 +246,8 @@ def test_cli_input_errors_are_json(tmp_path, capsys):
     for name, obj in files.items():
         (tmp_path / name).write_text(json.dumps(obj))
     escape = ["walk", "escape", "--group", "z:1", "--gens", "[1],[-1]"]
+    evolve = ["walk", "evolve", "--group", "z:1", "--gens", "[1],[-1]", "--tmax", "2"]
+    cv_fit = ["walk", "cv-fit", "--group", "z:1", "--gens", "[1],[-1]", "--tmax", "4"]
     cases = [
         (escape + ["--alpha", "abc", "--times", "4"], 2, "parse_error"),
         (escape + ["--alpha", "1/2", "--times", ","], 2, "parse_error"),
@@ -256,6 +262,14 @@ def test_cli_input_errors_are_json(tmp_path, capsys):
         # the unkilled 3-rotation: I - Q is singular
         (["green", "compare", "--graph", "tri.json", "--dec", "tri_dec.json",
           "--trials", "10", "--seed", "1"], 3, "validation_error"),
+        # a pruning threshold that prunes nothing used to switch to float mode silently
+        (evolve + ["--prune-eps", "0"], 3, "validation_error"),
+        (evolve + ["--prune-eps=-1"], 3, "validation_error"),
+        (evolve + ["--prune-eps", "nan"], 3, "validation_error"),
+        # every atom at t = 1 has mass 1/2
+        (evolve + ["--prune-eps", "0.9"], 3, "validation_error"),
+        (cv_fit + ["--d-exp", "nan"], 2, "parse_error"),
+        (cv_fit + ["--d-exp", "inf"], 2, "parse_error"),
     ]
     for argv, exit_code, error_code in cases:
         argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
@@ -265,9 +279,64 @@ def test_cli_input_errors_are_json(tmp_path, capsys):
         assert err["error"]["message"]
 
 
+def test_cli_prune_cut_names_t_and_eps(capsys):
+    assert main(["walk", "evolve", "--group", "z:1", "--gens", "[1],[-1]", "--tmax", "2",
+                 "--prune-eps", "0.9"]) == 3
+    message = json.loads(capsys.readouterr().err)["error"]["message"]
+    assert "t=1" in message and "0.9" in message
+
+
+def test_cli_internal_error_is_json(monkeypatch, capsys):
+    def boom(args):
+        raise RuntimeError("unexpected state")
+
+    monkeypatch.setattr(cli, "cmd_walk_volume", boom)
+    assert main(["walk", "volume", "--group", "z:1", "--gens", "[1],[-1]", "--tmax", "2"]) == 1
+    captured = capsys.readouterr()
+    err = json.loads(captured.err)
+    assert err["error"]["code"] == "internal_error"
+    assert "RuntimeError: unexpected state" in err["error"]["message"]
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_cli_determinism(tmp_path):
     args = ["dirichlet", "sector", "--group", "z:1", "--gens", "[1],[1],[-2]",
             "--radius", "10", "--trials", "40", "--seed", "11"]
     r1 = run_cli(tmp_path, *args)
     r2 = run_cli(tmp_path, *args)
     assert ser.canonical_json_bytes(r1["results"]) == ser.canonical_json_bytes(r2["results"])
+
+
+def test_cli_results_independent_of_hash_seed(tmp_path):
+    # string labels hash differently under each PYTHONHASHSEED, so any set or
+    # dict order that leaks into a result shows up as a byte difference
+    n = 40
+    name = [f"v{i:02d}" for i in range(n)]
+    graph = {"vertices": name, "edges": [
+        e for i in range(n) for e in ({"src": name[i], "dst": name[(i + 1) % n], "w": "2/3"},
+                                      {"src": name[i], "dst": name[(i - 2) % n], "w": "1/3"})]}
+    dec = {"cycles": [{"vertices": [name[i], name[(i + 1) % n], name[(i + 2) % n], name[i]],
+                       "weight": "1/3"} for i in range(n)]}
+    (tmp_path / "ring.json").write_text(json.dumps(graph))
+    (tmp_path / "ring_dec.json").write_text(json.dumps(dec))
+    commands = {
+        "verify": ["centering", "verify", "--graph", "ring.json", "--dec", "ring_dec.json"],
+        "sector": ["dirichlet", "sector", "--graph", "ring.json", "--dec", "ring_dec.json",
+                   "--killing", "1/10", "--trials", "5", "--seed", "3"],
+    }
+    src = os.path.dirname(os.path.dirname(cw.__file__))
+    # one interpreter per hash seed runs both commands
+    script = ("import json, sys; from centerwalk.cli import main; "
+              "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))")
+    seen = {}
+    for hash_seed in range(4):
+        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed),
+                   PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        batch = [argv + ["--out", f"{label}.json"] for label, argv in commands.items()]
+        subprocess.run([sys.executable, "-c", script, json.dumps(batch)], cwd=tmp_path, env=env,
+                       check=True, timeout=120)
+        for label in commands:
+            results = json.loads((tmp_path / f"{label}.json").read_text())["results"]
+            blob = ser.canonical_json_bytes(results)
+            assert seen.setdefault(label, blob) == blob, (label, hash_seed)
+    assert json.loads(seen["verify"])["valid"] is True

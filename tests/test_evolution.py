@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import centerwalk as cw
+from centerwalk.evolution import _path_indices, path_rng
 
 Z1 = cw.IntegerLattice(1)
 Z2 = cw.IntegerLattice(2)
@@ -88,6 +89,17 @@ def test_evolve_pruning_flags_approximate():
     assert abs(d.total() - 1.0) < 1e-9
 
 
+def test_evolve_rejects_bad_prune_eps():
+    mu = cw.step_measure(Z1, SRW_GENS)
+    d = cw.SparseDistribution.point(Z1)
+    for eps in (0, -1.0, math.nan, math.inf):
+        with pytest.raises(cw.PreconditionError, match="prune_eps"):
+            cw.evolve(d, mu, prune_eps=eps)
+    # every atom at t = 2 has mass 1/4 or 1/2
+    with pytest.raises(cw.PreconditionError, match=r"prune_eps=0\.6.*t=2"):
+        cw.evolve(cw.evolve(d, mu, prune_eps=0.5), mu, prune_eps=0.6)
+
+
 def test_fit_cv_trivial_walk():
     dists = cw.walk_distributions(Z1, ((0,),), 8)
     report = cw.fit_cv_constant(dists, lambda x: 0)
@@ -114,6 +126,9 @@ def test_fit_cv_missing_distance_errors():
     dists = cw.walk_distributions(Z1, Z_GENS, 4)
     with pytest.raises(cw.PreconditionError):
         cw.fit_cv_constant(dists, {})
+    for d_exp in (math.nan, math.inf, -math.inf):
+        with pytest.raises(cw.PreconditionError, match="d_exp"):
+            cw.fit_cv_constant(dists, lambda x: abs(x[0]), d_exp=d_exp)
 
 
 def test_escape_probability_exact_and_monotone_alpha():
@@ -142,6 +157,14 @@ def test_volume_growth_closed_forms():
     assert cw.volume_growth(F2, F2_GENS, 6) == [2 * 3 ** t - 1 for t in range(7)]
 
 
+@pytest.mark.parametrize("k", [*range(1, 10), 1000])
+def test_path_indices_replay_randrange(k):
+    for t in (0, 1, 7, 500):
+        for seed, index in ((0, 0), (5, 3), (2 ** 40, 17)):
+            rng = path_rng(seed, index)
+            assert _path_indices(seed, index, t, k) == [rng.randrange(k) for _ in range(t)]
+
+
 def test_mc_sample_determinism_and_shape():
     paths = cw.mc_sample(Z1, Z_GENS, t=0, n_paths=1, seed=5)
     assert paths == [[(0,)]]
@@ -151,6 +174,8 @@ def test_mc_sample_determinism_and_shape():
     c = cw.mc_sample(Z1, Z_GENS, t=20, n_paths=8, seed=124)
     assert a != c
     assert all(len(p) == 21 for p in a)
+    with pytest.raises(cw.PreconditionError, match="empty"):
+        cw.speed_estimate(Z1, (), t=3, n_paths=1, seed=0)
 
 
 def test_mc_matches_exact_distribution_tv():

@@ -1,5 +1,6 @@
 """Group arithmetic: axioms, canonical forms, and independent oracles."""
 
+import functools
 import random
 from fractions import Fraction
 
@@ -138,6 +139,47 @@ def test_wreath_action_convention():
     x = group.multiply(x, g2)  # lamp -1 lands at the current shift 4
     assert x == (2, ((1, 1), (3, 1), (4, -1)))
     assert group.multiply(x, group.inverse(x)) == group.identity
+
+
+def random_wreath(rng):
+    """A wreath element drawn directly: few slots and small values, so sums often cancel."""
+    lamps = {rng.randrange(-6, 7): rng.choice((-2, -1, 1, 2)) for _ in range(rng.randrange(8))}
+    return (rng.randrange(-4, 5), tuple(sorted(lamps.items())))
+
+
+def test_wreath_multiply_matches_dict_and_sort():
+    def dict_and_sort(x, y):
+        lamps = dict(x[1])
+        for p, v in y[1]:
+            lamps[p + x[0]] = lamps.get(p + x[0], 0) + v
+        return (x[0] + y[0], tuple(sorted((p, v) for p, v in lamps.items() if v != 0)))
+
+    group = cw.WreathZZ()
+    rng = random.Random(2024)
+    for _ in range(3000):
+        x, y = random_wreath(rng), random_wreath(rng)
+        for a, b in ((x, y), (x, group.inverse(x)), (x, group.multiply(group.inverse(x), y))):
+            got = group.multiply(a, b)
+            assert got == dict_and_sort(a, b)
+            assert group.validate(got) is got
+
+
+@pytest.mark.parametrize("spec", sorted(GROUPS))
+def test_product_matches_multiply_fold(spec):
+    group = GROUPS[spec]
+    rng = random.Random(f"product/{spec}")
+    for _ in range(300):
+        word = [random_element(group, rng, length=4) for _ in range(rng.randrange(12))]
+        if word and rng.random() < 0.5:
+            # a suffix that undoes the word: free letters cancel, wreath lamps sum to 0
+            word += [group.inverse(x) for x in reversed(word[rng.randrange(len(word)):])]
+        expected = functools.reduce(group.multiply, word, group.identity)
+        assert group.product(word) == expected
+        assert group.product(iter(word)) == expected
+    assert group.product([]) == group.identity
+    wr, f2 = cw.WreathZZ(), cw.FreeGroup()
+    assert wr.product([(1, ((0, 1),)), (0, ((-1, -1),))]) == (1, ())
+    assert f2.product([(1, 2), (-2,), (-1, 1)]) == (1,)
 
 
 def test_free_group_reduction():
