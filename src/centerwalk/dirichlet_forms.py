@@ -160,76 +160,116 @@ def random_test_function(
     return {x: rng.uniform(-1.0, 1.0) for x in points}
 
 
-def _ratio(kernel: Kernel, m: Measure, f, g) -> Optional[float]:
-    eff = dirichlet_form(kernel, m, f, f)
-    egg = dirichlet_form(kernel, m, g, g)
+class _FloatForm:
+    """E(f, g) = m(g . (I - Q)f) on float test functions, from the kernel's float view.
+
+    m(x) is converted once per vertex actually touched, so a measure defined
+    only where the functions live is enough.  Every sum is a plain loop in
+    row (or in-row) order starting from 0.0, never sum(), whose float path
+    is compensated on Python 3.12+: that is what the exact path computes on
+    float inputs (a Fraction times a float is float(w) * f), so each value is
+    bit-identical to the one dirichlet_form gives.  The callers draw supports
+    from the interior at the support margin, so dirichlet_form's boundary
+    check is not repeated.
+    """
+
+    def __init__(self, kernel: Kernel, m: Measure):
+        view = kernel.float_view
+        self.rows, self.in_rows = view.rows, view.in_rows
+        self._m = m
+        self._mass: Dict[Vertex, float] = {}
+
+    def mass(self, x: Vertex) -> float:
+        v = self._mass.get(x)
+        if v is None:
+            v = self._mass[x] = float(self._m(x))
+        return v
+
+    def _apply(self, f, x) -> float:
+        # (Qf)(x)
+        acc = 0.0
+        for y, w in self.rows[x].items():
+            if y in f:
+                acc += w * f[y]
+        return acc
+
+    def __call__(self, f, g) -> float:
+        total = 0.0
+        for x, gx in g.items():
+            if gx != 0:
+                total += self.mass(x) * gx * (f.get(x, 0.0) - self._apply(f, x))
+        return total
+
+    def g_coefficient(self, f, x) -> float:
+        # E(f, g) = sum_x g(x) * this
+        return self.mass(x) * (f.get(x, 0.0) - self._apply(f, x))
+
+    def f_coefficient(self, g, y) -> float:
+        # E(f, g) = sum_y f(y) * this
+        acc = self.mass(y) * g.get(y, 0.0)
+        for x, w in self.in_rows[y].items():
+            if x in g:
+                acc -= self.mass(x) * g[x] * w
+        return acc
+
+    def sym_matrix(self, support: Sequence[Vertex]):
+        # restriction of the symmetric part B = (E + E^T) / 2 of E = M(I - Q)
+        # to the support, from the sparse rows: E[i, i] = m(x)(1 - q(x, x)),
+        # E[i, j] = -m(x) q(x, y)
+        import numpy as np
+
+        index = {x: i for i, x in enumerate(support)}
+        e = np.zeros((len(support), len(support)))
+        for i, x in enumerate(support):
+            mx = self.mass(x)
+            e[i, i] = mx
+            for y, w in self.rows[x].items():
+                j = index.get(y)
+                if j is not None:
+                    e[i, j] = mx * ((1.0 if i == j else 0.0) - w)
+        return (e + e.T) / 2.0
+
+
+def _ratio(form: _FloatForm, f, g) -> Optional[float]:
+    eff = form(f, f)
+    egg = form(g, g)
     if eff < 1e-14 or egg < 1e-14:
         return None
-    efg = dirichlet_form(kernel, m, f, g)
-    return abs(float(efg)) / math.sqrt(float(eff) * float(egg))
+    return abs(form(f, g)) / math.sqrt(eff * egg)
 
 
-def _sym_form_matrix(kernel: Kernel, m: Measure, support: Sequence[Vertex]):
-    # restriction of the symmetric part of M(I - Q) to the support
-    import numpy as np
-
-    n = len(support)
-    b = np.zeros((n, n))
-    for i, x in enumerate(support):
-        for j, y in enumerate(support):
-            e_xy = float(m(x)) * ((1.0 if x == y else 0.0) - float(kernel.weight(x, y)))
-            e_yx = float(m(y)) * ((1.0 if x == y else 0.0) - float(kernel.weight(y, x)))
-            b[i, j] = (e_xy + e_yx) / 2.0
-    return b
-
-
-def _best_response(kernel: Kernel, m: Measure, coeffs, support):
+def _best_response(form: _FloatForm, coeffs, support):
     # maximize <g, coeffs> / sqrt(g^T B g) over functions on the support
     import numpy as np
 
-    b = _sym_form_matrix(kernel, m, support)
-    sol, *_ = np.linalg.lstsq(b, np.asarray(coeffs, dtype=float), rcond=None)
+    sol, *_ = np.linalg.lstsq(form.sym_matrix(support), np.asarray(coeffs, dtype=float), rcond=None)
     return {x: float(v) for x, v in zip(support, sol)}
 
 
-def _g_coefficient(kernel: Kernel, m: Measure, f, x) -> float:
-    # E(f, g) = sum_x g(x) * this
-    return float(m(x)) * (float(f.get(x, 0)) - float(apply_kernel(kernel, f, x)))
-
-
-def _f_coefficient(kernel: Kernel, m: Measure, g, y) -> float:
-    # E(f, g) = sum_y f(y) * this
-    acc = float(m(y)) * float(g.get(y, 0))
-    for x, w in kernel.in_row(y).items():
-        if x in g:
-            acc -= float(m(x)) * float(g[x]) * float(w)
-    return acc
-
-
-def _refine_pair(kernel, m, f, g, margin, rounds, grow_cap):
+def _refine_pair(kernel, form, f, g, margin, rounds, grow_cap):
     # alternate optimal responses, letting supports grow into the
     # neighborhoods where the response coefficients are nonzero
-    best = _ratio(kernel, m, f, g) or 0.0
+    best = _ratio(form, f, g) or 0.0
     for _ in range(rounds):
         cand = set(f)
         for x in f:
             cand.update(kernel.in_row(x))
         cand = [x for x in cand if kernel.depth(x) >= margin]
-        coeffs = {x: _g_coefficient(kernel, m, f, x) for x in cand}
+        coeffs = {x: form.g_coefficient(f, x) for x in cand}
         support_g = sorted(cand, key=lambda x: (-abs(coeffs[x]), sort_key(x)))[:grow_cap]
         support_g.sort(key=sort_key)
-        g = _best_response(kernel, m, [coeffs[x] for x in support_g], support_g)
+        g = _best_response(form, [coeffs[x] for x in support_g], support_g)
 
         cand = set(g)
         for x in g:
             cand.update(kernel.row(x))
         cand = [y for y in cand if kernel.depth(y) >= margin]
-        coeffs = {y: _f_coefficient(kernel, m, g, y) for y in cand}
+        coeffs = {y: form.f_coefficient(g, y) for y in cand}
         support_f = sorted(cand, key=lambda y: (-abs(coeffs[y]), sort_key(y)))[:grow_cap]
         support_f.sort(key=sort_key)
-        f = _best_response(kernel, m, [coeffs[y] for y in support_f], support_f)
+        f = _best_response(form, [coeffs[y] for y in support_f], support_f)
 
-        r = _ratio(kernel, m, f, g)
+        r = _ratio(form, f, g)
         if r is None:
             break
         if r <= best * (1 + 1e-12):
@@ -266,12 +306,13 @@ def sector_ratio(
     interior = kernel.interior_vertices(margin)
     if not interior:
         raise PreconditionError(f"window has no interior at depth {margin}")
+    form = _FloatForm(kernel, m)
     rng = random.Random(seed)
     scored = []
     for i in range(trials):
         f = random_test_function(interior, rng, max_support)
         g = random_test_function(interior, rng, max_support)
-        r = _ratio(kernel, m, f, g)
+        r = _ratio(form, f, g)
         if r is not None:
             scored.append((r, i, f, g))
     if not scored:
@@ -279,7 +320,7 @@ def sector_ratio(
     scored.sort(key=lambda item: (-item[0], item[1]))
     best = scored[0][0]
     for r, _, f, g in scored[:refine_top]:
-        best = max(best, _refine_pair(kernel, m, f, g, margin, rounds, grow_cap))
+        best = max(best, _refine_pair(kernel, form, f, g, margin, rounds, grow_cap))
     return best
 
 
@@ -304,20 +345,20 @@ def weighted_form_ratios(
     any sample when that holds.
     """
     dist = distance_map(kernel, origin)
+    form = _FloatForm(kernel, m)
     rng = random.Random(seed)
     margin = SUPPORT_MARGIN
     interior = kernel.interior_vertices(margin)
     out: List[float] = []
     for _ in range(trials):
         f = random_test_function(interior, rng, max_support)
-        mass = sum(m(x) * v * v for x, v in f.items())
-        if float(mass) < 1e-14:
+        mass = sum(form.mass(x) * v * v for x, v in f.items())
+        if mass < 1e-14:
             continue
         for s in s_values:
             ws_f = {x: math.exp(s * dist[x]) * v for x, v in f.items()}
             wms_f = {x: math.exp(-s * dist[x]) * v for x, v in f.items()}
-            e = dirichlet_form(kernel, m, ws_f, wms_f)
-            out.append(-float(e) / (s * s * float(mass)))
+            out.append(-form(ws_f, wms_f) / (s * s * mass))
     return out
 
 
@@ -364,11 +405,12 @@ def _green_rows(kernel: Kernel, sources: Sequence[Vertex]):
     order = kernel.sorted_vertices()
     index = {x: i for i, x in enumerate(order)}
     rows, cols, vals = [], [], []
-    for x, y, w in kernel.edges():
-        if y in index:
-            rows.append(index[x])
-            cols.append(index[y])
-            vals.append(float(w))
+    for x, row in kernel.float_view.rows.items():
+        for y, w in row.items():
+            if y in index:
+                rows.append(index[x])
+                cols.append(index[y])
+                vals.append(w)
     n = len(order)
     q = sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
     try:

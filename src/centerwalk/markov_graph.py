@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -96,6 +97,14 @@ class Measure:
         return f"Measure({len(self._values)} values, default={self._default})"
 
 
+@dataclass(frozen=True)
+class FloatView:
+    """Float copies of a kernel's rows and in-rows, iterating in the same order as ``row`` and ``in_row``."""
+
+    rows: Dict[Vertex, Dict[Vertex, float]]
+    in_rows: Dict[Vertex, Dict[Vertex, float]]
+
+
 class Kernel:
     """Row-stochastic (or explicitly substochastic) transition weights on a window."""
 
@@ -159,6 +168,14 @@ class Kernel:
 
     def weight(self, x: Vertex, y: Vertex) -> Weight:
         return self._rows.get(x, {}).get(y, 0)
+
+    @cached_property
+    def float_view(self) -> FloatView:
+        """The weights as floats, built on first use; a kernel never changes after construction."""
+        return FloatView(
+            rows={x: {y: float(w) for y, w in row.items()} for x, row in self._rows.items()},
+            in_rows={y: {x: float(w) for x, w in row.items()} for y, row in self._in.items()},
+        )
 
     def defect(self, x: Vertex) -> Weight:
         """Killing mass 1 - sum(row); zero for stochastic rows."""

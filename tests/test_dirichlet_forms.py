@@ -8,11 +8,14 @@ import numpy as np
 import pytest
 
 import centerwalk as cw
+from centerwalk import dirichlet_forms as df
+from conftest import make_zwalk, make_zwalk_dec
 from centerwalk.dirichlet_forms import (
     distance_map,
     random_test_function,
     weighted_form_ratios,
 )
+from centerwalk.weights import sort_key
 
 def test_dirichlet_form_constant_function_vanishes(zwalk, counting):
     inner = zwalk.interior_vertices(5)
@@ -186,6 +189,162 @@ def test_sector_ratio_seed_stable(zwalk, zwalk_dec, counting):
     assert abs(a - b) / max(a, b) <= 0.05
     # deterministic given seed
     assert a == cw.sector_ratio(zwalk, counting, dec=zwalk_dec, trials=300, seed=1)
+
+
+def test_sector_ratio_reads_measure_only_where_functions_live(zwalk, zwalk_dec, counting):
+    # a measure defined only on the interior the test functions are drawn
+    # from is enough: m is read at the vertices the functions touch
+    margin = zwalk_dec.max_length + 1
+    inner = cw.Measure({x: Fraction(1) for x in zwalk.interior_vertices(margin)}, default=None)
+    with pytest.raises(cw.PreconditionError):
+        inner(max(zwalk.window))
+    assert cw.sector_ratio(zwalk, inner, dec=zwalk_dec, trials=100, seed=4) == cw.sector_ratio(
+        zwalk, counting, dec=zwalk_dec, trials=100, seed=4)
+
+
+# -- slow reference: the sector search on the exact weights ------------------
+# The float form must reproduce these values bit for bit: the exact path on
+# float test functions already reduces to float(w) * f summed in row order.
+
+
+def _ref_ratio(kernel, m, f, g):
+    eff = cw.dirichlet_form(kernel, m, f, f)
+    egg = cw.dirichlet_form(kernel, m, g, g)
+    if eff < 1e-14 or egg < 1e-14:
+        return None
+    efg = cw.dirichlet_form(kernel, m, f, g)
+    return abs(float(efg)) / math.sqrt(float(eff) * float(egg))
+
+
+def _ref_sym_form_matrix(kernel, m, support):
+    n = len(support)
+    b = np.zeros((n, n))
+    for i, x in enumerate(support):
+        for j, y in enumerate(support):
+            e_xy = float(m(x)) * ((1.0 if x == y else 0.0) - float(kernel.weight(x, y)))
+            e_yx = float(m(y)) * ((1.0 if x == y else 0.0) - float(kernel.weight(y, x)))
+            b[i, j] = (e_xy + e_yx) / 2.0
+    return b
+
+
+def _ref_best_response(kernel, m, coeffs, support):
+    b = _ref_sym_form_matrix(kernel, m, support)
+    sol, *_ = np.linalg.lstsq(b, np.asarray(coeffs, dtype=float), rcond=None)
+    return {x: float(v) for x, v in zip(support, sol)}
+
+
+def _ref_g_coefficient(kernel, m, f, x):
+    return float(m(x)) * (float(f.get(x, 0)) - float(df.apply_kernel(kernel, f, x)))
+
+
+def _ref_f_coefficient(kernel, m, g, y):
+    acc = float(m(y)) * float(g.get(y, 0))
+    for x, w in kernel.in_row(y).items():
+        if x in g:
+            acc -= float(m(x)) * float(g[x]) * float(w)
+    return acc
+
+
+def _ref_refine_pair(kernel, m, f, g, margin, rounds=12, grow_cap=200):
+    best = _ref_ratio(kernel, m, f, g) or 0.0
+    for _ in range(rounds):
+        cand = set(f)
+        for x in f:
+            cand.update(kernel.in_row(x))
+        cand = [x for x in cand if kernel.depth(x) >= margin]
+        coeffs = {x: _ref_g_coefficient(kernel, m, f, x) for x in cand}
+        support_g = sorted(cand, key=lambda x: (-abs(coeffs[x]), sort_key(x)))[:grow_cap]
+        support_g.sort(key=sort_key)
+        g = _ref_best_response(kernel, m, [coeffs[x] for x in support_g], support_g)
+
+        cand = set(g)
+        for x in g:
+            cand.update(kernel.row(x))
+        cand = [y for y in cand if kernel.depth(y) >= margin]
+        coeffs = {y: _ref_f_coefficient(kernel, m, g, y) for y in cand}
+        support_f = sorted(cand, key=lambda y: (-abs(coeffs[y]), sort_key(y)))[:grow_cap]
+        support_f.sort(key=sort_key)
+        f = _ref_best_response(kernel, m, [coeffs[y] for y in support_f], support_f)
+
+        r = _ref_ratio(kernel, m, f, g)
+        if r is None:
+            break
+        if r <= best * (1 + 1e-12):
+            best = max(best, r)
+            break
+        best = r
+    return best
+
+
+def _ref_sector_ratio(kernel, m, dec, trials, seed, refine_top=5):
+    margin = max(df.SUPPORT_MARGIN, (dec.max_length + 1) if dec is not None else df.SUPPORT_MARGIN)
+    interior = kernel.interior_vertices(margin)
+    rng = random.Random(seed)
+    scored = []
+    for i in range(trials):
+        f = random_test_function(interior, rng)
+        g = random_test_function(interior, rng)
+        r = _ref_ratio(kernel, m, f, g)
+        if r is not None:
+            scored.append((r, i, f, g))
+    scored.sort(key=lambda item: (-item[0], item[1]))
+    best = scored[0][0]
+    for r, _, f, g in scored[:refine_top]:
+        best = max(best, _ref_refine_pair(kernel, m, f, g, margin))
+    return best
+
+
+def _loaded_ring(n=16):
+    # edge-list kernel with self-loops, weights varying by vertex
+    rows = {}
+    for x in range(n):
+        loop = Fraction(1, 2 + x % 3)
+        rows[x] = {x: loop, (x + 1) % n: (1 - loop) * Fraction(2, 3), (x - 2) % n: (1 - loop) / 3}
+    return cw.Kernel(rows)
+
+
+@pytest.mark.parametrize("case", ["srw", "rotation", "zwalk", "killed-ball", "loaded"])
+def test_float_form_matches_exact_reference(case, request, monkeypatch, counting):
+    dec = None
+    m = counting
+    trials = 100
+    if case == "srw":
+        kernel = request.getfixturevalue("srw")
+    elif case == "rotation":
+        kernel = request.getfixturevalue("rotation3")
+    elif case == "zwalk":
+        kernel = make_zwalk(12)
+        dec = make_zwalk_dec(kernel)
+    elif case == "killed-ball":
+        kernel = request.getfixturevalue("zwalk").restrict(range(-10, 11))
+    else:
+        kernel = _loaded_ring()
+        m = cw.Measure({x: Fraction(3 + x % 4, 2 + x % 3) for x in kernel.window})
+
+    built = []
+    original = df._FloatForm.sym_matrix
+
+    def checked(form, support):
+        b = original(form, support)
+        assert np.array_equal(b, _ref_sym_form_matrix(kernel, m, support))
+        built.append(len(support))
+        return b
+
+    monkeypatch.setattr(df._FloatForm, "sym_matrix", checked)
+    assert cw.sector_ratio(kernel, m, dec=dec, trials=trials, seed=5) == _ref_sector_ratio(
+        kernel, m, dec, trials, seed=5)
+    assert built
+
+    form = df._FloatForm(kernel, m)
+    rng = random.Random(6)
+    inner = kernel.interior_vertices(df.SUPPORT_MARGIN)
+    for _ in range(20):
+        f = random_test_function(inner, rng)
+        g = random_test_function(inner, rng)
+        assert df._ratio(form, f, g) == _ref_ratio(kernel, m, f, g)
+        for x in inner:
+            assert form.g_coefficient(f, x) == _ref_g_coefficient(kernel, m, f, x)
+            assert form.f_coefficient(g, x) == _ref_f_coefficient(kernel, m, g, x)
 
 
 def test_weighted_form_ratios_bounded(zwalk, counting):

@@ -19,6 +19,19 @@ def test_kernel_rejects_bad_rows():
     cw.Kernel({0: {1: Fraction(1, 2)}}, substochastic=True)
 
 
+def test_float_view_mirrors_rows():
+    # a window edge leaving the ring, a self-loop and a substochastic row
+    kernel = cw.Kernel({0: {0: Fraction(1, 3), 1: Fraction(2, 3)},
+                        1: {2: Fraction(1, 7), 0: Fraction(5, 7)},
+                        2: {9: Fraction(1, 2)}}, substochastic=True)
+    view = kernel.float_view
+    assert kernel.float_view is view
+    for x in kernel.window:
+        assert list(view.rows[x].items()) == [(y, float(w)) for y, w in kernel.row(x).items()]
+        assert list(view.in_rows[x].items()) == [(y, float(w)) for y, w in kernel.in_row(x).items()]
+        assert all(type(w) is float for w in view.rows[x].values())
+
+
 def test_measure_positive():
     with pytest.raises(cw.StructuralError):
         cw.Measure({0: 0})
