@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import PreconditionError, StructuralError
-from .markov_graph import CycleDecomposition, Kernel, Measure, Vertex, adjoint_kernel, bfs, lost_mass
+from .markov_graph import CycleDecomposition, Kernel, Measure, Vertex, bfs, lost_mass
 from .weights import Weight, sort_key
 
 TestFunction = Mapping[Vertex, Weight]
@@ -124,26 +124,16 @@ def antisymmetric_form_cycles(dec: CycleDecomposition, f: TestFunction, g: TestF
 def poincare_constant(k: int) -> float:
     """Best constant C with sum g^2 <= C sum of squared edge increments on a k-cycle.
 
-    Mean-zero functions on the cycle (x_0, ..., x_k = x_0); the constant is
-    the inverse spectral gap of the cycle's edge form, obtained by a dense
-    symmetric eigensolve.  A length-1 cycle has only the zero mean-zero
-    function: the constant is 0 by convention.
+    Mean-zero functions on the cycle (x_0, ..., x_k = x_0).  The edge Laplacian
+    is circulant, so Fourier modes diagonalize it (Gray, "Toeplitz and circulant
+    matrices: a review", 2006): its spectral gap is 4 sin^2(pi / k), and C is
+    the inverse.  A length-1 cycle has only the zero mean-zero function: C = 0.
     """
-    import numpy as np
-
     if k < 1:
         raise PreconditionError("cycle length must be >= 1")
     if k == 1:
         return 0.0
-    form = np.zeros((k, k))
-    for i in range(k):
-        j = (i + 1) % k
-        form[i, i] += 1
-        form[j, j] += 1
-        form[i, j] -= 1
-        form[j, i] -= 1
-    eig = np.linalg.eigvalsh(form)
-    return float(1.0 / eig[1])
+    return 1.0 / (4.0 * math.sin(math.pi / k) ** 2)
 
 
 def random_test_function(
@@ -441,17 +431,16 @@ def green_absorbing(kernel: Kernel, x: Vertex) -> Dict[Vertex, float]:
 
 
 def symmetrized_kernel(kernel: Kernel, m: Measure) -> Kernel:
-    """Q0 = (Q + Q*) / 2 with respect to m, on the same window."""
-    adj = adjoint_kernel(kernel, m)
+    """Q0 = (Q + Q*) / 2 with respect to m on the same window; Q*(x, y) = m(y) Q(y, x) / m(x)."""
     rows: Dict[Vertex, Dict[Vertex, Weight]] = {}
     for x in kernel.sorted_vertices():
         row: Dict[Vertex, Weight] = {}
         for y, w in kernel.row(x).items():
             row[y] = row.get(y, 0) + w / 2
-        for y, w in adj.row(x).items():
-            row[y] = row.get(y, 0) + w / 2
+        for y, w in kernel.in_row(x).items():
+            row[y] = row.get(y, 0) + (m(y) * w / m(x)) / 2
         rows[x] = row
-    depth = {x: adj.depth(x) for x in kernel.window}
+    depth = {x: kernel.depth(x) - 1 for x in kernel.window}
     return Kernel(rows, depth=depth, substochastic=lost_mass(kernel, rows), tol=kernel.tol)
 
 

@@ -14,6 +14,7 @@ import itertools
 import math
 import random
 import statistics
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -193,13 +194,16 @@ class CVReport:
 
     c_star: float
     d_exponent: float
-    violated: bool
     margins: Dict[Tuple[int, object], float]
     approximate: bool = False
 
     @property
     def min_margin(self) -> float:
         return min(self.margins.values(), default=math.inf)
+
+    @property
+    def violated(self) -> bool:
+        return self.min_margin < 0
 
 
 def _distance_fn(distance) -> Callable:
@@ -220,15 +224,18 @@ def fit_cv_constant(
     distance,
     m: Optional[Callable] = None,
     d_exp: float = 0.0,
-    bracket: Tuple[float, float] = (1e-6, 1e12),
-    rel_tol: float = 1e-6,
 ) -> CVReport:
-    """Fit the minimal Gaussian-bound constant by bisection in log C.
+    """Fit the minimal Gaussian-bound constant in closed form.
 
-    The predicate "every point satisfies the bound at C" is monotone in C,
-    so geometric bisection over the bracket pins the minimal constant to
-    the requested relative precision.
+    With a = d(x)^2 / t and b = p t^(d_exp/2) / m(x), a point holds at C iff
+    C exp(-a/C) >= b, which increases in C: the least such C is b when a = 0
+    and a / W0(a/b) otherwise (Lambert W, principal branch; Corless et al.,
+    1996).  C* is their maximum, stepped up with ``math.nextafter`` until
+    every margin, rounded as reported, is >= 0.
     """
+    import numpy as np
+    from scipy.special import wrightomega
+
     if not math.isfinite(d_exp):
         raise PreconditionError(f"d_exp must be finite, got {d_exp!r}")
     dist_fn = _distance_fn(distance)
@@ -243,31 +250,31 @@ def fit_cv_constant(
             points.append((d.t, x, float(p), dist_fn(x), float(mval(x))))
     if not points:
         raise PreconditionError("no distributions with t >= 1 given")
+    if max(pt[0] for pt in points) ** (-abs(d_exp) / 2.0) < sys.float_info.min:
+        raise PreconditionError(f"t^(d_exp/2) leaves the normal float range at d_exp={d_exp!r}")
 
-    def bound(c: float, t: int, dd: int, mv: float) -> float:
-        return c * mv * t ** (-d_exp / 2.0) * math.exp(-dd * dd / (c * t))
-
-    def ok(c: float) -> bool:
-        return all(p <= bound(c, t, dd, mv) for t, x, p, dd, mv in points)
-
-    lo, hi = bracket
-    violated = False
-    if ok(lo):
-        hi = lo
-    elif not ok(hi):
-        violated = True
-    else:
-        while hi / lo > 1 + rel_tol:
-            mid = math.sqrt(lo * hi)
-            if ok(mid):
-                hi = mid
-            else:
-                lo = mid
-    c_star = math.inf if violated else hi
-    at = hi if not violated else bracket[1]
-    margins = {(t, x): bound(at, t, dd, mv) - p for t, x, p, dd, mv in points}
-    return CVReport(c_star=c_star, d_exponent=d_exp, violated=violated,
-                    margins=margins, approximate=approximate)
+    t, p, dd, mv = (np.array([pt[i] for pt in points], dtype=float) for i in (0, 2, 3, 4))
+    if not (mv.min() > 0 and mv.max() < math.inf):
+        raise PreconditionError(f"measure must be finite and positive, got values in [{mv.min()}, {mv.max()}]")
+    a = dd * dd / t
+    moving = a > 0
+    # W0(a/b) = omega(log a - log b), the Wright omega function, since a/b
+    # overflows in the far tail; b = 0 gives C = 0, an infinite b is rejected
+    with np.errstate(divide="ignore", over="ignore"):
+        c = p * t ** (d_exp / 2.0) / mv
+        c[moving] = a[moving] / wrightomega(np.log(a[moving]) - np.log(c[moving]))
+    c_star = float(c.max())
+    if not math.isfinite(c_star):
+        raise PreconditionError(f"no finite constant: t^(d_exp/2) / m(x) overflows at d_exp={d_exp!r}")
+    # omega is good to a few tens of ulps: a margin still < 0 after 64 steps is a
+    # bound that underflowed to a subnormal float, which ulps of C do not move
+    for _ in range(64):
+        margins = {(t, x): c_star * mv * t ** (-d_exp / 2.0) * math.exp(-dd * dd / (c_star * t)) - p
+                   for t, x, p, dd, mv in points}
+        if min(margins.values()) >= 0:
+            return CVReport(c_star=c_star, d_exponent=d_exp, margins=margins, approximate=approximate)
+        c_star = math.nextafter(c_star, math.inf)
+    raise PreconditionError(f"C* = {c_star!r} cannot be certified: the Gaussian bound underflows at some point")
 
 
 def escape_probability(dist: SparseDistribution, distance, alpha) -> Weight:

@@ -213,10 +213,13 @@ def word_ball(group: Group, gens: Sequence, radius: int) -> Dict[object, int]:
 
 
 def word_distance(group: Group, gens: Sequence, x, radius: int) -> Optional[int]:
-    """Word length of x over gens and inverses; None when it exceeds radius."""
+    """Word length of x over gens and inverses (closed form if the group has one); None beyond radius."""
     if radius < 0:
         raise PreconditionError("radius must be >= 0")
     x = group.validate(x)
+    exact = group.exact_metric(tuple(_directions(group, gens)))
+    if exact is not None:
+        return exact(x) if exact(x) <= radius else None
     dist, _ = bfs([group.identity], _cayley_neighbors(group, gens), radius, target=x)
     return dist.get(x)
 

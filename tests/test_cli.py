@@ -131,6 +131,11 @@ def test_cli_walk_commands(tmp_path):
                      "--gens", "[1],[1],[-2]", "--tmax", "16")
     assert report["results"]["violated"] is False
     assert report["results"]["c_star"] > 1
+    # the minimal constant, about 9.6e12, lies above the 1e12 ceiling of the former bisection
+    report = run_cli(tmp_path, "walk", "cv-fit", "--group", "z:1",
+                     "--gens", "[1],[-1],[1]", "--tmax", "8", "--d-exp=30")
+    assert report["results"]["violated"] is False and report["results"]["min_margin"] >= 0
+    assert isinstance(report["results"]["c_star"], float) and report["results"]["c_star"] > 1e12
     report = run_cli(tmp_path, "walk", "escape", "--group", "z:1",
                      "--gens", "[1],[1],[-2]", "--alpha", "1/2", "--times", "4,8")
     trace = report["results"]["trace"]

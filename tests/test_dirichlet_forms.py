@@ -15,6 +15,7 @@ from centerwalk.dirichlet_forms import (
     random_test_function,
     weighted_form_ratios,
 )
+from centerwalk.markov_graph import adjoint_kernel, lost_mass
 from centerwalk.weights import sort_key
 
 def test_dirichlet_form_constant_function_vanishes(zwalk, counting):
@@ -140,6 +141,38 @@ def _poincare_eigen_oracle(k):
     eig = sorted(np.linalg.eigvalsh(reduced))
     gap = next(v for v in eig if v > 1e-9)
     return 1.0 / gap
+
+
+def _ref_symmetrized(kernel, m):
+    """Reference: (Q + Q*) / 2 through a full adjoint kernel, in the former summation order."""
+    adj = adjoint_kernel(kernel, m)
+    rows = {}
+    for x in kernel.sorted_vertices():
+        row = {}
+        for y, w in kernel.row(x).items():
+            row[y] = row.get(y, 0) + w / 2
+        for y, w in adj.row(x).items():
+            row[y] = row.get(y, 0) + w / 2
+        rows[x] = row
+    return rows, {x: adj.depth(x) for x in kernel.window}, lost_mass(kernel, rows)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_symmetrized_kernel_matches_adjoint_reference(exact, rotation3, counting):
+    # drifted walk on Z: m(x) = (p / (1 - p))^x is invariant and not counting
+    p = Fraction(7, 10) if exact else 0.7
+    walk = cw.step_kernel({1: p, -1: 1 - p}, radius=10)
+    m = cw.Measure({x: (p / (1 - p)) ** x for x in walk.window})
+    # the walk's boundary rows lose in-flow from outside the window; the rotation is complete
+    for kernel, measure, lossy in ((walk, m, True), (rotation3, counting, False)):
+        q0 = df.symmetrized_kernel(kernel, measure)
+        rows, depth, flag = _ref_symmetrized(kernel, measure)
+        assert q0.window == kernel.window
+        for x in kernel.window:
+            assert list(q0.row(x).items()) == list(rows[x].items())
+            assert q0.depth(x) == depth[x]
+        assert q0.substochastic == flag == lossy
+    assert all(type(w) is type(p) for _, _, w in df.symmetrized_kernel(walk, m).edges())
 
 
 def test_poincare_constant_matches_eigen_oracle():

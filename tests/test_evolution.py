@@ -100,10 +100,67 @@ def test_evolve_rejects_bad_prune_eps():
         cw.evolve(cw.evolve(d, mu, prune_eps=0.5), mu, prune_eps=0.6)
 
 
+def _bisection_c_star(dists, distance, m=lambda x: 1.0, d_exp=0.0, bracket=(1e-6, 1e12), rel_tol=1e-6):
+    """Reference: the former fit, geometric bisection of log C inside a fixed bracket."""
+    points = [(d.t, float(p), distance(x), float(m(x))) for d in dists if d.t >= 1 for x, p in d.items()]
+
+    def ok(c):
+        return all(p <= c * mv * t ** (-d_exp / 2.0) * math.exp(-dd * dd / (c * t))
+                   for t, p, dd, mv in points)
+
+    lo, hi = bracket
+    if ok(lo):
+        return lo
+    assert ok(hi), "reference bracket too small"
+    while hi / lo > 1 + rel_tol:
+        mid = math.sqrt(lo * hi)
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _fit_cases():
+    z_dists = cw.walk_distributions(Z1, Z_GENS, 32)
+    z_table = cw.word_ball(Z1, Z_GENS, 32)
+    z2_gens = ((1, 0), (-1, 0), (0, 1), (0, -1))
+    z2_dists = cw.walk_distributions(Z2, z2_gens, 16)
+    z2_table = cw.word_ball(Z2, z2_gens, 16)
+    weight = lambda x: 1 + abs(x[0]) / 3  # noqa: E731
+    return {
+        "z": (z_dists, z_table.__getitem__, {}),
+        "z2": (z2_dists, z2_table.__getitem__, {}),
+        "d_exp=1": (z_dists, z_table.__getitem__, {"d_exp": 1.0}),
+        "nonconstant-m": (z_dists, z_table.__getitem__, {"m": weight, "d_exp": 1.0}),
+        # a / b = t * 1e308 overflows a float at t >= 2, and t = 4 sets C*
+        "far-tail": (cw.walk_distributions(Z1, ((1,),), 4), lambda x: abs(x[0]), {"m": lambda x: 1e308}),
+    }
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", ["z", "z2", "d_exp=1", "nonconstant-m", "far-tail"])
+def test_fit_cv_closed_form_matches_bisection(case):
+    dists, distance, kwargs = _fit_cases()[case]
+    report = cw.fit_cv_constant(dists, distance, **kwargs)
+    ref = _bisection_c_star(dists, distance, **kwargs)
+    assert report.c_star <= ref
+    assert ref - report.c_star <= 1e-6 * ref
+    assert report.min_margin >= 0 and not report.violated
+
+
+def test_fit_cv_large_d_exp_is_finite():
+    # the minimal constant (about 9.6e12) lies above the former 1e12 bracket
+    dists = cw.walk_distributions(Z1, DRIFT_GENS, 8)
+    report = cw.fit_cv_constant(dists, cw.word_ball(Z1, DRIFT_GENS, 8), d_exp=30)
+    assert 1e12 < report.c_star < math.inf
+    assert report.min_margin >= 0 and not report.violated
+
+
 def test_fit_cv_trivial_walk():
     dists = cw.walk_distributions(Z1, ((0,),), 8)
     report = cw.fit_cv_constant(dists, lambda x: 0)
-    assert abs(report.c_star - 1.0) < 1e-4
+    assert report.c_star == 1.0
     assert not report.violated
 
 
@@ -112,14 +169,14 @@ def test_fit_cv_margins_nonnegative_and_monotone(zwalk=None):
     table = cw.word_ball(Z1, Z_GENS, 16)
     report = cw.fit_cv_constant(dists, table)
     assert report.min_margin >= 0
-    # monotone predicate: slightly below c_star fails, slightly above holds
+    # monotone predicate: just below c_star fails, slightly above holds
     def ok(c):
         return all(
             float(p) <= c * math.exp(-table[x] ** 2 / (c * d.t))
             for d in dists if d.t >= 1 for x, p in d.items()
         )
     assert ok(report.c_star * (1 + 1e-3))
-    assert not ok(report.c_star * (1 - 1e-3))
+    assert not ok(report.c_star * (1 - 1e-9))
 
 
 def test_fit_cv_missing_distance_errors():
@@ -129,6 +186,25 @@ def test_fit_cv_missing_distance_errors():
     for d_exp in (math.nan, math.inf, -math.inf):
         with pytest.raises(cw.PreconditionError, match="d_exp"):
             cw.fit_cv_constant(dists, lambda x: abs(x[0]), d_exp=d_exp)
+
+
+def test_fit_cv_rejects_unrepresentable_scale():
+    dists = cw.walk_distributions(Z1, Z_GENS, 4)
+    for d_exp in (2000.0, -2000.0):
+        with pytest.raises(cw.PreconditionError, match="float range"):
+            cw.fit_cv_constant(dists, lambda x: abs(x[0]), d_exp=d_exp)
+    with pytest.raises(cw.PreconditionError, match="no finite constant"):
+        cw.fit_cv_constant(dists, lambda x: abs(x[0]), m=lambda x: 1e-320)
+    # exp(-d^2 / (C t)) is subnormal at the point that sets C*
+    with pytest.raises(cw.PreconditionError, match="cannot be certified"):
+        cw.fit_cv_constant(cw.walk_distributions(Z1, Z_GENS, 32), lambda x: abs(x[0]), m=lambda x: 1e306)
+
+
+@pytest.mark.parametrize("value", [0, -1.0, math.nan, math.inf])
+def test_fit_cv_rejects_bad_measure(value):
+    dists = cw.walk_distributions(Z1, Z_GENS, 4)
+    with pytest.raises(cw.PreconditionError, match="measure"):
+        cw.fit_cv_constant(dists, lambda x: abs(x[0]), m=lambda x: value if x == (1,) else 1.0)
 
 
 def test_escape_probability_exact_and_monotone_alpha():

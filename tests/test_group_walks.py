@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import centerwalk as cw
+from centerwalk import group_walks as gw
 
 
 Z1 = cw.IntegerLattice(1)
@@ -141,6 +142,26 @@ def test_word_distance_and_ball():
     assert cw.word_distance(F2, f2_gens, (1, 2, 1), radius=5) == 3
     ball = cw.word_ball(F2, f2_gens, 4)
     assert len(ball) == 2 * 3 ** 4 - 1
+
+
+@pytest.mark.parametrize("group, gens", [(F2, ((1,), (2,))), (Z2, ((1, 0), (0, 1)))])
+def test_word_distance_closed_form_matches_bfs(group, gens, monkeypatch):
+    # gens plus inverses are the standard directions, so the closed-form
+    # metric (reduced length, l1 norm) answers without a BFS
+    ball = cw.word_ball(group, gens, 5)
+    monkeypatch.setattr(gw, "bfs", None)
+    for x, d in ball.items():
+        if d <= 4:
+            assert cw.word_distance(group, gens, x, radius=4) == d
+        else:
+            assert cw.word_distance(group, gens, x, radius=4) is None
+
+
+def test_word_distance_long_free_word_without_bfs(monkeypatch):
+    monkeypatch.setattr(gw, "bfs", None)
+    x = F2.parse_element("aaaaaaaaaaaaaaaaaaaaaaaaab")
+    assert cw.word_distance(F2, ((1,), (-1,), (2,), (-2,)), x, radius=30) == 26
+    assert cw.word_distance(F2, ((1,), (-1,), (2,), (-2,)), x, radius=25) is None
 
 
 def test_heisenberg_distance_against_enumeration():
