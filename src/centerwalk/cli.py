@@ -256,10 +256,14 @@ def cmd_walk_entropy(args):
             "paths": est.n_paths, "support": est.support}, None
 
 
+#: ``walk volume`` budget: the F2 ball of radius 12 (1 062 881 elements) already passes it
+VOLUME_MAX_SUPPORT = 1_000_000
+
+
 def cmd_walk_volume(args):
     group = group_from_spec(args.group)
     gens = parse_generators(group, args.gens)
-    vols = ev.volume_growth(group, gens, args.tmax)
+    vols = ev.volume_growth(group, gens, args.tmax, max_vertices=args.max_support)
     rows = list(enumerate(vols))
     return {"volume": vols}, (("t", "V"), rows)
 
@@ -474,6 +478,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", required=True, help=GROUP_HELP)
     p.add_argument("--gens", required=True, help=GENS_HELP)
     p.add_argument("--tmax", type=int, required=True)
+    p.add_argument("--max-support", type=int, default=VOLUME_MAX_SUPPORT,
+                   help=f"stop with support_overflow (exit 5) once the ball passes this many elements "
+                        f"(default {VOLUME_MAX_SUPPORT})")
     _add_common(p)
     p.set_defaults(func=cmd_walk_volume)
 

@@ -17,36 +17,62 @@ import statistics
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import PreconditionError, StructuralError, SupportOverflowError
 from .groups import Group, WreathZZ
-from .group_walks import word_ball
+from .group_walks import _directions, word_ball
 from .weights import Weight
 
 
 class SparseDistribution:
-    """Finitely supported probability measure on group elements at time t."""
+    """Finitely supported probability measure on group elements at time t.
+
+    The atoms are two aligned sequences: the elements and a numpy array of
+    their weights, Python-int numerators over ``denominator`` (exact) or
+    float64 masses (``approximate``).  ``prob``, ``log_prob`` and ``in`` read
+    a table built on the first such call: a list by engine id while the law
+    holds the evolution engine, else an {element: weight} dict.
+    """
 
     def __init__(self, group: Group, t: int, numerators: Optional[Dict[object, int]] = None,
                  denominator: int = 1, values: Optional[Dict[object, float]] = None):
+        import numpy as np
+
         self.group = group
         self.t = t
         if (numerators is None) == (values is None):
             raise StructuralError("exactly one of numerators/values must be given")
-        self._num = numerators
-        self._den = denominator
-        self._values = values
         if numerators is not None:
             if any(v <= 0 for v in numerators.values()):
                 raise StructuralError("numerators must be positive")
             if sum(numerators.values()) != denominator:
                 raise StructuralError("probabilities must sum to 1 exactly")
+            weights, dtype, self._den = numerators, object, denominator
         else:
             if any(v <= 0 for v in values.values()):
                 raise StructuralError("probabilities must be positive")
             if abs(sum(values.values()) - 1.0) > 1e-9:
                 raise StructuralError("probabilities must sum to 1 within 1e-9")
+            weights, dtype, self._den = values, float, None
+        self._elements = list(weights)
+        self._weights = np.array(list(weights.values()), dtype=dtype)
+        self._lookup = dict(weights).get
+        self._ids = self._engine = None
+
+    @classmethod
+    def _atoms(cls, group: Group, t: int, elements: List, weights, den: Optional[int],
+               ids=None, engine: Optional["_Translates"] = None) -> "SparseDistribution":
+        """A law from aligned atoms, unchecked; ``ids`` index them in ``engine``."""
+        law = cls.__new__(cls)
+        law.group, law.t = group, t
+        law._elements, law._weights, law._den = elements, weights, den
+        law._lookup, law._ids, law._engine = None, ids, engine
+        return law
+
+    def _release(self) -> None:
+        """Drop the evolution engine; the law keeps its atoms."""
+        self._ids = self._engine = self._lookup = None
 
     @classmethod
     def point(cls, group: Group, x=None, t: int = 0) -> "SparseDistribution":
@@ -55,51 +81,69 @@ class SparseDistribution:
 
     @property
     def approximate(self) -> bool:
-        return self._num is None
+        return self._den is None
 
     @property
     def denominator(self) -> Optional[int]:
-        return self._den if self._num is not None else None
+        return self._den
 
-    def support(self):
-        return (self._num or self._values).keys()
+    def support(self) -> Tuple:
+        return tuple(self._elements)
 
     def __len__(self) -> int:
-        return len(self._num or self._values)
+        return len(self._elements)
+
+    def _weight(self, x):
+        """x's weight, None off the support, from a table built on the first call:
+        a list by engine id while the law holds the evolution engine, else a dict."""
+        if self._lookup is None:
+            if self._engine is None:
+                self._lookup = dict(zip(self._elements, self._weights.tolist())).get
+            else:
+                import numpy as np
+
+                by_id = np.full(len(self._engine.elements), None, dtype=object)
+                by_id[self._ids] = self._weights
+                get, n = self._engine.index.get, len(by_id)
+                self._lookup = lambda x: by_id[i] if (i := get(x, n)) < n else None
+        return self._lookup(x)
 
     def __contains__(self, x) -> bool:
-        return x in (self._num or self._values)
+        return self._weight(x) is not None
 
     def prob(self, x) -> Weight:
-        if self._num is not None:
-            n = self._num.get(x, 0)
-            return Fraction(n, self._den) if n else Fraction(0)
-        return self._values.get(x, 0.0)
+        w = self._weight(x)
+        if self._den is not None:
+            return Fraction(w, self._den) if w else Fraction(0)
+        return w if w is not None else 0.0
 
     def log_prob(self, x) -> float:
         """Natural log of the point mass; exact-mode safe for huge denominators."""
-        if self._num is not None:
-            n = self._num.get(x, 0)
-            if n == 0:
-                raise PreconditionError(f"element {x!r} outside the support")
-            return math.log(n) - math.log(self._den)
-        v = self._values.get(x, 0.0)
-        if v <= 0:
+        w = self._weight(x)
+        if w is None:
             raise PreconditionError(f"element {x!r} outside the support")
-        return math.log(v)
+        if self._den is not None:
+            return math.log(w) - math.log(self._den)
+        return math.log(w)
+
+    def numerators(self):
+        """(x, integer numerator over ``denominator``) pairs of an exact law."""
+        if self._den is None:
+            raise PreconditionError("an approximate law has no integer numerators")
+        return zip(self._elements, self._weights.tolist())
 
     def items(self):
-        if self._num is not None:
+        if self._den is not None:
             den = self._den
-            for x, n in self._num.items():
+            for x, n in self.numerators():
                 yield x, Fraction(n, den)
         else:
-            yield from self._values.items()
+            yield from zip(self._elements, self._weights.tolist())
 
     def total(self) -> Weight:
-        if self._num is not None:
-            return Fraction(sum(self._num.values()), self._den)
-        return sum(self._values.values())
+        if self._den is not None:
+            return Fraction(sum(self._weights.tolist()), self._den)
+        return sum(self._weights.tolist())
 
     def __repr__(self) -> str:
         mode = "float" if self.approximate else "exact"
@@ -117,6 +161,52 @@ def step_measure(group: Group, gens: Sequence) -> SparseDistribution:
     return SparseDistribution(group, t=1, numerators=counts, denominator=len(gens))
 
 
+class _Translates:
+    """Interned group elements and their right translates by fixed steps.
+
+    Every element met gets an integer id once.  ``x·g`` is computed once per
+    (id, step) and kept in one numpy ``int32`` table per step (half the
+    memory of ``intp``; a support of 2**31 elements cannot be held anyway),
+    indexed by the id of x (-1 where not yet computed); the tables grow only
+    when ids without translates enter a support.
+    """
+
+    def __init__(self, group: Group, steps: List):
+        import numpy as np
+
+        self.group = group
+        self.steps = steps
+        self.elements: List = []
+        self.index: Dict[object, int] = {}
+        self.tables = [np.empty(0, dtype=np.int32) for _ in steps]
+
+    def ids(self, xs) -> Iterator[int]:
+        """Yield the id of each x, giving a new x the next free id."""
+        elements, setdefault = self.elements, self.index.setdefault
+        n = len(elements)
+        for x in xs:
+            i = setdefault(x, n)
+            if i == n:
+                elements.append(x)
+                n += 1
+            yield i
+
+    def translate(self, ids) -> List:
+        """The tables, with the translates of every id in ``ids`` filled in."""
+        import numpy as np
+
+        tables, n = self.tables, len(self.elements)
+        for k, t in enumerate(tables):
+            if len(t) < n:
+                tables[k] = np.concatenate((t, np.full(n - len(t), -1, dtype=np.int32)))
+        fresh = ids[tables[0][ids] < 0]
+        xs = list(map(self.elements.__getitem__, fresh))
+        mul = self.group.multiply
+        for g, table in zip(self.steps, tables):
+            table[fresh] = np.fromiter(self.ids(map(mul, xs, itertools.repeat(g))), np.int32, len(xs))
+        return tables
+
+
 def evolve(
     dist: SparseDistribution,
     step: SparseDistribution,
@@ -128,6 +218,12 @@ def evolve(
     Exact integer arithmetic unless either input is approximate or pruning
     is requested; pruning drops atoms below ``prune_eps`` (a finite
     positive mass) and renormalizes.
+
+    The step is one gather-add per step atom g with weight c:
+    ``new[table_g[ids]] += weights * c`` over the ids of dist's support in a
+    ``_Translates`` engine.  A right translation is injective, so no index
+    repeats within one gather.  The result carries the engine, so the next
+    step by the same atoms reuses every translate already computed.
     """
     if dist.group.spec_string != step.group.spec_string:
         raise PreconditionError(
@@ -135,39 +231,41 @@ def evolve(
         )
     if prune_eps is not None and not (math.isfinite(prune_eps) and prune_eps > 0):
         raise PreconditionError(f"prune_eps must be a finite positive mass, got {prune_eps!r}")
-    group = dist.group
+    import numpy as np
+
+    engine = dist._engine
+    if engine is None or engine.steps != step._elements:
+        engine = _Translates(dist.group, step._elements)
+        ids = np.fromiter(engine.ids(dist._elements), np.intp, len(dist))
+    else:
+        ids = dist._ids
+    tables = engine.translate(ids)
     exact = not dist.approximate and not step.approximate and prune_eps is None
     if exact:
-        out: Dict[object, int] = {}
-        for x, nx in dist._num.items():
-            for g, cg in step._num.items():
-                y = group.multiply(x, g)
-                out[y] = out.get(y, 0) + nx * cg
-        if max_support is not None and len(out) > max_support:
-            raise SupportOverflowError(
-                f"support {len(out)} exceeds {max_support}; use a smaller t or enable pruning"
-            )
-        return SparseDistribution(group, dist.t + step.t, numerators=out,
-                                  denominator=dist._den * step._den)
-    vals: Dict[object, float] = {}
-    for x, px in (dist.items() if not dist.approximate else dist._values.items()):
-        px = float(px)
-        for g, pg in (step.items() if not step.approximate else step._values.items()):
-            y = group.multiply(x, g)
-            vals[y] = vals.get(y, 0.0) + px * float(pg)
+        weights, coefs = dist._weights, step._weights.tolist()
+        acc = np.zeros(len(engine.elements), dtype=object)
+    else:
+        weights = dist._weights if dist.approximate else (dist._weights / dist._den).astype(float)
+        coefs = (step._weights if step.approximate else step._weights / step._den).tolist()
+        acc = np.zeros(len(engine.elements))
+    for table, c in zip(tables, coefs):
+        acc[table[ids]] += weights if c == 1 else weights * c
+    support = np.flatnonzero(acc)
+    new = acc[support]
     if prune_eps is not None:
-        vals = {x: v for x, v in vals.items() if v >= prune_eps}
-        if not vals:
+        keep = new >= prune_eps
+        support, new = support[keep], new[keep]
+        if not len(support):
             raise PreconditionError(
                 f"pruning at prune_eps={prune_eps!r} removes every atom at t={dist.t + step.t}"
             )
-        mass = sum(vals.values())
-        vals = {x: v / mass for x, v in vals.items()}
-    if max_support is not None and len(vals) > max_support:
-        raise SupportOverflowError(
-            f"support {len(vals)} exceeds {max_support}; use a smaller t"
-        )
-    return SparseDistribution(group, dist.t + step.t, values=vals)
+        new = new / sum(new.tolist())
+    if max_support is not None and len(support) > max_support:
+        hint = " or enable pruning" if exact else ""
+        raise SupportOverflowError(f"support {len(support)} exceeds {max_support}; use a smaller t{hint}")
+    return SparseDistribution._atoms(
+        dist.group, dist.t + step.t, list(map(engine.elements.__getitem__, support)), new,
+        dist._den * step._den if exact else None, support, engine)
 
 
 def walk_distributions(
@@ -182,6 +280,8 @@ def walk_distributions(
     out = [SparseDistribution.point(group)]
     for _ in range(t_max):
         out.append(evolve(out[-1], step, prune_eps=prune_eps, max_support=max_support))
+        out[-2]._release()
+    out[-1]._release()
     return out
 
 
@@ -246,8 +346,9 @@ def fit_cv_constant(
         if d.t < 1:
             continue
         approximate = approximate or d.approximate
-        for x, p in d.items():
-            points.append((d.t, x, float(p), dist_fn(x), float(mval(x))))
+        masses = d.items() if d.approximate else ((x, n / d.denominator) for x, n in d.numerators())
+        for x, p in masses:
+            points.append((d.t, x, p, dist_fn(x), float(mval(x))))
     if not points:
         raise PreconditionError("no distributions with t >= 1 given")
     if max(pt[0] for pt in points) ** (-abs(d_exp) / 2.0) < sys.float_info.min:
@@ -281,18 +382,25 @@ def escape_probability(dist: SparseDistribution, distance, alpha) -> Weight:
     """Tail mass P[d(id, X_t) >= alpha t], exact for exact distributions."""
     if not 0 < float(alpha) <= 1:
         raise PreconditionError("alpha must lie in (0, 1]")
-    athr = alpha if isinstance(alpha, Fraction) else Fraction(alpha)
+    thr = (alpha if isinstance(alpha, Fraction) else Fraction(alpha)) * dist.t
     dist_fn = _distance_fn(distance)
-    total = Fraction(0) if not dist.approximate else 0.0
+    if not dist.approximate:
+        return Fraction(sum(n for x, n in dist.numerators() if dist_fn(x) >= thr), dist.denominator)
+    total = 0.0
     for x, p in dist.items():
-        if dist_fn(x) >= athr * dist.t:
+        if dist_fn(x) >= thr:
             total += p
     return total
 
 
-def volume_growth(group: Group, gens: Sequence, t_max: int) -> List[int]:
-    """V(0..t_max): cumulative word-metric ball sizes over gens and inverses."""
-    dist = word_ball(group, gens, t_max)
+def volume_growth(group: Group, gens: Sequence, t_max: int,
+                  max_vertices: Optional[int] = None) -> List[int]:
+    """V(0..t_max): cumulative word-metric ball sizes over gens and inverses.
+
+    Raises ``SupportOverflowError`` once the ball holds more than
+    ``max_vertices`` elements.
+    """
+    dist = word_ball(group, gens, t_max, max_vertices=max_vertices)
     counts = [0] * (t_max + 1)
     for d in dist.values():
         counts[d] += 1
@@ -401,14 +509,14 @@ def speed_estimate(
     """Mean displacement rate d(id, X_t) / t over sampled paths.
 
     Distance resolution order: a closed-form metric registered for the
-    generating set, then a BFS table up to ``radius``, then the group's
-    certified lower-bound metric (flagged, for groups whose balls are too
-    big to enumerate).
+    generators and their inverses (the word metric of ``word_ball``), then a
+    BFS table up to ``radius``, then the group's certified lower-bound metric
+    (flagged, for groups whose balls are too big to enumerate).
     """
     if t < 1 or n_paths < 1:
         raise PreconditionError("t and n_paths must be >= 1")
     endpoints = _mc_endpoints(group, gens, t, n_paths, seed)
-    exact = group.exact_metric(tuple(group.validate(g) for g in gens))
+    exact = group.exact_metric(tuple(_directions(group, gens)))
     if exact is not None:
         dists = [exact(x) for x in endpoints]
         kind = "exact"

@@ -205,11 +205,12 @@ def _cayley_neighbors(group: Group, gens: Sequence):
     return lambda x: (group.multiply(x, g) for g in dirs)
 
 
-def word_ball(group: Group, gens: Sequence, radius: int) -> Dict[object, int]:
-    """BFS distances from the identity over gens and their inverses."""
+def word_ball(group: Group, gens: Sequence, radius: int,
+              max_vertices: Optional[int] = None) -> Dict[object, int]:
+    """BFS distances from the identity over gens and their inverses, at most ``max_vertices`` of them."""
     if radius < 0:
         raise PreconditionError("radius must be >= 0")
-    return bfs([group.identity], _cayley_neighbors(group, gens), radius)[0]
+    return bfs([group.identity], _cayley_neighbors(group, gens), radius, max_vertices=max_vertices)[0]
 
 
 def word_distance(group: Group, gens: Sequence, x, radius: int) -> Optional[int]:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import ast
 from bisect import bisect_left
 from dataclasses import dataclass
+from operator import add
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InputParseError, StructuralError
@@ -129,7 +130,7 @@ class IntegerLattice(Group):
         return (0,) * self.d
 
     def multiply(self, x, y):
-        return tuple(a + b for a, b in zip(x, y))
+        return tuple(map(add, x, y))
 
     def product(self, elements: Iterable):
         return tuple(map(sum, zip(self.identity, *elements)))

@@ -24,7 +24,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from .errors import PreconditionError, StructuralError
+from .errors import PreconditionError, StructuralError, SupportOverflowError
 from .weights import DEFAULT_TOL, Weight, all_exact, edge_key, is_exact, sort_key
 
 Vertex = object
@@ -32,14 +32,17 @@ Edge = Tuple[Vertex, Vertex]
 
 
 def bfs(sources: Iterable[Vertex], neighbors: Callable[[Vertex], Iterable[Vertex]],
-        radius: Optional[int] = None, target: Optional[Vertex] = None
-        ) -> Tuple[Dict[Vertex, int], Dict[Vertex, Vertex]]:
+        radius: Optional[int] = None, target: Optional[Vertex] = None,
+        max_vertices: Optional[int] = None) -> Tuple[Dict[Vertex, int], Dict[Vertex, Vertex]]:
     """Breadth-first distances and parents from ``sources`` (all at distance 0).
 
     ``neighbors(x)`` lists x's neighbors in discovery order.  Vertices at
     ``radius`` are not expanded; the search stops once ``target`` is found.
     Both maps are in discovery order, and a source is its own parent.
+    Discovering a vertex beyond the first ``max_vertices`` raises
+    ``SupportOverflowError``.
     """
+    limit = math.inf if max_vertices is None else max_vertices
     dist = dict.fromkeys(sources, 0)
     parent = {x: x for x in dist}
     if target in dist:
@@ -52,6 +55,8 @@ def bfs(sources: Iterable[Vertex], neighbors: Callable[[Vertex], Iterable[Vertex
             continue
         for y in neighbors(x):
             if y not in dist:
+                if len(dist) >= limit:
+                    raise SupportOverflowError(f"search passed {max_vertices} vertices; use a smaller radius")
                 dist[y] = d + 1
                 parent[y] = x
                 if y == target:

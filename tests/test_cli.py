@@ -151,6 +151,18 @@ def test_cli_walk_commands(tmp_path):
     assert report["results"]["volume"] == [1, 5, 17, 53, 161]
 
 
+def test_cli_walk_volume_budget(tmp_path, capsys):
+    volume = ["walk", "volume", "--group", "f2", "--gens", "a,A,b,B", "--tmax"]
+    # the radius-4 ball has exactly 161 elements
+    assert run_cli(tmp_path, *volume, "4", "--max-support", "161")["results"]["volume"][-1] == 161
+    for argv in (volume + ["4", "--max-support", "160"], volume + ["40", "--max-support", "1000"]):
+        assert main(argv) == 5, argv
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["code"] == "support_overflow" and err["message"]
+    assert main(volume[:2] + ["--help"]) == 0
+    assert f"(default {cli.VOLUME_MAX_SUPPORT})" in " ".join(capsys.readouterr().out.split())
+
+
 def test_cli_dirichlet_and_green(tmp_path):
     report = run_cli(tmp_path, "dirichlet", "poincare", "--k", "2,3,4")
     assert report["results"]["constants"]["2"] == 0.25
@@ -328,9 +340,13 @@ def test_cli_results_independent_of_hash_seed(tmp_path):
         "verify": ["centering", "verify", "--graph", "ring.json", "--dec", "ring_dec.json"],
         "sector": ["dirichlet", "sector", "--graph", "ring.json", "--dec", "ring_dec.json",
                    "--killing", "1/10", "--trials", "5", "--seed", "3"],
+        # the exact laws come out of the evolution engine's interned ids
+        "evolve": ["walk", "evolve", "--group", "f2", "--gens", "a,A,b,B", "--tmax", "6"],
+        "entropy": ["walk", "entropy", "--group", "f2", "--gens", "a,A,b,B", "--t", "6",
+                    "--paths", "40", "--seed", "5"],
     }
     src = os.path.dirname(os.path.dirname(cw.__file__))
-    # one interpreter per hash seed runs both commands
+    # one interpreter per hash seed runs every command
     script = ("import json, sys; from centerwalk.cli import main; "
               "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))")
     seen = {}

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import statistics
 from fractions import Fraction
 
 import pytest
@@ -98,6 +99,144 @@ def test_evolve_rejects_bad_prune_eps():
     # every atom at t = 2 has mass 1/4 or 1/2
     with pytest.raises(cw.PreconditionError, match=r"prune_eps=0\.6.*t=2"):
         cw.evolve(cw.evolve(d, mu, prune_eps=0.5), mu, prune_eps=0.6)
+
+
+def _dict_evolve(group, atoms, den, step, prune_eps=None):
+    """Reference: the former dict convolution, one multiply and one dict update per pair.
+
+    ``atoms`` maps elements to integer numerators over ``den``, or to masses
+    when ``den`` is None; returns the next law in the same form.
+    """
+    out = {}
+    if den is not None and prune_eps is None:
+        for x, nx in atoms.items():
+            for g, cg in step.numerators():
+                y = group.multiply(x, g)
+                out[y] = out.get(y, 0) + nx * cg
+        return out, den * step.denominator
+    for x, px in atoms.items():
+        px = float(Fraction(px, den)) if den is not None else px
+        for g, cg in step.numerators():
+            y = group.multiply(x, g)
+            out[y] = out.get(y, 0.0) + px * float(Fraction(cg, step.denominator))
+    if prune_eps is not None:
+        out = {x: v for x, v in out.items() if v >= prune_eps}
+        mass = sum(out.values())
+        out = {x: v / mass for x, v in out.items()}
+    return out, None
+
+
+WALKS = {
+    "z": (Z1, Z_GENS, 14),
+    "z2": (Z2, ((1, 0), (-1, 0), (0, 1), (0, -1)), 12),
+    "heisenberg": (cw.Heisenberg(), ((1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, -1, 0)), 8),
+    "bs": (cw.BaumslagSolitar(2), ((0, 0, 1), (0, 1, 0), (0, 0, -1), (0, -1, 0)), 8),
+    "wreath": (cw.WreathZZ(), ((1, ()), (-1, ()), (0, ((0, 1),)), (0, ((0, -1),))), 6),
+    "f2": (F2, F2_GENS, 7),
+    # repeated letters: step numerators 2 and 1 over 6
+    "f2-repeats": (F2, ((1,), (1,), (-1,), (2,), (2,), (-2,)), 6),
+}
+
+
+@pytest.mark.parametrize("walk", sorted(WALKS))
+def test_engine_matches_dict_convolution(walk):
+    group, gens, t_max = WALKS[walk]
+    step = cw.step_measure(group, gens)
+    dists = cw.walk_distributions(group, gens, t_max)
+    atoms, den = {group.identity: 1}, 1
+    for d in dists[1:]:
+        atoms, den = _dict_evolve(group, atoms, den, step)
+        assert d.denominator == den == len(gens) ** d.t
+        assert dict(d.numerators()) == atoms and len(d) == len(atoms)
+        assert dict(d.items()) == {x: Fraction(n, den) for x, n in atoms.items()}
+        assert d.total() == 1 and not d.approximate
+
+
+@pytest.mark.parametrize("walk", ["z2", "heisenberg", "f2"])
+def test_engine_from_hand_made_law(walk):
+    group, gens, t_max = WALKS[walk]
+    step = cw.step_measure(group, gens)
+    # a non-point start, with atoms at word lengths 0, 1 and 2
+    start = {group.identity: 2, gens[0]: 1, group.multiply(gens[0], gens[0]): 1}
+    d = cw.SparseDistribution(group, 0, numerators=start, denominator=4)
+    atoms, den = start, 4
+    for t in range(1, t_max // 2 + 1):
+        d = cw.evolve(d, step)
+        atoms, den = _dict_evolve(group, atoms, den, step)
+        assert (d.t, d.denominator, dict(d.numerators())) == (t, den, atoms)
+    # a hand-made step law, not from step_measure: weights 3/8, 1/8, 4/8
+    odd = cw.SparseDistribution(group, 1, numerators={gens[0]: 3, gens[1]: 1, gens[3]: 4}, denominator=8)
+    d = cw.evolve(cw.evolve(d, odd), step)
+    atoms, den = _dict_evolve(group, *_dict_evolve(group, atoms, den, odd), step)
+    assert (d.denominator, dict(d.numerators())) == (den, atoms)
+
+
+def test_engine_overflows_at_the_reference_t():
+    group, gens, _ = WALKS["f2"]
+    step = cw.step_measure(group, gens)
+    atoms, den, sizes = {group.identity: 1}, 1, []
+    for _ in range(6):
+        atoms, den = _dict_evolve(group, atoms, den, step)
+        sizes.append(len(atoms))
+    for budget in (sizes[2], sizes[2] + 1, sizes[4] - 1):
+        first = next(t for t, n in enumerate(sizes, 1) if n > budget)
+        d = cw.SparseDistribution.point(group)
+        with pytest.raises(cw.SupportOverflowError, match=f"support {sizes[first - 1]} exceeds {budget}"):
+            for _ in range(6):
+                d = cw.evolve(d, step, max_support=budget)
+        assert d.t == first - 1
+    with pytest.raises(cw.SupportOverflowError):
+        cw.walk_distributions(group, gens, 6, max_support=sizes[3])
+
+
+@pytest.mark.parametrize("eps", [1e-4, 1e-3])
+@pytest.mark.parametrize("walk", ["z", "z2", "heisenberg", "f2-repeats"])
+def test_engine_pruned_laws_within_4_ulps(walk, eps):
+    # each pruned law against the reference step from the same predecessor: the
+    # engine adds a target's terms in step order, the reference in support order
+    group, gens, t_max = WALKS[walk]
+    step = cw.step_measure(group, gens)
+    dists = cw.walk_distributions(group, gens, t_max, prune_eps=eps)
+    prev = ({group.identity: 1}, 1)
+    for d in dists[1:]:
+        atoms, _ = _dict_evolve(group, *prev, step, prune_eps=eps)
+        assert d.approximate and d.denominator is None
+        got = dict(d.items())
+        assert got.keys() == atoms.keys()
+        assert all(abs(got[x] - v) <= 4 * math.ulp(v) for x, v in atoms.items())
+        assert all(type(v) is float for v in got.values())
+        with pytest.raises(cw.PreconditionError, match="numerators"):
+            d.numerators()
+        prev = (got, None)
+
+
+def test_law_keyed_access_after_release():
+    dists = cw.walk_distributions(Z2, WALKS["z2"][1], 6)
+    d = dists[6]
+    assert d._engine is None and d._lookup is None
+    assert len(d) == 49 and d.total() == 1
+    assert d._lookup is None  # len, total, items and numerators need no lookup table
+    assert (0, 0) in d and (7, 0) not in d
+    assert d.prob((0, 0)) == Fraction(400, 4 ** 6) and d.prob((7, 0)) == 0
+    assert d.log_prob((6, 0)) == pytest.approx(-6 * math.log(4))
+    with pytest.raises(cw.PreconditionError, match="outside the support"):
+        d.log_prob((7, 0))
+    # while a law holds the engine, keyed access goes through the engine's index
+    step = cw.step_measure(Z2, WALKS["z2"][1])
+    live = cw.evolve(cw.evolve(cw.SparseDistribution.point(Z2), step, prune_eps=0.1), step)
+    ref = cw.evolve(cw.evolve(cw.SparseDistribution.point(Z2), step, prune_eps=0.1), step)
+    ref._release()
+    assert live._engine is not None
+    for x in [(0, 0), (1, 1), (2, 0), (1, 0), (7, 0), (-2, 0)]:
+        assert (x in live, live.prob(x)) == (x in ref, ref.prob(x))
+        assert type(live.prob(x)) is float
+    # a list by engine id, not a dict over the support
+    assert not isinstance(getattr(live._lookup, "__self__", None), dict)
+    exact = cw.evolve(cw.evolve(cw.SparseDistribution.point(Z2), step), step)
+    for x in [(0, 0), (1, 1), (2, 0), (1, 0), (7, 0)]:
+        assert (x in exact, exact.prob(x)) == (x in dists[2], dists[2].prob(x))
+    assert exact.log_prob((2, 0)) == dists[2].log_prob((2, 0))
+    assert not isinstance(getattr(exact._lookup, "__self__", None), dict)
 
 
 def _bisection_c_star(dists, distance, m=lambda x: 1.0, d_exp=0.0, bracket=(1e-6, 1e12), rel_tol=1e-6):
@@ -233,6 +372,16 @@ def test_volume_growth_closed_forms():
     assert cw.volume_growth(F2, F2_GENS, 6) == [2 * 3 ** t - 1 for t in range(7)]
 
 
+def test_volume_growth_budget():
+    # the radius-3 ball of F2 has 53 elements
+    assert cw.volume_growth(F2, F2_GENS, 3, max_vertices=53) == [1, 5, 17, 53]
+    with pytest.raises(cw.SupportOverflowError, match="52"):
+        cw.volume_growth(F2, F2_GENS, 3, max_vertices=52)
+    with pytest.raises(cw.SupportOverflowError):
+        cw.word_ball(F2, F2_GENS, 40, max_vertices=1000)
+    assert len(cw.word_ball(Z2, ((1, 0), (0, 1)), 4, max_vertices=41)) == 41
+
+
 @pytest.mark.parametrize("k", [*range(1, 10), 1000])
 def test_path_indices_replay_randrange(k):
     for t in (0, 1, 7, 500):
@@ -309,6 +458,16 @@ def test_speed_wreath_lower_bound_metric():
     est = cw.speed_estimate(wr, cw.WREATH_LAMP_PAIR, t=100, n_paths=40, seed=9)
     assert est.metric_kind == "lower_bound"
     assert est.value >= 1.0  # lamp mass alone already equals t
+
+
+def test_speed_free_group_metric_over_gens_and_inverses():
+    # the word metric over a, b and their inverses is the reduced length
+    gens = ((1,), (2,))
+    ends = [p[-1] for p in cw.mc_sample(F2, gens, t=20, n_paths=5, seed=1)]
+    for radius in (None, 8):
+        est = cw.speed_estimate(F2, gens, t=20, n_paths=5, seed=1, radius=radius)
+        assert est.metric_kind == "exact"
+        assert est.value == statistics.fmean(len(x) / 20 for x in ends)
 
 
 def test_speed_deterministic():
