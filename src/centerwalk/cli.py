@@ -12,8 +12,10 @@ Subcommands mirror the library modules::
 Reports are JSON with a deterministic ``results`` payload (identical config
 and seed give byte-identical results); ``--format csv`` flattens the per-t
 trace of commands that have one.  Randomized commands require an explicit
-``--seed``.  Errors are structured JSON on stderr with a machine-readable
-code and a distinct exit status.
+``--seed``.  Only the ``centering`` commands take a float ``--tol``; every
+walk command that builds exact laws or a word ball stops at ``--max-support``
+elements (default ``evolution.MAX_SUPPORT``).  Errors are structured JSON on
+stderr with a machine-readable code and a distinct exit status.
 """
 
 from __future__ import annotations
@@ -40,23 +42,30 @@ from .errors import (
     PreconditionError,
 )
 from .groups import group_from_spec, parse_generators
-from .weights import format_weight
+from .weights import DEFAULT_TOL, format_weight
+
+
+def _group_gens(args):
+    group = group_from_spec(args.group)
+    return group, parse_generators(group, args.gens)
 
 
 def _load_kernel(args) -> Tuple[mg.Kernel, Optional[object], Optional[Tuple]]:
-    """Kernel from --graph or from --group/--gens/--radius; counting measure."""
-    if getattr(args, "graph", None):
+    """Kernel from --graph [--killing] or from --group/--gens/--radius; counting measure."""
+    if args.graph is not None:
+        if args.group is not None or args.gens is not None or args.radius is not None:
+            raise InputParseError("--graph does not combine with --group, --gens or --radius")
         kernel = ser.kernel_from_obj(ser.load_json(args.graph))
-        if getattr(args, "killing", None):
+        if args.killing is not None:
             kernel = kernel.with_killing(_fraction("--killing", args.killing))
         return kernel, None, None
-    if getattr(args, "group", None):
-        group = group_from_spec(args.group)
-        gens = parse_generators(group, args.gens)
-        radius = args.radius
-        if radius is None:
+    if args.killing is not None:
+        raise InputParseError("--killing applies only to --graph")
+    if args.group is not None:
+        group, gens = _group_gens(args)
+        if args.radius is None:
             raise InputParseError("--radius is required with --group")
-        return gw.cayley_kernel(group, gens, radius), group, gens
+        return gw.cayley_kernel(group, gens, args.radius), group, gens
     raise InputParseError("provide either --graph or --group/--gens")
 
 
@@ -80,6 +89,15 @@ def _label(group, x) -> str:
     return json.dumps(ser.encode_vertex(x))
 
 
+def _write_dec(args, dec: mg.CycleDecomposition) -> dict:
+    """The decomposition as JSON, also written to --dec-out when given."""
+    obj = ser.decomposition_to_obj(dec)
+    if args.dec_out:
+        with open(args.dec_out, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh, indent=2, sort_keys=True)
+    return obj
+
+
 # -- command handlers ---------------------------------------------------------
 # each returns (results_dict, optional (csv_header, csv_rows))
 
@@ -101,31 +119,22 @@ def cmd_centering_verify(args):
 def cmd_centering_reversible(args):
     kernel = ser.kernel_from_obj(ser.load_json(args.graph))
     dec = mg.reversible_decomposition(kernel, mg.Measure.counting(), tol=args.tol)
-    obj = ser.decomposition_to_obj(dec)
-    if args.dec_out:
-        with open(args.dec_out, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh, indent=2, sort_keys=True)
-    return {"cycles": len(dec), "c0": dec.max_length, "decomposition": obj}, None
+    return {"cycles": len(dec), "c0": dec.max_length, "decomposition": _write_dec(args, dec)}, None
 
 
 def cmd_centering_from_flow(args):
     flow = ser.flow_from_obj(ser.load_json(args.flow))
     dec = mg.circulation_to_cycles(flow, max_len=args.max_len, tol=args.tol)
-    obj = ser.decomposition_to_obj(dec)
-    if args.dec_out:
-        with open(args.dec_out, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh, indent=2, sort_keys=True)
     return {
         "cycles": len(dec),
         "c0": dec.max_length,
         "exceeds_max_len": dec.exceeds_max_len,
-        "decomposition": obj,
+        "decomposition": _write_dec(args, dec),
     }, None
 
 
 def cmd_group_c1_search(args):
-    group = group_from_spec(args.group)
-    gens = parse_generators(group, args.gens)
+    group, gens = _group_gens(args)
     res = gw.c1_search(group, gens, n_max=args.n_max, node_budget=args.budget)
     if res.status == "budget_exhausted":
         raise BudgetExhaustedError(
@@ -140,8 +149,7 @@ def cmd_group_c1_search(args):
 
 
 def cmd_group_c2_check(args):
-    group = group_from_spec(args.group)
-    gens = parse_generators(group, args.gens)
+    group, gens = _group_gens(args)
     rep = gw.c2_check(group, gens)
     return {
         "holds": rep.holds,
@@ -152,8 +160,7 @@ def cmd_group_c2_check(args):
 
 
 def cmd_group_dist(args):
-    group = group_from_spec(args.group)
-    gens = parse_generators(group, args.gens)
+    group, gens = _group_gens(args)
     x = group.parse_element(args.element)
     d = gw.word_distance(group, gens, x, radius=args.radius)
     return {"element": group.format_element(x),
@@ -161,8 +168,7 @@ def cmd_group_dist(args):
 
 
 def cmd_walk_evolve(args):
-    group = group_from_spec(args.group)
-    gens = parse_generators(group, args.gens)
+    group, gens = _group_gens(args)
     dists = ev.walk_distributions(group, gens, args.tmax,
                                   prune_eps=args.prune_eps,
                                   max_support=args.max_support)
@@ -181,8 +187,7 @@ def cmd_walk_evolve(args):
 
 
 def cmd_walk_cv_fit(args):
-    group = group_from_spec(args.group)
-    gens = parse_generators(group, args.gens)
+    group, gens = _group_gens(args)
     dists = ev.walk_distributions(group, gens, args.tmax,
                                   prune_eps=args.prune_eps,
                                   max_support=args.max_support)
@@ -219,8 +224,7 @@ def _parse_times(text: str) -> List[int]:
 
 
 def cmd_walk_escape(args):
-    group = group_from_spec(args.group)
-    gens = parse_generators(group, args.gens)
+    group, gens = _group_gens(args)
     times = _parse_times(args.times)
     if min(times) < 0:
         raise InputParseError(f"times must be >= 0, got {args.times!r}")
@@ -239,8 +243,7 @@ def cmd_walk_escape(args):
 
 
 def cmd_walk_speed(args):
-    group = group_from_spec(args.group)
-    gens = parse_generators(group, args.gens)
+    group, gens = _group_gens(args)
     est = ev.speed_estimate(group, gens, t=args.t, n_paths=args.paths,
                             seed=args.seed, radius=args.radius)
     return {"speed": est.value, "stderr": est.stderr, "t": est.t,
@@ -248,21 +251,15 @@ def cmd_walk_speed(args):
 
 
 def cmd_walk_entropy(args):
-    group = group_from_spec(args.group)
-    gens = parse_generators(group, args.gens)
+    group, gens = _group_gens(args)
     est = ev.entropy_estimate(group, gens, t=args.t, n_paths=args.paths,
                               seed=args.seed, max_support=args.max_support)
     return {"entropy": est.value, "stderr": est.stderr, "t": est.t,
             "paths": est.n_paths, "support": est.support}, None
 
 
-#: ``walk volume`` budget: the F2 ball of radius 12 (1 062 881 elements) already passes it
-VOLUME_MAX_SUPPORT = 1_000_000
-
-
 def cmd_walk_volume(args):
-    group = group_from_spec(args.group)
-    gens = parse_generators(group, args.gens)
+    group, gens = _group_gens(args)
     vols = ev.volume_growth(group, gens, args.tmax, max_vertices=args.max_support)
     rows = list(enumerate(vols))
     return {"volume": vols}, (("t", "V"), rows)
@@ -370,7 +367,6 @@ GENS_HELP = (
 
 
 def _add_common(p, seed=False, graph_source=False):
-    p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--out", help="write the report to this path instead of stdout")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     if seed:
@@ -385,7 +381,7 @@ def _add_common(p, seed=False, graph_source=False):
         p.add_argument("--radius", type=int, default=None, help="Cayley window radius")
 
 
-def _group_walk_args(p, *, tmax=False, paths=False):
+def _group_walk_args(p, *, tmax=False, paths=False, prune=False, budget=False):
     p.add_argument("--group", required=True, help=GROUP_HELP)
     p.add_argument("--gens", required=True, help=GENS_HELP)
     if tmax:
@@ -393,9 +389,13 @@ def _group_walk_args(p, *, tmax=False, paths=False):
     if paths:
         p.add_argument("--paths", type=int, required=True)
         p.add_argument("--t", type=int, required=True)
-    p.add_argument("--prune-eps", type=float, default=None,
-                   help="drop atoms below this mass and renormalize (flags the run approximate)")
-    p.add_argument("--max-support", type=int, default=None)
+    if prune:
+        p.add_argument("--prune-eps", type=float, default=None,
+                       help="drop atoms below this mass and renormalize (flags the run approximate)")
+    if budget:
+        p.add_argument("--max-support", type=int, default=ev.MAX_SUPPORT,
+                       help="stop with support_overflow (exit 5) once a law or ball passes this "
+                            f"many elements (default {ev.MAX_SUPPORT})")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -414,36 +414,36 @@ def build_parser() -> argparse.ArgumentParser:
     p = centering.add_parser("verify")
     p.add_argument("--graph", required=True)
     p.add_argument("--dec", required=True)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     _add_common(p)
     p.set_defaults(func=cmd_centering_verify)
     p = centering.add_parser("reversible")
     p.add_argument("--graph", required=True)
     p.add_argument("--dec-out")
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     _add_common(p)
     p.set_defaults(func=cmd_centering_reversible)
     p = centering.add_parser("from-flow")
     p.add_argument("--flow", required=True)
     p.add_argument("--max-len", type=int, required=True)
     p.add_argument("--dec-out")
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     _add_common(p)
     p.set_defaults(func=cmd_centering_from_flow)
 
     group = tops.add_parser("group").add_subparsers(dest="action", required=True)
     p = group.add_parser("c1-search")
-    p.add_argument("--group", required=True, help=GROUP_HELP)
-    p.add_argument("--gens", required=True, help=GENS_HELP)
+    _group_walk_args(p)
     p.add_argument("--n-max", type=int, default=1)
-    p.add_argument("--budget", type=int, default=5_000_000)
+    p.add_argument("--budget", type=int, default=gw.NODE_BUDGET)
     _add_common(p)
     p.set_defaults(func=cmd_group_c1_search)
     p = group.add_parser("c2-check")
-    p.add_argument("--group", required=True, help=GROUP_HELP)
-    p.add_argument("--gens", required=True, help=GENS_HELP)
+    _group_walk_args(p)
     _add_common(p)
     p.set_defaults(func=cmd_group_c2_check)
     p = group.add_parser("dist")
-    p.add_argument("--group", required=True, help=GROUP_HELP)
-    p.add_argument("--gens", required=True, help=GENS_HELP)
+    _group_walk_args(p)
     p.add_argument("--element", required=True)
     p.add_argument("--radius", type=int, required=True)
     _add_common(p)
@@ -451,16 +451,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     walk = tops.add_parser("walk").add_subparsers(dest="action", required=True)
     p = walk.add_parser("evolve")
-    _group_walk_args(p, tmax=True)
+    _group_walk_args(p, tmax=True, prune=True, budget=True)
     _add_common(p)
     p.set_defaults(func=cmd_walk_evolve)
     p = walk.add_parser("cv-fit")
-    _group_walk_args(p, tmax=True)
+    _group_walk_args(p, tmax=True, prune=True, budget=True)
     p.add_argument("--d-exp", type=_finite_float, default=0.0)
     _add_common(p)
     p.set_defaults(func=cmd_walk_cv_fit)
     p = walk.add_parser("escape")
-    _group_walk_args(p)
+    _group_walk_args(p, prune=True, budget=True)
     p.add_argument("--alpha", required=True)
     p.add_argument("--times", required=True, help="comma-separated t values")
     _add_common(p)
@@ -471,16 +471,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, seed=True)
     p.set_defaults(func=cmd_walk_speed)
     p = walk.add_parser("entropy")
-    _group_walk_args(p, paths=True)
+    _group_walk_args(p, paths=True, budget=True)
     _add_common(p, seed=True)
     p.set_defaults(func=cmd_walk_entropy)
     p = walk.add_parser("volume")
-    p.add_argument("--group", required=True, help=GROUP_HELP)
-    p.add_argument("--gens", required=True, help=GENS_HELP)
-    p.add_argument("--tmax", type=int, required=True)
-    p.add_argument("--max-support", type=int, default=VOLUME_MAX_SUPPORT,
-                   help=f"stop with support_overflow (exit 5) once the ball passes this many elements "
-                        f"(default {VOLUME_MAX_SUPPORT})")
+    _group_walk_args(p, tmax=True, budget=True)
     _add_common(p)
     p.set_defaults(func=cmd_walk_volume)
 

@@ -25,6 +25,10 @@ TestFunction = Mapping[Vertex, Weight]
 #: functions must sit at this certified depth before forms are evaluated
 SUPPORT_MARGIN = 2
 
+#: random test functions live on at most TEST_SUPPORT points; the sector search refines its
+#: REFINE_TOP best pairs by up to REFINE_ROUNDS best responses on at most GROW_CAP points
+TEST_SUPPORT, REFINE_TOP, REFINE_ROUNDS, GROW_CAP = 12, 5, 12, 200
+
 
 def _check_support(kernel: Kernel, *functions: TestFunction, margin: float = SUPPORT_MARGIN):
     for f in functions:
@@ -139,11 +143,10 @@ def poincare_constant(k: int) -> float:
 def random_test_function(
     interior: Sequence[Vertex],
     rng: random.Random,
-    max_support: int = 12,
     exact: bool = False,
 ) -> Dict[Vertex, Weight]:
-    """Random finitely supported function: support <= max_support, values in [-1, 1]."""
-    size = rng.randint(1, min(max_support, len(interior)))
+    """Random finitely supported function: support <= TEST_SUPPORT, values in [-1, 1]."""
+    size = rng.randint(1, min(TEST_SUPPORT, len(interior)))
     points = rng.sample(list(interior), size)
     if exact:
         return {x: Fraction(rng.randint(-64, 64), 64) for x in points}
@@ -236,29 +239,26 @@ def _best_response(form: _FloatForm, coeffs, support):
     return {x: float(v) for x, v in zip(support, sol)}
 
 
-def _refine_pair(kernel, form, f, g, margin, rounds, grow_cap):
+def _respond(kernel, form, h, neighbors, coefficient, margin):
+    # the best response to h on h's support grown by one step along ``neighbors``,
+    # cut to the GROW_CAP points with the largest coefficients
+    cand = set(h)
+    for x in h:
+        cand.update(neighbors(x))
+    cand = [x for x in cand if kernel.depth(x) >= margin]
+    coeffs = {x: coefficient(h, x) for x in cand}
+    support = sorted(cand, key=lambda x: (-abs(coeffs[x]), sort_key(x)))[:GROW_CAP]
+    support.sort(key=sort_key)
+    return _best_response(form, [coeffs[x] for x in support], support)
+
+
+def _refine_pair(kernel, form, f, g, margin):
     # alternate optimal responses, letting supports grow into the
     # neighborhoods where the response coefficients are nonzero
     best = _ratio(form, f, g) or 0.0
-    for _ in range(rounds):
-        cand = set(f)
-        for x in f:
-            cand.update(kernel.in_row(x))
-        cand = [x for x in cand if kernel.depth(x) >= margin]
-        coeffs = {x: form.g_coefficient(f, x) for x in cand}
-        support_g = sorted(cand, key=lambda x: (-abs(coeffs[x]), sort_key(x)))[:grow_cap]
-        support_g.sort(key=sort_key)
-        g = _best_response(form, [coeffs[x] for x in support_g], support_g)
-
-        cand = set(g)
-        for x in g:
-            cand.update(kernel.row(x))
-        cand = [y for y in cand if kernel.depth(y) >= margin]
-        coeffs = {y: form.f_coefficient(g, y) for y in cand}
-        support_f = sorted(cand, key=lambda y: (-abs(coeffs[y]), sort_key(y)))[:grow_cap]
-        support_f.sort(key=sort_key)
-        f = _best_response(form, [coeffs[y] for y in support_f], support_f)
-
+    for _ in range(REFINE_ROUNDS):
+        g = _respond(kernel, form, f, kernel.in_row, form.g_coefficient, margin)
+        f = _respond(kernel, form, g, kernel.row, form.f_coefficient, margin)
         r = _ratio(form, f, g)
         if r is None:
             break
@@ -275,10 +275,6 @@ def sector_ratio(
     dec: Optional[CycleDecomposition] = None,
     trials: int = 1000,
     seed: int = 0,
-    max_support: int = 12,
-    rounds: int = 12,
-    refine_top: int = 5,
-    grow_cap: int = 200,
 ) -> float:
     """Empirical sector constant: max |E(f,g)| / sqrt(E(f,f) E(g,g)).
 
@@ -300,8 +296,8 @@ def sector_ratio(
     rng = random.Random(seed)
     scored = []
     for i in range(trials):
-        f = random_test_function(interior, rng, max_support)
-        g = random_test_function(interior, rng, max_support)
+        f = random_test_function(interior, rng)
+        g = random_test_function(interior, rng)
         r = _ratio(form, f, g)
         if r is not None:
             scored.append((r, i, f, g))
@@ -309,8 +305,8 @@ def sector_ratio(
         return 0.0
     scored.sort(key=lambda item: (-item[0], item[1]))
     best = scored[0][0]
-    for r, _, f, g in scored[:refine_top]:
-        best = max(best, _refine_pair(kernel, form, f, g, margin, rounds, grow_cap))
+    for r, _, f, g in scored[:REFINE_TOP]:
+        best = max(best, _refine_pair(kernel, form, f, g, margin))
     return best
 
 
@@ -326,7 +322,6 @@ def weighted_form_ratios(
     s_values: Sequence[float],
     trials: int,
     seed: int,
-    max_support: int = 12,
 ) -> List[float]:
     """Samples of -E(w_s f, w_-s f) / (s^2 m(f^2)) for w_s = exp(s d(origin, .)).
 
@@ -337,11 +332,10 @@ def weighted_form_ratios(
     dist = distance_map(kernel, origin)
     form = _FloatForm(kernel, m)
     rng = random.Random(seed)
-    margin = SUPPORT_MARGIN
-    interior = kernel.interior_vertices(margin)
+    interior = kernel.interior_vertices(SUPPORT_MARGIN)
     out: List[float] = []
     for _ in range(trials):
-        f = random_test_function(interior, rng, max_support)
+        f = random_test_function(interior, rng)
         mass = sum(form.mass(x) * v * v for x, v in f.items())
         if mass < 1e-14:
             continue
@@ -441,7 +435,7 @@ def symmetrized_kernel(kernel: Kernel, m: Measure) -> Kernel:
             row[y] = row.get(y, 0) + (m(y) * w / m(x)) / 2
         rows[x] = row
     depth = {x: kernel.depth(x) - 1 for x in kernel.window}
-    return Kernel(rows, depth=depth, substochastic=lost_mass(kernel, rows), tol=kernel.tol)
+    return Kernel(rows, depth=depth, substochastic=lost_mass(kernel, rows))
 
 
 @dataclass

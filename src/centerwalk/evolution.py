@@ -24,6 +24,10 @@ from .groups import Group, WreathZZ
 from .group_walks import _directions, word_ball
 from .weights import Weight
 
+#: default support budget of ``entropy_estimate`` and of the CLI's exact-law and
+#: word-ball commands; the F2 ball of radius 12 (1 062 881 elements) passes it
+MAX_SUPPORT = 1_000_000
+
 
 class SparseDistribution:
     """Finitely supported probability measure on group elements at time t.
@@ -217,7 +221,8 @@ def evolve(
 
     Exact integer arithmetic unless either input is approximate or pruning
     is requested; pruning drops atoms below ``prune_eps`` (a finite
-    positive mass) and renormalizes.
+    positive mass) and renormalizes by the correctly rounded ``math.fsum``,
+    so the pruned bits do not depend on the interpreter's ``sum()``.
 
     The step is one gather-add per step atom g with weight c:
     ``new[table_g[ids]] += weights * c`` over the ids of dist's support in a
@@ -231,6 +236,8 @@ def evolve(
         )
     if prune_eps is not None and not (math.isfinite(prune_eps) and prune_eps > 0):
         raise PreconditionError(f"prune_eps must be a finite positive mass, got {prune_eps!r}")
+    if max_support is not None and max_support < 1:
+        raise PreconditionError(f"max_support must be >= 1, got {max_support}")
     import numpy as np
 
     engine = dist._engine
@@ -259,7 +266,7 @@ def evolve(
             raise PreconditionError(
                 f"pruning at prune_eps={prune_eps!r} removes every atom at t={dist.t + step.t}"
             )
-        new = new / sum(new.tolist())
+        new = new / math.fsum(new.tolist())
     if max_support is not None and len(support) > max_support:
         hint = " or enable pruning" if exact else ""
         raise SupportOverflowError(f"support {len(support)} exceeds {max_support}; use a smaller t{hint}")
@@ -276,6 +283,8 @@ def walk_distributions(
     max_support: Optional[int] = None,
 ) -> List[SparseDistribution]:
     """mu^0 .. mu^t_max as a list; exact unless pruning kicks in."""
+    if t_max < 0:
+        raise PreconditionError(f"t_max must be >= 0, got {t_max}")
     step = step_measure(group, gens)
     out = [SparseDistribution.point(group)]
     for _ in range(t_max):
@@ -550,7 +559,7 @@ def entropy_estimate(
     t: int,
     n_paths: int,
     seed: int,
-    max_support: int = 5_000_000,
+    max_support: int = MAX_SUPPORT,
 ) -> EntropyEstimate:
     """Mean of -(1/t) log mu^t(X_t) over sampled paths, with exact mu^t."""
     if t < 1 or n_paths < 1:

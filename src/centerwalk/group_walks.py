@@ -22,6 +22,9 @@ from .groups import FiniteCyclic, FreeGroup, Group, IntegerLattice
 from .markov_graph import Cycle, CycleDecomposition, Kernel, bfs, split_edge_walk
 from .weights import Weight, sort_key
 
+#: default node budget of ``c1_search``
+NODE_BUDGET = 5_000_000
+
 
 @dataclass(frozen=True)
 class C1Witness:
@@ -120,7 +123,7 @@ def c1_search(
     group: Group,
     gens: Sequence,
     n_max: int,
-    node_budget: int = 5_000_000,
+    node_budget: int = NODE_BUDGET,
 ) -> C1SearchResult:
     """Depth-first search for an n-to-1 reordering with identity product.
 

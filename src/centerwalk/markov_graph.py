@@ -42,6 +42,8 @@ def bfs(sources: Iterable[Vertex], neighbors: Callable[[Vertex], Iterable[Vertex
     Discovering a vertex beyond the first ``max_vertices`` raises
     ``SupportOverflowError``.
     """
+    if max_vertices is not None and max_vertices < 1:
+        raise PreconditionError(f"vertex budget must be >= 1, got {max_vertices}")
     limit = math.inf if max_vertices is None else max_vertices
     dist = dict.fromkeys(sources, 0)
     parent = {x: x for x in dist}
@@ -119,9 +121,7 @@ class Kernel:
         *,
         depth: Optional[Mapping[Vertex, float]] = None,
         substochastic: bool = False,
-        tol: float = DEFAULT_TOL,
     ):
-        self.tol = tol
         self.substochastic = substochastic
         self._rows: Dict[Vertex, Dict[Vertex, Weight]] = {}
         for x, row in rows.items():
@@ -136,9 +136,9 @@ class Kernel:
             s = sum(row.values(), Fraction(0) if all_exact(row.values()) else 0.0)
             self._row_sums[x] = s
             if substochastic:
-                if s > 1 + tol:
+                if s > 1 + DEFAULT_TOL:
                     raise StructuralError(f"row sum at {x!r} exceeds 1: {s}")
-            elif abs(s - 1) > tol:
+            elif abs(s - 1) > DEFAULT_TOL:
                 raise StructuralError(f"row at {x!r} does not sum to 1: {s}")
         self._in: Dict[Vertex, Dict[Vertex, Weight]] = {x: {} for x in self._rows}
         for x, row in self._rows.items():
@@ -216,14 +216,14 @@ class Kernel:
         """
         keep = set(keep) & self.window
         rows = {x: {y: w for y, w in self._rows[x].items() if y in keep} for x in keep}
-        return Kernel(rows, depth={x: math.inf for x in keep}, substochastic=True, tol=self.tol)
+        return Kernel(rows, depth={x: math.inf for x in keep}, substochastic=True)
 
     def with_killing(self, rate: Weight) -> "Kernel":
         if not 0 < rate < 1:
             raise PreconditionError(f"killing rate must lie in (0, 1), got {rate}")
         factor = (1 - Fraction(rate)) if is_exact(rate) else (1 - rate)
         rows = {x: {y: w * factor for y, w in row.items()} for x, row in self._rows.items()}
-        return Kernel(rows, depth=dict(self._depth), substochastic=True, tol=self.tol)
+        return Kernel(rows, depth=dict(self._depth), substochastic=True)
 
     def __repr__(self) -> str:
         kind = "substochastic" if self.substochastic else "stochastic"
@@ -246,12 +246,11 @@ def step_kernel(
     steps: Mapping[object, Weight],
     radius: Optional[int] = None,
     window: Optional[Iterable[Vertex]] = None,
-    origin: Optional[Vertex] = None,
 ) -> Kernel:
     """Translation-invariant walk on Z^d with the given step distribution.
 
     Steps are integers (d = 1) or integer tuples.  The window is either the
-    ball of the given ``radius`` around ``origin`` in the undirected step
+    ball of the given ``radius`` around the origin in the undirected step
     graph, or an explicit vertex set; in both cases the certified depth is
     the exact step-graph distance to the complement.
     """
@@ -259,9 +258,8 @@ def step_kernel(
     if not steps:
         raise PreconditionError("empty step distribution")
     offsets = sorted({s for s in steps} | {_neg(s) for s in steps}, key=sort_key)
-    if origin is None:
-        first = next(iter(steps))
-        origin = tuple(0 for _ in first) if isinstance(first, tuple) else 0
+    first = next(iter(steps))
+    origin = tuple(0 for _ in first) if isinstance(first, tuple) else 0
 
     if (radius is None) == (window is None):
         raise PreconditionError("specify exactly one of radius or window")
@@ -632,7 +630,7 @@ def time_reversal(kernel: Kernel, m: Measure) -> Kernel:
     inv = invariance_check(kernel, m)
     if inv.residuals:
         worst = max(inv.residuals.items(), key=lambda kv: abs(kv[1]))
-        if abs(worst[1]) > kernel.tol:
+        if abs(worst[1]) > DEFAULT_TOL:
             raise PreconditionError(
                 f"measure is not invariant: residual {worst[1]} at {worst[0]!r}"
             )
@@ -649,11 +647,11 @@ def adjoint_kernel(kernel: Kernel, m: Measure) -> Kernel:
     for y in kernel.sorted_vertices():
         rows[y] = {x: m(x) * w / m(y) for x, w in kernel.in_row(y).items()}
     depth = {x: kernel.depth(x) - 1 for x in kernel.window}
-    return Kernel(rows, depth=depth, substochastic=lost_mass(kernel, rows), tol=kernel.tol)
+    return Kernel(rows, depth=depth, substochastic=lost_mass(kernel, rows))
 
 
 def lost_mass(kernel: Kernel, rows: Mapping[Vertex, Mapping[Vertex, Weight]]) -> bool:
     """Rows derived from ``kernel`` are substochastic if it is or some row sums below 1."""
     return kernel.substochastic or any(
-        sum(row.values(), Fraction(0)) < 1 - kernel.tol for row in rows.values()
+        sum(row.values(), Fraction(0)) < 1 - DEFAULT_TOL for row in rows.values()
     )

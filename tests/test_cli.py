@@ -12,6 +12,7 @@ import centerwalk as cw
 from centerwalk import cli
 from centerwalk import serialization as ser
 from centerwalk.cli import main
+from centerwalk.evolution import MAX_SUPPORT
 
 
 def triangle_graph_obj():
@@ -160,7 +161,28 @@ def test_cli_walk_volume_budget(tmp_path, capsys):
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["code"] == "support_overflow" and err["message"]
     assert main(volume[:2] + ["--help"]) == 0
-    assert f"(default {cli.VOLUME_MAX_SUPPORT})" in " ".join(capsys.readouterr().out.split())
+    assert f"(default {MAX_SUPPORT})" in " ".join(capsys.readouterr().out.split())
+
+
+def test_cli_law_commands_share_the_budget(capsys):
+    for action in ("evolve", "cv-fit", "escape", "entropy", "volume"):
+        assert main(["walk", action, "--help"]) == 0
+        assert f"(default {MAX_SUPPORT})" in " ".join(capsys.readouterr().out.split()), action
+    assert main(["walk", "speed", "--help"]) == 0
+    assert "--max-support" not in capsys.readouterr().out
+
+
+def test_cli_removed_flags_are_parse_errors(capsys):
+    z = ["--group", "z:1", "--gens", "[1],[-1]"]
+    sampled = z + ["--t", "4", "--paths", "5", "--seed", "1"]
+    for argv in (["walk", "evolve", *z, "--tmax", "2", "--tol", "1e-9"],
+                 ["walk", "speed", *sampled, "--prune-eps", "0.5"],
+                 ["walk", "speed", *sampled, "--max-support", "10"],
+                 ["walk", "entropy", *sampled, "--prune-eps", "0.5"],
+                 ["f2", "reduce", "--arrangement", "1,6,3,5,2,4", "--tol", "1"]):
+        assert main(argv) == 2, argv
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["code"] == "parse_error" and "unrecognized arguments" in err["message"], argv
 
 
 def test_cli_dirichlet_and_green(tmp_path):
@@ -264,6 +286,10 @@ def test_cli_input_errors_are_json(tmp_path, capsys):
         (tmp_path / name).write_text(json.dumps(obj))
     escape = ["walk", "escape", "--group", "z:1", "--gens", "[1],[-1]"]
     evolve = ["walk", "evolve", "--group", "z:1", "--gens", "[1],[-1]", "--tmax", "2"]
+    volume = ["walk", "volume", "--group", "z:1", "--gens", "[1],[-1]", "--tmax", "2"]
+    entropy = ["walk", "entropy", "--group", "z:1", "--gens", "[1],[-1]", "--t", "2",
+               "--paths", "5", "--seed", "1"]
+    z_kernel = ["--group", "z:1", "--gens", "[1],[1],[-2]", "--radius", "6", "--seed", "1"]
     cv_fit = ["walk", "cv-fit", "--group", "z:1", "--gens", "[1],[-1]", "--tmax", "4"]
     cases = [
         (escape + ["--alpha", "abc", "--times", "4"], 2, "parse_error"),
@@ -287,6 +313,17 @@ def test_cli_input_errors_are_json(tmp_path, capsys):
         (evolve + ["--prune-eps", "0.9"], 3, "validation_error"),
         (cv_fit + ["--d-exp", "nan"], 2, "parse_error"),
         (cv_fit + ["--d-exp", "inf"], 2, "parse_error"),
+        # a negative horizon used to give the t = 0 law, a negative budget support_overflow
+        (evolve[:-1] + ["-3"], 3, "validation_error"),
+        (evolve + ["--max-support", "0"], 3, "validation_error"),
+        (volume + ["--max-support=-1"], 3, "validation_error"),
+        (entropy + ["--max-support", "0"], 3, "validation_error"),
+        # a kernel source flag that the chosen source cannot use used to be ignored
+        (["dirichlet", "sector", *z_kernel, "--killing", "abc"], 2, "parse_error"),
+        (["dirichlet", "sector", *z_kernel, "--killing", "1/10"], 2, "parse_error"),
+        (["dirichlet", "sector", "--graph", "tri.json", "--gens", "[1]", "--seed", "1"], 2, "parse_error"),
+        (["dirichlet", "sector", "--graph", "tri.json", "--radius", "3", "--seed", "1"], 2, "parse_error"),
+        (["green", "compare", "--graph", "tri.json", *z_kernel, "--dec", "tri_dec.json"], 2, "parse_error"),
     ]
     for argv, exit_code, error_code in cases:
         argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]

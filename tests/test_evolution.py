@@ -1,5 +1,7 @@
 """Exact evolution, Monte Carlo, bound fitting, escape, speed, entropy."""
 
+import hashlib
+import inspect
 import itertools
 import math
 import statistics
@@ -8,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 import centerwalk as cw
-from centerwalk.evolution import _path_indices, path_rng
+from centerwalk.evolution import MAX_SUPPORT, _path_indices, path_rng
 
 Z1 = cw.IntegerLattice(1)
 Z2 = cw.IntegerLattice(2)
@@ -81,6 +83,24 @@ def test_evolve_support_overflow():
             d = cw.evolve(d, mu, max_support=5)
 
 
+def test_budgets_and_horizons_below_range_are_rejected():
+    mu = cw.step_measure(Z1, SRW_GENS)
+    d = cw.SparseDistribution.point(Z1)
+    for budget in (0, -1):
+        with pytest.raises(cw.PreconditionError, match="max_support must be >= 1"):
+            cw.evolve(d, mu, max_support=budget)
+        with pytest.raises(cw.PreconditionError, match="vertex budget must be >= 1"):
+            cw.volume_growth(Z1, SRW_GENS, 2, max_vertices=budget)
+    with pytest.raises(cw.PreconditionError, match="t_max must be >= 0"):
+        cw.walk_distributions(Z1, SRW_GENS, -3)
+    assert len(cw.walk_distributions(Z1, SRW_GENS, 0)) == 1
+
+
+def test_entropy_default_budget_is_the_shared_constant():
+    default = inspect.signature(cw.entropy_estimate).parameters["max_support"].default
+    assert default == MAX_SUPPORT == 1_000_000
+
+
 def test_evolve_pruning_flags_approximate():
     mu = cw.step_measure(Z1, SRW_GENS)
     d = cw.SparseDistribution.point(Z1)
@@ -121,7 +141,7 @@ def _dict_evolve(group, atoms, den, step, prune_eps=None):
             out[y] = out.get(y, 0.0) + px * float(Fraction(cg, step.denominator))
     if prune_eps is not None:
         out = {x: v for x, v in out.items() if v >= prune_eps}
-        mass = sum(out.values())
+        mass = math.fsum(out.values())
         out = {x: v / mass for x, v in out.items()}
     return out, None
 
@@ -208,6 +228,18 @@ def test_engine_pruned_laws_within_4_ulps(walk, eps):
         with pytest.raises(cw.PreconditionError, match="numerators"):
             d.numerators()
         prev = (got, None)
+
+
+def test_pruned_law_bits_are_pinned():
+    # a pruned law is normalized by the correctly rounded math.fsum, so its bits do
+    # not depend on the interpreter (sum() of floats is compensated on 3.12+)
+    group, gens, _ = WALKS["heisenberg"]
+    d = cw.walk_distributions(group, gens, 8, prune_eps=1e-4)[8]
+    atoms = sorted((x, p.hex()) for x, p in d.items())
+    assert len(atoms) == 501
+    assert d.prob(group.identity).hex() == "0x1.1563be414b6d3p-5"
+    assert hashlib.sha256(repr(atoms).encode()).hexdigest() == (
+        "aa0d54c815707adb22c837fd844caf5af840f12d14b532a169958b9860d1fcb8")
 
 
 def test_law_keyed_access_after_release():
