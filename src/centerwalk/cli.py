@@ -12,9 +12,10 @@ Subcommands mirror the library modules::
 Reports are JSON with a deterministic ``results`` payload (identical config
 and seed give byte-identical results); ``--format csv`` flattens the per-t
 trace of commands that have one.  Randomized commands require an explicit
-``--seed``.  Only the ``centering`` commands take a float ``--tol``; every
+``--seed``.  No command takes a tolerance (see ``weights.vanishes``).  Every
 walk command that builds exact laws or a word ball stops at ``--max-support``
-elements (default ``evolution.MAX_SUPPORT``).  Errors are structured JSON on
+elements (default ``evolution.MAX_SUPPORT``); ``cv-fit`` and ``escape`` use the
+closed-form word metric where the group has one.  Errors are structured JSON on
 stderr with a machine-readable code and a distinct exit status.
 """
 
@@ -42,7 +43,7 @@ from .errors import (
     PreconditionError,
 )
 from .groups import group_from_spec, parse_generators
-from .weights import DEFAULT_TOL, format_weight
+from .weights import format_weight
 
 
 def _group_gens(args):
@@ -83,6 +84,12 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _word_metric(args, group, gens, radius: int):
+    """Word metric over gens and inverses to ``radius``: the closed form, else a ball within --max-support."""
+    exact = group.exact_metric(tuple(gw._directions(group, gens)))
+    return exact if exact is not None else gw.word_ball(group, gens, radius, max_vertices=args.max_support)
+
+
 def _label(group, x) -> str:
     if group is not None:
         return group.format_element(x)
@@ -105,7 +112,7 @@ def _write_dec(args, dec: mg.CycleDecomposition) -> dict:
 def cmd_centering_verify(args):
     kernel = ser.kernel_from_obj(ser.load_json(args.graph))
     dec = ser.decomposition_from_obj(ser.load_json(args.dec))
-    report = mg.verify_centering(kernel, mg.Measure.counting(), dec, tol=args.tol)
+    report = mg.verify_centering(kernel, mg.Measure.counting(), dec)
     results = {
         "valid": report.valid,
         "max_abs_residual": format_weight(report.max_abs_residual),
@@ -118,13 +125,13 @@ def cmd_centering_verify(args):
 
 def cmd_centering_reversible(args):
     kernel = ser.kernel_from_obj(ser.load_json(args.graph))
-    dec = mg.reversible_decomposition(kernel, mg.Measure.counting(), tol=args.tol)
+    dec = mg.reversible_decomposition(kernel, mg.Measure.counting())
     return {"cycles": len(dec), "c0": dec.max_length, "decomposition": _write_dec(args, dec)}, None
 
 
 def cmd_centering_from_flow(args):
     flow = ser.flow_from_obj(ser.load_json(args.flow))
-    dec = mg.circulation_to_cycles(flow, max_len=args.max_len, tol=args.tol)
+    dec = mg.circulation_to_cycles(flow, max_len=args.max_len)
     return {
         "cycles": len(dec),
         "c0": dec.max_length,
@@ -191,8 +198,7 @@ def cmd_walk_cv_fit(args):
     dists = ev.walk_distributions(group, gens, args.tmax,
                                   prune_eps=args.prune_eps,
                                   max_support=args.max_support)
-    table = gw.word_ball(group, gens, args.tmax)
-    report = ev.fit_cv_constant(dists, table, d_exp=args.d_exp)
+    report = ev.fit_cv_constant(dists, _word_metric(args, group, gens, args.tmax), d_exp=args.d_exp)
     rows = []
     for d in dists:
         if d.t < 1:
@@ -232,11 +238,11 @@ def cmd_walk_escape(args):
     dists = ev.walk_distributions(group, gens, t_max,
                                   prune_eps=args.prune_eps,
                                   max_support=args.max_support)
-    table = gw.word_ball(group, gens, t_max)
+    metric = _word_metric(args, group, gens, t_max)
     alpha = _fraction("--alpha", args.alpha)
     rows = []
     for t in times:
-        val = ev.escape_probability(dists[t], table, alpha)
+        val = ev.escape_probability(dists[t], metric, alpha)
         rows.append((t, format_weight(val)))
     results = {"alpha": format_weight(alpha), "trace": [{"t": t, "p": p} for t, p in rows]}
     return results, (("t", "escape_probability"), rows)
@@ -276,10 +282,14 @@ def _load_test_function(path: str) -> dict:
 
 
 def cmd_dirichlet_sector(args):
-    kernel, group, gens = _load_kernel(args)
-    m = mg.Measure.counting()
     if (args.f is None) != (args.g is None):
         raise InputParseError("supply both --f and --g or neither")
+    if args.f is not None and (args.dec is not None or args.trials is not None):
+        raise InputParseError("--dec and --trials apply to the search, not to a supplied --f/--g pair")
+    if args.f is None and args.seed is None:
+        raise InputParseError("the randomized search requires --seed")
+    kernel, group, gens = _load_kernel(args)
+    m = mg.Measure.counting()
     if args.f:
         # single user-supplied pair instead of the randomized search
         f = _load_test_function(args.f)
@@ -293,8 +303,9 @@ def cmd_dirichlet_sector(args):
     dec = None
     if args.dec:
         dec = ser.decomposition_from_obj(ser.load_json(args.dec))
-    m_hat = df.sector_ratio(kernel, m, dec=dec, trials=args.trials, seed=args.seed)
-    return {"sector_ratio": m_hat, "trials": args.trials}, None
+    trials = df.SECTOR_TRIALS if args.trials is None else args.trials
+    m_hat = df.sector_ratio(kernel, m, dec=dec, trials=trials, seed=args.seed)
+    return {"sector_ratio": m_hat, "trials": trials}, None
 
 
 def cmd_dirichlet_poincare(args):
@@ -304,14 +315,17 @@ def cmd_dirichlet_poincare(args):
 
 
 def cmd_green_compare(args):
+    if args.n_max is not None and (args.dec is not None or args.graph is not None):
+        raise InputParseError("--n-max applies only to the witness search (--group without --dec)")
     kernel, group, gens = _load_kernel(args)
     if args.dec:
         dec = ser.decomposition_from_obj(ser.load_json(args.dec))
     elif group is not None:
-        res = gw.c1_search(group, gens, n_max=args.n_max)
+        n_max = GREEN_N_MAX if args.n_max is None else args.n_max
+        res = gw.c1_search(group, gens, n_max=n_max)
         if not res.found:
             raise PreconditionError(
-                f"no reordering witness up to n = {args.n_max}; supply --dec"
+                f"no reordering witness up to n = {n_max}; supply --dec"
             )
         dec = gw.translated_cycle_decomposition(group, gens, res.witness, args.radius)
     else:
@@ -356,6 +370,9 @@ def cmd_f2_reduce(args):
 
 # -- wiring -------------------------------------------------------------------
 
+
+#: witness search depth of ``green compare`` when no --dec is given
+GREEN_N_MAX = 2
 
 GROUP_HELP = "group spec: z:d, heisenberg, bs:q, wreath, f2, zmod:p"
 GENS_HELP = (
@@ -414,20 +431,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = centering.add_parser("verify")
     p.add_argument("--graph", required=True)
     p.add_argument("--dec", required=True)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     _add_common(p)
     p.set_defaults(func=cmd_centering_verify)
     p = centering.add_parser("reversible")
     p.add_argument("--graph", required=True)
     p.add_argument("--dec-out")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     _add_common(p)
     p.set_defaults(func=cmd_centering_reversible)
     p = centering.add_parser("from-flow")
     p.add_argument("--flow", required=True)
     p.add_argument("--max-len", type=int, required=True)
     p.add_argument("--dec-out")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     _add_common(p)
     p.set_defaults(func=cmd_centering_from_flow)
 
@@ -482,10 +496,12 @@ def build_parser() -> argparse.ArgumentParser:
     dirichlet = tops.add_parser("dirichlet").add_subparsers(dest="action", required=True)
     p = dirichlet.add_parser("sector")
     p.add_argument("--dec", default=None)
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--trials", type=int, default=None,
+                   help=f"random test pairs of the search (default {df.SECTOR_TRIALS})")
     p.add_argument("--f", default=None, help="JSON map {vertex: value}: evaluate this pair")
     p.add_argument("--g", default=None)
-    _add_common(p, seed=True, graph_source=True)
+    p.add_argument("--seed", type=int, default=None, help="seed of the search, which requires it")
+    _add_common(p, graph_source=True)
     p.set_defaults(func=cmd_dirichlet_sector)
     p = dirichlet.add_parser("poincare")
     p.add_argument("--k", required=True, help="comma-separated cycle lengths")
@@ -496,7 +512,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = green.add_parser("compare")
     p.add_argument("--dec", default=None)
     p.add_argument("--ball-radius", type=int, default=None)
-    p.add_argument("--n-max", type=int, default=2)
+    p.add_argument("--n-max", type=int, default=None,
+                   help=f"witness search depth without --dec (default {GREEN_N_MAX})")
     p.add_argument("--trials", type=int, default=2000)
     _add_common(p, seed=True, graph_source=True)
     p.set_defaults(func=cmd_green_compare)

@@ -29,6 +29,9 @@ SUPPORT_MARGIN = 2
 #: REFINE_TOP best pairs by up to REFINE_ROUNDS best responses on at most GROW_CAP points
 TEST_SUPPORT, REFINE_TOP, REFINE_ROUNDS, GROW_CAP = 12, 5, 12, 200
 
+#: random test pairs of a sector search by default
+SECTOR_TRIALS = 1000
+
 
 def _check_support(kernel: Kernel, *functions: TestFunction, margin: float = SUPPORT_MARGIN):
     for f in functions:
@@ -273,7 +276,7 @@ def sector_ratio(
     kernel: Kernel,
     m: Measure,
     dec: Optional[CycleDecomposition] = None,
-    trials: int = 1000,
+    trials: int = SECTOR_TRIALS,
     seed: int = 0,
 ) -> float:
     """Empirical sector constant: max |E(f,g)| / sqrt(E(f,f) E(g,g)).

@@ -39,30 +39,17 @@ class SparseDistribution:
     holds the evolution engine, else an {element: weight} dict.
     """
 
-    def __init__(self, group: Group, t: int, numerators: Optional[Dict[object, int]] = None,
-                 denominator: int = 1, values: Optional[Dict[object, float]] = None):
+    def __init__(self, group: Group, t: int, numerators: Dict[object, int], denominator: int = 1):
         import numpy as np
 
-        self.group = group
-        self.t = t
-        if (numerators is None) == (values is None):
-            raise StructuralError("exactly one of numerators/values must be given")
-        if numerators is not None:
-            if any(v <= 0 for v in numerators.values()):
-                raise StructuralError("numerators must be positive")
-            if sum(numerators.values()) != denominator:
-                raise StructuralError("probabilities must sum to 1 exactly")
-            weights, dtype, self._den = numerators, object, denominator
-        else:
-            if any(v <= 0 for v in values.values()):
-                raise StructuralError("probabilities must be positive")
-            if abs(sum(values.values()) - 1.0) > 1e-9:
-                raise StructuralError("probabilities must sum to 1 within 1e-9")
-            weights, dtype, self._den = values, float, None
-        self._elements = list(weights)
-        self._weights = np.array(list(weights.values()), dtype=dtype)
-        self._lookup = dict(weights).get
-        self._ids = self._engine = None
+        if any(v <= 0 for v in numerators.values()):
+            raise StructuralError("numerators must be positive")
+        if sum(numerators.values()) != denominator:
+            raise StructuralError("probabilities must sum to 1 exactly")
+        self.group, self.t = group, t
+        self._elements, self._den = list(numerators), denominator
+        self._weights = np.array(list(numerators.values()), dtype=object)
+        self._lookup = self._ids = self._engine = None
 
     @classmethod
     def _atoms(cls, group: Group, t: int, elements: List, weights, den: Optional[int],

@@ -20,7 +20,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from .errors import PreconditionError, StructuralError
 from .groups import FiniteCyclic, FreeGroup, Group, IntegerLattice
 from .markov_graph import Cycle, CycleDecomposition, Kernel, bfs, split_edge_walk
-from .weights import Weight, sort_key
+from .weights import Weight, sort_key, vanishes
 
 #: default node budget of ``c1_search``
 NODE_BUDGET = 5_000_000
@@ -296,7 +296,7 @@ def torsion_decomposition(group: Group, mu: Mapping) -> CycleDecomposition:
     entries: List[Tuple[Cycle, Weight]] = []
     support = sorted((g for g, w in mu.items() if w != 0), key=sort_key)
     total = sum(Fraction(mu[g]) if isinstance(mu[g], int) else mu[g] for g in support)
-    if abs(total - 1) > 1e-12:
+    if not vanishes(total - 1):
         raise PreconditionError(f"mu must be a probability measure, mass {total}")
     orders = {}
     for g in support:

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import PreconditionError, StructuralError, SupportOverflowError
-from .weights import DEFAULT_TOL, Weight, all_exact, edge_key, is_exact, sort_key
+from .weights import Weight, all_exact, edge_key, is_exact, sort_key, vanishes
 
 Vertex = object
 Edge = Tuple[Vertex, Vertex]
@@ -135,11 +135,8 @@ class Kernel:
         for x, row in self._rows.items():
             s = sum(row.values(), Fraction(0) if all_exact(row.values()) else 0.0)
             self._row_sums[x] = s
-            if substochastic:
-                if s > 1 + DEFAULT_TOL:
-                    raise StructuralError(f"row sum at {x!r} exceeds 1: {s}")
-            elif abs(s - 1) > DEFAULT_TOL:
-                raise StructuralError(f"row at {x!r} does not sum to 1: {s}")
+            if not (vanishes(s - 1) or substochastic and s < 1):
+                raise StructuralError(f"row at {x!r} sums to {s}, " + ("above 1" if substochastic else "not 1"))
         self._in: Dict[Vertex, Dict[Vertex, Weight]] = {x: {} for x in self._rows}
         for x, row in self._rows.items():
             for y, w in row.items():
@@ -410,7 +407,6 @@ def verify_centering(
     kernel: Kernel,
     m: Measure,
     dec: CycleDecomposition,
-    tol: float = DEFAULT_TOL,
 ) -> CenteringReport:
     """Check the centering identity on every edge the window fully sees.
 
@@ -418,10 +414,9 @@ def verify_centering(
     its source is at certified depth >= C0, so that every cycle of the
     underlying infinite family that could cover it fits inside the window.
     Covered edges with q(x,y) = 0 are violations (positive weights on a
-    cycle force positive transition weight).
+    cycle force positive transition weight).  The witness is valid when every
+    interior residual vanishes.
     """
-    if tol <= 0:
-        raise PreconditionError("tol must be positive")
     cov = dec.coverage()
     for (u, v) in cov:
         if u not in kernel.window or v not in kernel.window:
@@ -437,38 +432,32 @@ def verify_centering(
         if q == 0 and e in cov:
             zero_covered.append(e)
     interior = [e for e in residuals if kernel.depth(e[0]) >= c0 and e[1] in kernel.window]
-    boundary = sorted(set(residuals) - set(interior), key=edge_key)
-    interior_zero_covered = [e for e in zero_covered if e in set(interior)]
-    max_abs = max((abs(residuals[e]) for e in interior), default=0)
-    valid = max_abs <= tol and not interior_zero_covered
+    inside = set(interior)
+    boundary = [e for e in residuals if e not in inside]
+    valid = all(vanishes(residuals[e]) for e in interior) and not any(e in inside for e in zero_covered)
     return CenteringReport(
         valid=valid,
         residuals=residuals,
-        max_abs_residual=max_abs,
+        max_abs_residual=max((abs(residuals[e]) for e in interior), default=0),
         boundary_edges_skipped=boundary,
         zero_weight_covered=zero_covered,
         interior_edges=interior,
     )
 
 
-def reversible_decomposition(kernel: Kernel, m: Measure, tol: float = DEFAULT_TOL) -> CycleDecomposition:
+def reversible_decomposition(kernel: Kernel, m: Measure) -> CycleDecomposition:
     """Two-cycles (x, y, x) with weight m(x)q(x,y), one per unordered pair.
 
     Requires detailed balance m(x)q(x,y) = m(y)q(y,x) on the window; pairs
     with one endpoint outside the window are skipped (they sit on the
     boundary and cannot form an in-window cycle).
     """
-    worst: Optional[Tuple[Weight, Edge]] = None
-    for x, y, w in kernel.edges():
-        if y not in kernel.window:
-            continue
-        gap = abs(m(x) * w - m(y) * kernel.weight(y, x))
-        if gap > (worst[0] if worst else 0):
-            worst = (gap, (x, y))
-    if worst and worst[0] > tol:
-        raise PreconditionError(
-            f"detailed balance fails at edge {worst[1]!r} by {worst[0]}"
-        )
+    gaps = ((abs(m(x) * w - m(y) * kernel.weight(y, x)), (x, y))
+            for x, y, w in kernel.edges() if y in kernel.window)
+    bad = [(gap, e) for gap, e in gaps if not vanishes(gap)]
+    if bad:
+        gap, e = max(bad, key=lambda ge: ge[0])
+        raise PreconditionError(f"detailed balance fails at edge {e!r} by {gap}")
     entries: List[Tuple[Cycle, Weight]] = []
     for x in kernel.sorted_vertices():
         for y in sorted(kernel.row(x), key=sort_key):
@@ -484,7 +473,6 @@ def reversible_decomposition(kernel: Kernel, m: Measure, tol: float = DEFAULT_TO
 def circulation_to_cycles(
     flow: Mapping[Edge, Weight],
     max_len: int,
-    tol: float = DEFAULT_TOL,
 ) -> CycleDecomposition:
     """Greedy peel of a circulation into edge self-avoiding weighted cycles.
 
@@ -499,14 +487,12 @@ def circulation_to_cycles(
         if w <= 0:
             raise StructuralError(f"flow values must be positive, got {w} at {e!r}")
         residual[e] = w
-    exact = all_exact(residual.values())
-    eps = 0 if exact else tol
 
     div: Dict[Vertex, Weight] = {}
     for (x, y), w in residual.items():
         div[x] = div.get(x, 0) + w
         div[y] = div.get(y, 0) - w
-    bad = sorted(((abs(d), v) for v, d in div.items() if abs(d) > eps), reverse=True)
+    bad = sorted(((abs(d), v) for v, d in div.items() if not vanishes(d)), reverse=True)
     if bad:
         raise PreconditionError(
             f"not a circulation: divergence {bad[0][0]} at vertex {bad[0][1]!r}"
@@ -539,7 +525,7 @@ def circulation_to_cycles(
         qmin = min(residual[e] for e in cycle.edges())
         for e in cycle.edges():
             residual[e] -= qmin
-            if residual[e] <= eps:
+            if vanishes(residual[e]):
                 drop(e)
         if cycle.length > max_len:
             exceeded = True
@@ -627,13 +613,10 @@ def time_reversal(kernel: Kernel, m: Measure) -> Kernel:
     window; the result is flagged substochastic when that happens and every
     certified depth drops by one.
     """
-    inv = invariance_check(kernel, m)
-    if inv.residuals:
-        worst = max(inv.residuals.items(), key=lambda kv: abs(kv[1]))
-        if abs(worst[1]) > DEFAULT_TOL:
-            raise PreconditionError(
-                f"measure is not invariant: residual {worst[1]} at {worst[0]!r}"
-            )
+    bad = [(y, r) for y, r in invariance_check(kernel, m).residuals.items() if not vanishes(r)]
+    if bad:
+        y, r = max(bad, key=lambda yr: abs(yr[1]))
+        raise PreconditionError(f"measure is not invariant: residual {r} at {y!r}")
     return adjoint_kernel(kernel, m)
 
 
@@ -652,6 +635,5 @@ def adjoint_kernel(kernel: Kernel, m: Measure) -> Kernel:
 
 def lost_mass(kernel: Kernel, rows: Mapping[Vertex, Mapping[Vertex, Weight]]) -> bool:
     """Rows derived from ``kernel`` are substochastic if it is or some row sums below 1."""
-    return kernel.substochastic or any(
-        sum(row.values(), Fraction(0)) < 1 - DEFAULT_TOL for row in rows.values()
-    )
+    sums = (sum(row.values(), Fraction(0)) for row in rows.values())
+    return kernel.substochastic or any(s < 1 and not vanishes(s - 1) for s in sums)

@@ -3,8 +3,8 @@
 Kernel weights, cycle weights and probabilities are exact
 ``fractions.Fraction`` values whenever the inputs are rational, and floats
 otherwise.  Identities that hold exactly (row sums, centering residuals,
-mass conservation) are checked with zero slack in the rational case and
-with an explicit tolerance in the float case.
+mass conservation) go through :func:`vanishes`: zero slack in the rational
+case, ``DEFAULT_TOL`` in the float case.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Any, Union
 
 Weight = Union[int, Fraction, float]
 
-#: default tolerance for float-valued kernels; rational kernels are exact
+#: slack of a float identity residual; an exact residual gets none
 DEFAULT_TOL = 1e-12
 
 
@@ -24,6 +24,11 @@ def is_exact(w: Weight) -> bool:
 
 def all_exact(values) -> bool:
     return all(is_exact(v) for v in values)
+
+
+def vanishes(r: Weight) -> bool:
+    """Whether an identity residual is zero: exactly when exact, within ``DEFAULT_TOL`` when a float."""
+    return r == 0 if is_exact(r) else abs(r) <= DEFAULT_TOL
 
 
 def parse_weight(raw) -> Weight:

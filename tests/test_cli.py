@@ -179,6 +179,9 @@ def test_cli_removed_flags_are_parse_errors(capsys):
                  ["walk", "speed", *sampled, "--prune-eps", "0.5"],
                  ["walk", "speed", *sampled, "--max-support", "10"],
                  ["walk", "entropy", *sampled, "--prune-eps", "0.5"],
+                 ["centering", "verify", "--graph", "g.json", "--dec", "d.json", "--tol", "1e-9"],
+                 ["centering", "reversible", "--graph", "g.json", "--tol", "1e-9"],
+                 ["centering", "from-flow", "--flow", "f.json", "--max-len", "3", "--tol", "1e-9"],
                  ["f2", "reduce", "--arrangement", "1,6,3,5,2,4", "--tol", "1"]):
         assert main(argv) == 2, argv
         err = json.loads(capsys.readouterr().err)["error"]
@@ -215,6 +218,44 @@ def test_cli_sector_with_supplied_pair(tmp_path):
     # E(delta_1, delta_0) = -q(0,1) = -1 on the rotation; both diagonals are 1
     assert abs(report["results"]["sector_ratio"] - 1.0) < 1e-12
     assert report["results"]["e_fg"] == -1.0
+
+
+def test_cli_config_echoes_only_flags_the_mode_reads(tmp_path):
+    graph, dec = tmp_path / "tri.json", tmp_path / "dec.json"
+    f, g = tmp_path / "f.json", tmp_path / "g.json"
+    graph.write_text(json.dumps(triangle_graph_obj()))
+    dec.write_text(json.dumps(triangle_dec_obj()))
+    f.write_text(json.dumps({"1": 1.0}))
+    g.write_text(json.dumps({"0": 1.0}))
+    # the supplied pair needs no seed
+    report = run_cli(tmp_path, "dirichlet", "sector", "--graph", str(graph), "--f", str(f), "--g", str(g))
+    assert report["results"]["e_fg"] == -1.0
+    assert not {"seed", "trials", "dec"} & set(report["config"])
+    report = run_cli(tmp_path, "dirichlet", "sector", "--group", "z:1", "--gens", "[1],[1],[-2]",
+                     "--radius", "6", "--seed", "2")
+    assert report["results"]["trials"] == cw.dirichlet_forms.SECTOR_TRIALS
+    report = run_cli(tmp_path, "green", "compare", "--graph", str(graph), "--killing", "1/10",
+                     "--dec", str(dec), "--trials", "20", "--seed", "2")
+    assert "n_max" not in report["config"]
+
+
+def test_cli_fit_and_escape_use_the_closed_form_metric(tmp_path, monkeypatch, capsys):
+    f2 = ["--group", "f2", "--gens", "a,A,b,B", "--prune-eps", "1e-3"]
+    heis = ["--group", "heisenberg", "--gens", "[1,0,0],[0,1,0],[-1,0,0],[0,-1,0]",
+            "--prune-eps", "1e-3", "--max-support", "1000"]
+    # the F2 ball of radius 13 has 3.2 M elements, past the default budget
+    with monkeypatch.context() as patch:
+        patch.setattr(cli.gw, "word_ball", None)
+        report = run_cli(tmp_path, "walk", "cv-fit", *f2, "--tmax", "13")
+        assert report["results"]["approximate"] is True and report["results"]["violated"] is False
+        report = run_cli(tmp_path, "walk", "escape", *f2, "--alpha", "1/4", "--times", "6,13")
+        assert [row["t"] for row in report["results"]["trace"]] == [6, 13]
+    # no closed form for the Heisenberg group: its ball passes the budget that its pruned laws fit in
+    for argv in (["walk", "cv-fit", *heis, "--tmax", "12"],
+                 ["walk", "escape", *heis, "--alpha", "1/4", "--times", "12"]):
+        assert main(argv) == 5, argv
+        assert json.loads(capsys.readouterr().err)["error"]["code"] == "support_overflow"
+    assert main(["walk", "evolve", *heis, "--tmax", "12", "--out", str(tmp_path / "laws.json")]) == 0
 
 
 def test_cli_f2_reduce(tmp_path):
@@ -281,6 +322,8 @@ def test_cli_input_errors_are_json(tmp_path, capsys):
         "tri_dec.json": triangle_dec_obj(),
         "bad_weight.json": bad_weight,
         "bad_f.json": {"not json": 1.0},
+        "f.json": {"1": 1.0},
+        "g.json": {"0": 1.0},
     }
     for name, obj in files.items():
         (tmp_path / name).write_text(json.dumps(obj))
@@ -324,6 +367,15 @@ def test_cli_input_errors_are_json(tmp_path, capsys):
         (["dirichlet", "sector", "--graph", "tri.json", "--gens", "[1]", "--seed", "1"], 2, "parse_error"),
         (["dirichlet", "sector", "--graph", "tri.json", "--radius", "3", "--seed", "1"], 2, "parse_error"),
         (["green", "compare", "--graph", "tri.json", *z_kernel, "--dec", "tri_dec.json"], 2, "parse_error"),
+        # a flag the chosen mode never reads used to be accepted and echoed in config
+        (["dirichlet", "sector", "--graph", "tri.json", "--f", "f.json", "--g", "g.json",
+          "--seed", "0", "--dec", "missing.json"], 2, "parse_error"),
+        (["dirichlet", "sector", "--graph", "tri.json", "--f", "f.json", "--g", "g.json",
+          "--seed", "0", "--trials", "7"], 2, "parse_error"),
+        (["dirichlet", "sector", "--graph", "tri.json"], 2, "parse_error"),
+        (["green", "compare", "--graph", "tri.json", "--killing", "1/10", "--dec", "tri_dec.json",
+          "--seed", "1", "--n-max", "9"], 2, "parse_error"),
+        (["green", "compare", *z_kernel, "--dec", "tri_dec.json", "--n-max", "9"], 2, "parse_error"),
     ]
     for argv, exit_code, error_code in cases:
         argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]

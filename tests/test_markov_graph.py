@@ -1,12 +1,14 @@
 """Kernels, cycles, centering verification and the graph metrics."""
 
+import functools
 import math
+import operator
 from fractions import Fraction
 
 import pytest
 
 import centerwalk as cw
-from centerwalk.markov_graph import split_edge_walk
+from centerwalk.markov_graph import lost_mass, split_edge_walk
 
 from conftest import make_zwalk, make_zwalk_dec
 
@@ -17,6 +19,57 @@ def test_kernel_rejects_bad_rows():
     with pytest.raises(cw.StructuralError):
         cw.Kernel({0: {1: Fraction(3, 2), 2: Fraction(-1, 2)}})
     cw.Kernel({0: {1: Fraction(1, 2)}}, substochastic=True)
+
+
+EPS = Fraction(1, 10**13)
+HALF = Fraction(1, 2)
+# parts that should sum to 1: exactly, exactly off by 1e-13, and off by float rounding
+# (left to right, 0.7 + 0.2 + 0.1 is 1 - 2**-53 and 0.2 + 0.4 + 0.3 + 0.1 is 1 + 2**-52)
+ONE, LOW, HIGH = (HALF, HALF), (HALF, HALF - EPS), (HALF, HALF + EPS)
+FLOAT_LOW, FLOAT_HIGH = (0.7, 0.2, 0.1), (0.2, 0.4, 0.3, 0.1)
+
+
+def _total(parts):
+    return functools.reduce(operator.add, parts)
+
+
+def _rotation_parts(parts):
+    return cw.CycleDecomposition(tuple((cw.Cycle((0, 1, 2, 0)), p) for p in parts))
+
+
+#: every identity check: (site, parts -> accepted?, exact parts it must reject, float parts it must accept)
+IDENTITY_CHECKS = [
+    ("Kernel row sum", lambda ps: cw.Kernel({0: dict(enumerate(ps))}), LOW, FLOAT_LOW),
+    ("Kernel substochastic bound",
+     lambda ps: cw.Kernel({0: dict(enumerate(ps))}, substochastic=True), HIGH, FLOAT_HIGH),
+    ("verify_centering",
+     lambda ps: cw.verify_centering(cw.rotation_kernel(3), cw.Measure(), _rotation_parts(ps)).valid,
+     LOW, FLOAT_LOW),
+    ("reversible_decomposition",
+     lambda ps: cw.reversible_decomposition(cw.Kernel({0: {1: 1}, 1: {0: 1}}), cw.Measure({1: _total(ps)})),
+     LOW, FLOAT_LOW),
+    ("circulation_to_cycles", lambda ps: cw.circulation_to_cycles({(0, 1): 1, (1, 0): _total(ps)}, max_len=2),
+     LOW, FLOAT_LOW),
+    ("time_reversal",
+     lambda ps: not cw.time_reversal(cw.rotation_kernel(3), cw.Measure({0: _total(ps)})).substochastic,
+     LOW, FLOAT_LOW),
+    ("lost_mass", lambda ps: not lost_mass(cw.rotation_kernel(3), {0: dict(enumerate(ps))}), LOW, FLOAT_LOW),
+    ("torsion_decomposition", lambda ps: cw.torsion_decomposition(cw.FiniteCyclic(3), dict(enumerate(ps))),
+     LOW, FLOAT_LOW),
+]
+
+
+def test_identity_checks_have_zero_slack_on_exact_values():
+    def accepts(check, parts):
+        try:
+            return check(parts) is not False
+        except (cw.StructuralError, cw.PreconditionError):
+            return False
+
+    for site, check, exact_off, float_off in IDENTITY_CHECKS:
+        assert accepts(check, ONE), site
+        assert not accepts(check, exact_off), site
+        assert accepts(check, float_off), site
 
 
 def test_float_view_mirrors_rows():
