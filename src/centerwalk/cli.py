@@ -244,7 +244,8 @@ def cmd_walk_escape(args):
     for t in times:
         val = ev.escape_probability(dists[t], metric, alpha)
         rows.append((t, format_weight(val)))
-    results = {"alpha": format_weight(alpha), "trace": [{"t": t, "p": p} for t, p in rows]}
+    results = {"alpha": format_weight(alpha), "trace": [{"t": t, "p": p} for t, p in rows],
+               "approximate": dists[-1].approximate}
     return results, (("t", "escape_probability"), rows)
 
 

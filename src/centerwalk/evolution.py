@@ -12,9 +12,11 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import operator
 import random
 import statistics
 import sys
+from collections import abc
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -426,15 +428,13 @@ def path_rng(seed: int, index: int) -> random.Random:
 
 
 def _path_indices(seed: int, index: int, t: int, k: int) -> List[int]:
-    """The first t ``randrange(k)`` draws of ``path_rng(seed, index)``, in one pass.
+    """The first t ``randrange(k)`` draws of ``path_rng(seed, index)`` (k >= 1), in one pass.
 
     ``randrange(k)`` takes the top ``k.bit_length()`` bits of the next
     32-bit MT19937 word and rejects values >= k (k < 2**32 here), and
     ``getrandbits(32 * n)`` returns the next n words, least significant
     first.  So one C-level draw, a shift and a mask replay the stream.
     """
-    if k < 1:
-        raise PreconditionError("empty generating sequence")
     if k == 1:
         return [0] * t
     import numpy as np
@@ -450,19 +450,58 @@ def _path_indices(seed: int, index: int, t: int, k: int) -> List[int]:
     return out[:t]
 
 
-def mc_sample(group: Group, gens: Sequence, t: int, n_paths: int, seed: int) -> List[List]:
-    """Sampled trajectories (length t+1 each, starting at the identity)."""
+def _sample_gens(group: Group, gens: Sequence, t: int, n_paths: int) -> Tuple:
+    """The validated generators of a sample of n_paths paths of t steps, checked up front."""
+    if t < 0 or n_paths < 0:
+        raise PreconditionError(f"t and n_paths must be >= 0, got t={t}, n_paths={n_paths}")
     gens = tuple(group.validate(g) for g in gens)
-    k = len(gens)
-    return [
-        list(itertools.accumulate((gens[j] for j in _path_indices(seed, i, t, k)),
-                                  group.multiply, initial=group.identity))
-        for i in range(n_paths)
-    ]
+    if not gens:
+        raise PreconditionError("empty generating sequence")
+    return gens
+
+
+class SampledPaths(abc.Sequence):
+    """The trajectories of ``mc_sample``, each replayed from its index stream on access.
+
+    Path i is the ``path_rng`` stream of (seed, i) folded by ``multiply`` from
+    the identity, a fresh list of t+1 elements on every access.  Nothing is
+    cached, so iterating holds one path at a time, and changes made to a
+    returned list are not kept.  ``rows`` are the path indices i it holds, so a
+    slice is a sample over the same streams; ``==`` compares paths with any
+    sequence of paths.
+    """
+
+    def __init__(self, group: Group, gens: Tuple, t: int, seed: int, rows: range):
+        self.group, self.gens, self.t, self.seed, self._rows = group, gens, t, seed, rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return SampledPaths(self.group, self.gens, self.t, self.seed, self._rows[i])
+        steps = map(self.gens.__getitem__, _path_indices(self.seed, self._rows[i], self.t, len(self.gens)))
+        return list(itertools.accumulate(steps, self.group.multiply, initial=self.group.identity))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, abc.Sequence) or isinstance(other, str):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+
+def mc_sample(group: Group, gens: Sequence, t: int, n_paths: int, seed: int) -> SampledPaths:
+    """Sampled trajectories (length t+1 each, starting at the identity), replayed on access.
+
+    Every index access costs a full replay of that path: t draws and t
+    ``multiply`` calls.  A caller that reads the sample several times pays
+    that each time; one pass that collects everything it needs pays it once.
+    """
+    return SampledPaths(group, _sample_gens(group, gens, t, n_paths), t, seed, range(n_paths))
 
 
 def _mc_endpoints(group: Group, gens: Sequence, t: int, n_paths: int, seed: int) -> List:
-    gens = tuple(group.validate(g) for g in gens)
+    """X_t of each sampled path: its steps folded by ``product``."""
+    gens = _sample_gens(group, gens, t, n_paths)
     k = len(gens)
     return [group.product(gens[j] for j in _path_indices(seed, i, t, k)) for i in range(n_paths)]
 

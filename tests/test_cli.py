@@ -258,6 +258,15 @@ def test_cli_fit_and_escape_use_the_closed_form_metric(tmp_path, monkeypatch, ca
     assert main(["walk", "evolve", *heis, "--tmax", "12", "--out", str(tmp_path / "laws.json")]) == 0
 
 
+def test_cli_escape_flags_a_pruned_law_approximate(tmp_path):
+    # pruning at 1e-3 drops every F2 atom at distance >= 5 by t = 10, so the tail reads 0
+    escape = ["walk", "escape", "--group", "f2", "--gens", "a,A,b,B", "--alpha", "1/2", "--times", "10"]
+    exact = run_cli(tmp_path, *escape)["results"]
+    assert exact["approximate"] is False and exact["trace"] == [{"t": 10, "p": "41067/65536"}]
+    pruned = run_cli(tmp_path, *escape, "--prune-eps", "1e-3")["results"]
+    assert pruned["approximate"] is True and pruned["trace"] == [{"t": 10, "p": 0.0}]
+
+
 def test_cli_f2_reduce(tmp_path):
     report = run_cli(tmp_path, "f2", "reduce", "--arrangement", "1,6,3,5,2,4")
     assert report["results"]["reduced_word"] == "aababAABAB"

@@ -5,12 +5,13 @@ import inspect
 import itertools
 import math
 import statistics
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 import centerwalk as cw
-from centerwalk.evolution import MAX_SUPPORT, _path_indices, path_rng
+from centerwalk.evolution import MAX_SUPPORT, _mc_endpoints, _path_indices, path_rng
 
 Z1 = cw.IntegerLattice(1)
 Z2 = cw.IntegerLattice(2)
@@ -433,6 +434,61 @@ def test_mc_sample_determinism_and_shape():
     assert all(len(p) == 21 for p in a)
     with pytest.raises(cw.PreconditionError, match="empty"):
         cw.speed_estimate(Z1, (), t=3, n_paths=1, seed=0)
+
+
+def test_mc_sample_is_a_replayed_sequence():
+    paths = cw.mc_sample(Z1, Z_GENS, t=12, n_paths=6, seed=8)
+    stored = list(paths)
+    assert len(paths) == 6 and len(stored) == 6
+    assert paths[-1] == stored[5] and paths[-6] == stored[0]
+    assert list(paths[1:5:2]) == stored[1:5:2] and len(paths[4:]) == 2 and paths[7:] == []
+    for i in (6, -7):
+        with pytest.raises(IndexError):
+            paths[i]
+    assert list(paths) == stored and paths == stored and stored == paths
+    assert paths == cw.mc_sample(Z1, Z_GENS, t=12, n_paths=6, seed=8)
+    assert paths != cw.mc_sample(Z1, Z_GENS, t=12, n_paths=6, seed=9) and paths != stored[:5]
+    # each access replays the path: a change to a returned list is not kept
+    paths[0].append((99,))
+    assert paths[0] == stored[0] and len(paths[0]) == 13
+
+
+def test_mc_sample_checks_sizes_up_front():
+    for sample in (cw.mc_sample, _mc_endpoints):
+        for gens, t, n_paths in ((SRW_GENS, -3, 2), (SRW_GENS, 3, -2), ((), 3, 0)):
+            with pytest.raises(cw.PreconditionError, match="empty|>= 0"):
+                sample(Z1, gens, t=t, n_paths=n_paths, seed=1)
+        assert len(sample(Z1, SRW_GENS, t=0, n_paths=0, seed=1)) == 0
+
+
+def test_mc_sample_holds_one_path_at_a_time():
+    # the 200 stored paths of t = 1000 steps took about 145 MB; one replayed path is well under 1 MB
+    wr = cw.WreathZZ()
+    # a first small sample imports numpy, which the sampler loads on first use
+    assert cw.wreath_lamp_identity(cw.mc_sample(wr, cw.WREATH_LAMP_PAIR, t=10, n_paths=1, seed=0))
+    tracemalloc.start()
+    try:
+        assert cw.wreath_lamp_identity(cw.mc_sample(wr, cw.WREATH_LAMP_PAIR, t=1000, n_paths=200, seed=1213))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2 ** 20
+
+
+@pytest.mark.parametrize("group, gens, t", [
+    (Z1, ((10 ** 30,), (-1,), (3,)), 50),  # int64 cannot hold this generator
+    (Z2, ((1, 0), (-1, 0), (0, 1), (0, -1), (2, -3)), 200),
+    (Z1, ((5,),), 17),  # K = 1 draws nothing from the stream
+    (Z2, ((1, 0), (0, -1)), 0),
+    (F2, F2_GENS, 60),
+    (cw.WreathZZ(), cw.WREATH_LAMP_PAIR, 80),
+])
+def test_mc_endpoints_are_the_path_endpoints(group, gens, t):
+    n, seed = 25, 4
+    ends = _mc_endpoints(group, gens, t, n, seed)
+    assert ends == [p[-1] for p in cw.mc_sample(group, gens, t=t, n_paths=n, seed=seed)]
+    if t:
+        assert len(set(ends)) > 1 or len(gens) == 1
 
 
 def test_mc_matches_exact_distribution_tv():
