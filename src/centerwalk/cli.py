@@ -13,10 +13,12 @@ Reports are JSON with a deterministic ``results`` payload (identical config
 and seed give byte-identical results); ``--format csv`` flattens the per-t
 trace of commands that have one.  Randomized commands require an explicit
 ``--seed``.  No command takes a tolerance (see ``weights.vanishes``).  Every
-walk command that builds exact laws or a word ball stops at ``--max-support``
-elements (default ``evolution.MAX_SUPPORT``); ``cv-fit`` and ``escape`` use the
-closed-form word metric where the group has one.  Errors are structured JSON on
-stderr with a machine-readable code and a distinct exit status.
+command that builds a word ball or a Cayley window ends with ``support_overflow``
+(exit 5) past ``markov_graph.MAX_SUPPORT`` elements (``--max-support`` on the law
+and volume commands) or, for the kernel commands, which take no such flag,
+``MAX_WINDOW`` vertices.  ``cv-fit`` and ``escape`` use the closed-form word
+metric where the group has one.  Errors are structured JSON on stderr with a
+machine-readable code and a distinct exit status.
 """
 
 from __future__ import annotations
@@ -87,7 +89,7 @@ def _finite_float(text: str) -> float:
 def _word_metric(args, group, gens, radius: int):
     """Word metric over gens and inverses to ``radius``: the closed form, else a ball within --max-support."""
     exact = group.exact_metric(tuple(gw._directions(group, gens)))
-    return exact if exact is not None else gw.word_ball(group, gens, radius, max_vertices=args.max_support)
+    return exact if exact is not None else gw.word_ball(group, gens, radius, args.max_support)
 
 
 def _label(group, x) -> str:
@@ -267,7 +269,7 @@ def cmd_walk_entropy(args):
 
 def cmd_walk_volume(args):
     group, gens = _group_gens(args)
-    vols = ev.volume_growth(group, gens, args.tmax, max_vertices=args.max_support)
+    vols = ev.volume_growth(group, gens, args.tmax, args.max_support)
     rows = list(enumerate(vols))
     return {"volume": vols}, (("t", "V"), rows)
 
@@ -285,8 +287,8 @@ def _load_test_function(path: str) -> dict:
 def cmd_dirichlet_sector(args):
     if (args.f is None) != (args.g is None):
         raise InputParseError("supply both --f and --g or neither")
-    if args.f is not None and (args.dec is not None or args.trials is not None):
-        raise InputParseError("--dec and --trials apply to the search, not to a supplied --f/--g pair")
+    if args.f is not None and (args.dec, args.trials, args.seed) != (None, None, None):
+        raise InputParseError("--dec, --trials and --seed apply to the search, not to a supplied --f/--g pair")
     if args.f is None and args.seed is None:
         raise InputParseError("the randomized search requires --seed")
     kernel, group, gens = _load_kernel(args)
@@ -362,7 +364,7 @@ def cmd_f2_reduce(args):
         "reduced_word": gw.F2.format_element(graph.reduced_word),
         "reduced_length": len(graph.reduced_word),
         "edges": [list(e) for e in graph.edges],
-        "j": graph.J,
+        "j": len(graph.edges),
         "double_edge": graph.has_double_edge(),
         "self_loop": graph.has_self_loop(),
         "acyclic": graph.is_acyclic(),
@@ -411,9 +413,9 @@ def _group_walk_args(p, *, tmax=False, paths=False, prune=False, budget=False):
         p.add_argument("--prune-eps", type=float, default=None,
                        help="drop atoms below this mass and renormalize (flags the run approximate)")
     if budget:
-        p.add_argument("--max-support", type=int, default=ev.MAX_SUPPORT,
+        p.add_argument("--max-support", type=int, default=mg.MAX_SUPPORT,
                        help="stop with support_overflow (exit 5) once a law or ball passes this "
-                            f"many elements (default {ev.MAX_SUPPORT})")
+                            f"many elements (default {mg.MAX_SUPPORT})")
 
 
 class _Parser(argparse.ArgumentParser):

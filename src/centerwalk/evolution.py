@@ -16,7 +16,7 @@ import operator
 import random
 import statistics
 import sys
-from collections import abc
+from collections import Counter, abc
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -24,11 +24,8 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 from .errors import PreconditionError, StructuralError, SupportOverflowError
 from .groups import Group, WreathZZ
 from .group_walks import _directions, word_ball
+from .markov_graph import MAX_SUPPORT, check_budget
 from .weights import Weight
-
-#: default support budget of ``entropy_estimate`` and of the CLI's exact-law and
-#: word-ball commands; the F2 ball of radius 12 (1 062 881 elements) passes it
-MAX_SUPPORT = 1_000_000
 
 
 class SparseDistribution:
@@ -204,7 +201,7 @@ def evolve(
     dist: SparseDistribution,
     step: SparseDistribution,
     prune_eps: Optional[float] = None,
-    max_support: Optional[int] = None,
+    max_support: int = MAX_SUPPORT,
 ) -> SparseDistribution:
     """Right convolution: the law after one more independent step.
 
@@ -217,7 +214,8 @@ def evolve(
     ``new[table_g[ids]] += weights * c`` over the ids of dist's support in a
     ``_Translates`` engine.  A right translation is injective, so no index
     repeats within one gather.  The result carries the engine, so the next
-    step by the same atoms reuses every translate already computed.
+    step by the same atoms reuses every translate already computed.  A
+    result of more than ``max_support`` atoms raises ``SupportOverflowError``.
     """
     if dist.group.spec_string != step.group.spec_string:
         raise PreconditionError(
@@ -225,8 +223,7 @@ def evolve(
         )
     if prune_eps is not None and not (math.isfinite(prune_eps) and prune_eps > 0):
         raise PreconditionError(f"prune_eps must be a finite positive mass, got {prune_eps!r}")
-    if max_support is not None and max_support < 1:
-        raise PreconditionError(f"max_support must be >= 1, got {max_support}")
+    check_budget(max_support)
     import numpy as np
 
     engine = dist._engine
@@ -256,7 +253,7 @@ def evolve(
                 f"pruning at prune_eps={prune_eps!r} removes every atom at t={dist.t + step.t}"
             )
         new = new / math.fsum(new.tolist())
-    if max_support is not None and len(support) > max_support:
+    if len(support) > max_support:
         hint = " or enable pruning" if exact else ""
         raise SupportOverflowError(f"support {len(support)} exceeds {max_support}; use a smaller t{hint}")
     return SparseDistribution._atoms(
@@ -269,9 +266,9 @@ def walk_distributions(
     gens: Sequence,
     t_max: int,
     prune_eps: Optional[float] = None,
-    max_support: Optional[int] = None,
+    max_support: int = MAX_SUPPORT,
 ) -> List[SparseDistribution]:
-    """mu^0 .. mu^t_max as a list; exact unless pruning kicks in."""
+    """mu^0 .. mu^t_max as a list; exact unless pruning kicks in, each law within ``max_support``."""
     if t_max < 0:
         raise PreconditionError(f"t_max must be >= 0, got {t_max}")
     step = step_measure(group, gens)
@@ -392,22 +389,14 @@ def escape_probability(dist: SparseDistribution, distance, alpha) -> Weight:
 
 
 def volume_growth(group: Group, gens: Sequence, t_max: int,
-                  max_vertices: Optional[int] = None) -> List[int]:
+                  max_support: int = MAX_SUPPORT) -> List[int]:
     """V(0..t_max): cumulative word-metric ball sizes over gens and inverses.
 
     Raises ``SupportOverflowError`` once the ball holds more than
-    ``max_vertices`` elements.
+    ``max_support`` elements.
     """
-    dist = word_ball(group, gens, t_max, max_vertices=max_vertices)
-    counts = [0] * (t_max + 1)
-    for d in dist.values():
-        counts[d] += 1
-    out = []
-    acc = 0
-    for c in counts:
-        acc += c
-        out.append(acc)
-    return out
+    sizes = Counter(word_ball(group, gens, t_max, max_support).values())
+    return list(itertools.accumulate(sizes[t] for t in range(t_max + 1)))
 
 
 # -- Monte Carlo --------------------------------------------------------------

@@ -19,7 +19,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import PreconditionError, StructuralError
 from .groups import FiniteCyclic, FreeGroup, Group, IntegerLattice
-from .markov_graph import Cycle, CycleDecomposition, Kernel, bfs, split_edge_walk
+from .markov_graph import MAX_SUPPORT, MAX_WINDOW, Cycle, CycleDecomposition, Kernel, bfs, split_edge_walk
 from .weights import Weight, sort_key, vanishes
 
 #: default node budget of ``c1_search``
@@ -209,15 +209,15 @@ def _cayley_neighbors(group: Group, gens: Sequence):
 
 
 def word_ball(group: Group, gens: Sequence, radius: int,
-              max_vertices: Optional[int] = None) -> Dict[object, int]:
-    """BFS distances from the identity over gens and their inverses, at most ``max_vertices`` of them."""
+              max_support: int = MAX_SUPPORT) -> Dict[object, int]:
+    """BFS distances from the identity over gens and their inverses, at most ``max_support`` of them."""
     if radius < 0:
         raise PreconditionError("radius must be >= 0")
-    return bfs([group.identity], _cayley_neighbors(group, gens), radius, max_vertices=max_vertices)[0]
+    return bfs([group.identity], _cayley_neighbors(group, gens), radius, max_support=max_support)[0]
 
 
 def word_distance(group: Group, gens: Sequence, x, radius: int) -> Optional[int]:
-    """Word length of x over gens and inverses (closed form if the group has one); None beyond radius."""
+    """Word length of x over gens and inverses (the group's closed form, else ``bfs``); None beyond radius."""
     if radius < 0:
         raise PreconditionError("radius must be >= 0")
     x = group.validate(x)
@@ -229,10 +229,10 @@ def word_distance(group: Group, gens: Sequence, x, radius: int) -> Optional[int]
 
 
 def cayley_kernel(group: Group, gens: Sequence, radius: int) -> Kernel:
-    """Uniform-step walk kernel materialized on the word-metric ball."""
+    """Uniform-step walk kernel materialized on the word-metric ball of at most ``MAX_WINDOW`` vertices."""
     gens = tuple(group.validate(g) for g in gens)
     k = len(gens)
-    ball = word_ball(group, gens, radius)
+    ball = word_ball(group, gens, radius, MAX_WINDOW)
     rows: Dict[object, Dict[object, Weight]] = {}
     w = Fraction(1, k)
     for x in ball:
@@ -266,7 +266,7 @@ def translated_cycle_decomposition(
     The base closed walk visits the partial products of the witness
     ordering; its translates by every window element are split into edge
     self-avoiding cycles, each weighted 1/(nK).  Translates that leave the
-    window are dropped (they sit on the reported boundary).
+    window (at most ``MAX_WINDOW`` elements) are dropped: they sit on the boundary.
     """
     gens = tuple(group.validate(g) for g in gens)
     witness.validate(group, gens)
@@ -274,7 +274,7 @@ def translated_cycle_decomposition(
     partial = [group.identity]
     for j in witness.sigma:
         partial.append(group.multiply(partial[-1], gens[j - 1]))
-    ball = word_ball(group, gens, ball_radius)
+    ball = word_ball(group, gens, ball_radius, MAX_WINDOW)
     weight = Fraction(1, witness.n * k)
     entries: List[Tuple[Cycle, Weight]] = []
     for x in sorted(ball, key=sort_key):
@@ -345,11 +345,6 @@ class CancellationGraph:
     n: int
     edges: Tuple[Tuple[int, int], ...]
     reduced_word: Tuple[int, ...]
-
-    # short alias used by the reports
-    @property
-    def J(self) -> int:
-        return len(self.edges)
 
     def has_double_edge(self) -> bool:
         return len(set(self.edges)) != len(self.edges)

@@ -30,21 +30,34 @@ from .weights import Weight, all_exact, edge_key, is_exact, sort_key, vanishes
 Vertex = object
 Edge = Tuple[Vertex, Vertex]
 
+#: elements a law or a searched ball may hold, the default of ``bfs`` and ``evolve``;
+#: the F2 ball of radius 12 (1 062 881 elements) passes it
+MAX_SUPPORT = 1_000_000
+
+#: vertices of a materialized window (``cayley_kernel``, ``translated_cycle_decomposition``,
+#: ``step_kernel(radius=...)``): a kernel vertex costs about 1.8-2.2 KB of RSS against 0.2 KB
+#: for a ball vertex (CPython 3.11, x86-64; ``cayley_kernel`` on F2 r = 9 -> 10, Z^3 r = 20 -> 30,
+#: Heisenberg r = 12 -> 16), so a 1 M window would take about 2 GB; Z^2 at r = 315 peaks at 376 MB
+MAX_WINDOW = 200_000
+
+
+def check_budget(max_support: int) -> None:
+    if max_support < 1:
+        raise PreconditionError(f"max_support must be >= 1, got {max_support}")
+
 
 def bfs(sources: Iterable[Vertex], neighbors: Callable[[Vertex], Iterable[Vertex]],
         radius: Optional[int] = None, target: Optional[Vertex] = None,
-        max_vertices: Optional[int] = None) -> Tuple[Dict[Vertex, int], Dict[Vertex, Vertex]]:
+        *, max_support: int = MAX_SUPPORT) -> Tuple[Dict[Vertex, int], Dict[Vertex, Vertex]]:
     """Breadth-first distances and parents from ``sources`` (all at distance 0).
 
     ``neighbors(x)`` lists x's neighbors in discovery order.  Vertices at
     ``radius`` are not expanded; the search stops once ``target`` is found.
     Both maps are in discovery order, and a source is its own parent.
-    Discovering a vertex beyond the first ``max_vertices`` raises
+    Discovering a vertex beyond the first ``max_support`` raises
     ``SupportOverflowError``.
     """
-    if max_vertices is not None and max_vertices < 1:
-        raise PreconditionError(f"vertex budget must be >= 1, got {max_vertices}")
-    limit = math.inf if max_vertices is None else max_vertices
+    check_budget(max_support)
     dist = dict.fromkeys(sources, 0)
     parent = {x: x for x in dist}
     if target in dist:
@@ -57,8 +70,9 @@ def bfs(sources: Iterable[Vertex], neighbors: Callable[[Vertex], Iterable[Vertex
             continue
         for y in neighbors(x):
             if y not in dist:
-                if len(dist) >= limit:
-                    raise SupportOverflowError(f"search passed {max_vertices} vertices; use a smaller radius")
+                if len(dist) >= max_support:
+                    within = "" if radius is None else f" to radius {radius}"
+                    raise SupportOverflowError(f"search{within} passed {max_support} vertices at distance {d + 1}")
                 dist[y] = d + 1
                 parent[y] = x
                 if y == target:
@@ -265,7 +279,7 @@ def step_kernel(
         return [_add(x, s) for s in offsets]
 
     if radius is not None:
-        dist, _ = bfs([origin], neighbors, radius)
+        dist, _ = bfs([origin], neighbors, radius, max_support=MAX_WINDOW)
         vertices = set(dist)
         depth = {x: radius - d + 1 for x, d in dist.items()}
     else:

@@ -327,7 +327,7 @@ def payload_criterion_11():
             g = cw.f2_reduce(arr)
             all_ok = all_ok and g.reduced_word != () and not g.has_double_edge()
             all_ok = all_ok and not g.has_self_loop() and g.is_acyclic()
-            runs.append({"arrangement": list(arr), "j": g.J,
+            runs.append({"arrangement": list(arr), "j": len(g.edges),
                          "word": F2.format_element(g.reduced_word),
                          "edges": [list(e) for e in g.edges]})
         _PAYLOADS["c11"] = {"all_ok": all_ok, "runs": runs}

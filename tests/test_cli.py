@@ -10,9 +10,10 @@ import pytest
 
 import centerwalk as cw
 from centerwalk import cli
+from centerwalk import markov_graph as mg
 from centerwalk import serialization as ser
 from centerwalk.cli import main
-from centerwalk.evolution import MAX_SUPPORT
+from centerwalk.markov_graph import MAX_SUPPORT
 
 
 def triangle_graph_obj():
@@ -172,6 +173,26 @@ def test_cli_law_commands_share_the_budget(capsys):
     assert "--max-support" not in capsys.readouterr().out
 
 
+def test_cli_searches_and_windows_end_at_support_overflow(monkeypatch, capsys):
+    # the same commands pass the full budgets (1 M searched, 200 k window vertices)
+    # in a few seconds; smaller budgets keep this test small
+    monkeypatch.setitem(mg.bfs.__kwdefaults__, "max_support", 2000)
+    monkeypatch.setattr(cli.gw, "MAX_WINDOW", 2000)
+    f2_window = ["--group", "f2", "--gens", "a,A,b,B", "--radius", "30"]
+    for argv in (["group", "dist", "--group", "heisenberg", "--gens", "[1,0,0],[0,1,0]",
+                  "--element", "[0,0,1000]", "--radius", "200"],
+                 ["dirichlet", "sector", *f2_window, "--seed", "0"],
+                 ["green", "compare", *f2_window, "--seed", "0"]):
+        assert main(argv) == 5, argv
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["code"] == "support_overflow", argv
+        assert "passed 2000 vertices" in err["message"] and "radius" in err["message"], argv
+    # the kernel commands take no budget flag
+    for argv in (["dirichlet", "sector", "--help"], ["green", "compare", "--help"]):
+        assert main(argv) == 0
+        assert "--max-support" not in capsys.readouterr().out
+
+
 def test_cli_removed_flags_are_parse_errors(capsys):
     z = ["--group", "z:1", "--gens", "[1],[-1]"]
     sampled = z + ["--t", "4", "--paths", "5", "--seed", "1"]
@@ -214,7 +235,7 @@ def test_cli_sector_with_supplied_pair(tmp_path):
     f.write_text(json.dumps({"1": 1.0}))
     g.write_text(json.dumps({"0": 1.0}))
     report = run_cli(tmp_path, "dirichlet", "sector", "--graph", str(graph),
-                     "--f", str(f), "--g", str(g), "--seed", "0")
+                     "--f", str(f), "--g", str(g))
     # E(delta_1, delta_0) = -q(0,1) = -1 on the rotation; both diagonals are 1
     assert abs(report["results"]["sector_ratio"] - 1.0) < 1e-12
     assert report["results"]["e_fg"] == -1.0
@@ -349,8 +370,8 @@ def test_cli_input_errors_are_json(tmp_path, capsys):
         (escape + ["--alpha", "1/2", "--times=-1,2"], 2, "parse_error"),
         (["centering", "verify", "--graph", "bad_weight.json", "--dec", "tri_dec.json"], 2, "parse_error"),
         (["dirichlet", "sector", "--graph", "tri.json", "--killing", "abc", "--seed", "1"], 2, "parse_error"),
-        (["dirichlet", "sector", "--graph", "tri.json", "--f", "bad_f.json", "--g", "bad_f.json",
-          "--seed", "1"], 2, "parse_error"),
+        (["dirichlet", "sector", "--graph", "tri.json", "--f", "bad_f.json", "--g", "bad_f.json"],
+         2, "parse_error"),
         # a negative radius used to search the whole group
         (["group", "dist", "--group", "z:2", "--gens", "[1,0],[-1,0]", "--element", "[0,1]",
           "--radius=-1"], 3, "validation_error"),
@@ -378,9 +399,11 @@ def test_cli_input_errors_are_json(tmp_path, capsys):
         (["green", "compare", "--graph", "tri.json", *z_kernel, "--dec", "tri_dec.json"], 2, "parse_error"),
         # a flag the chosen mode never reads used to be accepted and echoed in config
         (["dirichlet", "sector", "--graph", "tri.json", "--f", "f.json", "--g", "g.json",
-          "--seed", "0", "--dec", "missing.json"], 2, "parse_error"),
+          "--dec", "missing.json"], 2, "parse_error"),
         (["dirichlet", "sector", "--graph", "tri.json", "--f", "f.json", "--g", "g.json",
-          "--seed", "0", "--trials", "7"], 2, "parse_error"),
+          "--trials", "7"], 2, "parse_error"),
+        (["dirichlet", "sector", "--graph", "tri.json", "--f", "f.json", "--g", "g.json",
+          "--seed", "0"], 2, "parse_error"),
         (["dirichlet", "sector", "--graph", "tri.json"], 2, "parse_error"),
         (["green", "compare", "--graph", "tri.json", "--killing", "1/10", "--dec", "tri_dec.json",
           "--seed", "1", "--n-max", "9"], 2, "parse_error"),

@@ -11,7 +11,9 @@ from fractions import Fraction
 import pytest
 
 import centerwalk as cw
-from centerwalk.evolution import MAX_SUPPORT, _mc_endpoints, _path_indices, path_rng
+from centerwalk import markov_graph as mg
+from centerwalk.evolution import _mc_endpoints, _path_indices, path_rng
+from centerwalk.markov_graph import MAX_SUPPORT
 
 Z1 = cw.IntegerLattice(1)
 Z2 = cw.IntegerLattice(2)
@@ -88,10 +90,10 @@ def test_budgets_and_horizons_below_range_are_rejected():
     mu = cw.step_measure(Z1, SRW_GENS)
     d = cw.SparseDistribution.point(Z1)
     for budget in (0, -1):
-        with pytest.raises(cw.PreconditionError, match="max_support must be >= 1"):
+        with pytest.raises(cw.PreconditionError, match=f"max_support must be >= 1, got {budget}"):
             cw.evolve(d, mu, max_support=budget)
-        with pytest.raises(cw.PreconditionError, match="vertex budget must be >= 1"):
-            cw.volume_growth(Z1, SRW_GENS, 2, max_vertices=budget)
+        with pytest.raises(cw.PreconditionError, match=f"max_support must be >= 1, got {budget}"):
+            cw.volume_growth(Z1, SRW_GENS, 2, max_support=budget)
     with pytest.raises(cw.PreconditionError, match="t_max must be >= 0"):
         cw.walk_distributions(Z1, SRW_GENS, -3)
     assert len(cw.walk_distributions(Z1, SRW_GENS, 0)) == 1
@@ -100,6 +102,13 @@ def test_budgets_and_horizons_below_range_are_rejected():
 def test_entropy_default_budget_is_the_shared_constant():
     default = inspect.signature(cw.entropy_estimate).parameters["max_support"].default
     assert default == MAX_SUPPORT == 1_000_000
+    # every budget parameter of the package has this one name and this one default
+    funcs = [f for f in vars(cw).values() if inspect.isfunction(f)] + [mg.bfs]
+    params = {f.__name__: inspect.signature(f).parameters for f in funcs}
+    budgets = {name: ps["max_support"].default for name, ps in params.items() if "max_support" in ps}
+    assert set(budgets) == {"bfs", "word_ball", "volume_growth", "evolve", "walk_distributions",
+                            "entropy_estimate"}
+    assert all(default == MAX_SUPPORT for default in budgets.values())
 
 
 def test_evolve_pruning_flags_approximate():
@@ -407,12 +416,12 @@ def test_volume_growth_closed_forms():
 
 def test_volume_growth_budget():
     # the radius-3 ball of F2 has 53 elements
-    assert cw.volume_growth(F2, F2_GENS, 3, max_vertices=53) == [1, 5, 17, 53]
+    assert cw.volume_growth(F2, F2_GENS, 3, max_support=53) == [1, 5, 17, 53]
     with pytest.raises(cw.SupportOverflowError, match="52"):
-        cw.volume_growth(F2, F2_GENS, 3, max_vertices=52)
+        cw.volume_growth(F2, F2_GENS, 3, max_support=52)
     with pytest.raises(cw.SupportOverflowError):
-        cw.word_ball(F2, F2_GENS, 40, max_vertices=1000)
-    assert len(cw.word_ball(Z2, ((1, 0), (0, 1)), 4, max_vertices=41)) == 41
+        cw.word_ball(F2, F2_GENS, 40, max_support=1000)
+    assert len(cw.word_ball(Z2, ((1, 0), (0, 1)), 4, max_support=41)) == 41
 
 
 @pytest.mark.parametrize("k", [*range(1, 10), 1000])

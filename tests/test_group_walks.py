@@ -8,6 +8,7 @@ import pytest
 
 import centerwalk as cw
 from centerwalk import group_walks as gw
+from centerwalk import markov_graph as mg
 
 
 Z1 = cw.IntegerLattice(1)
@@ -183,6 +184,31 @@ def test_heisenberg_distance_against_enumeration():
     assert cw.word_distance(H, H_GENS, (0, 0, 1), radius=6) == oracle[(0, 0, 1)] == 4
 
 
+def test_cayley_windows_stop_at_the_window_budget(monkeypatch):
+    # the Z^2 ball of radius 3 has 25 elements; the builders read MAX_WINDOW at call time
+    witness = cw.abelian_c1(Z2, Z2_GENS)
+    monkeypatch.setattr(gw, "MAX_WINDOW", 25)
+    assert len(cw.cayley_kernel(Z2, Z2_GENS, 3).window) == 25
+    # one cycle (x, x+e1, x, x+e2, x) per x whose walk stays in the ball
+    assert len(cw.translated_cycle_decomposition(Z2, Z2_GENS, witness, 3)) == 15
+    monkeypatch.setattr(gw, "MAX_WINDOW", 24)
+    with pytest.raises(cw.SupportOverflowError, match="radius 3 passed 24 vertices"):
+        cw.cayley_kernel(Z2, Z2_GENS, 3)
+    with pytest.raises(cw.SupportOverflowError, match="radius 3 passed 24 vertices"):
+        cw.translated_cycle_decomposition(Z2, Z2_GENS, witness, 3)
+    # a ball is not a window
+    assert len(cw.word_ball(Z2, Z2_GENS, 3)) == 25
+
+
+def test_word_distance_search_stops_at_the_budget(monkeypatch):
+    # no closed form for the Heisenberg group, so the distance comes from the one BFS,
+    # whose default budget is read from its keyword defaults at call time
+    monkeypatch.setitem(mg.bfs.__kwdefaults__, "max_support", 135)
+    assert cw.word_distance(H, H_GENS, (0, 0, 1), radius=6) == 4
+    with pytest.raises(cw.SupportOverflowError, match="radius 200 passed 135 vertices at distance 5"):
+        cw.word_distance(H, H_GENS, (0, 0, 1000), radius=200)
+
+
 def test_cayley_kernel_matches_step_kernel():
     ck = cw.cayley_kernel(Z1, Z_GENS, radius=10)
     sk = cw.step_kernel({1: Fraction(2, 3), -2: Fraction(1, 3)}, radius=10)
@@ -281,7 +307,7 @@ def test_f2_reduce_all_orderings_nonempty():
         assert not graph.has_double_edge()
         assert not graph.has_self_loop()
         assert graph.is_acyclic()
-        if graph.J < graph.n:
+        if len(graph.edges) < graph.n:
             assert graph.reduced_word != ()
 
 
@@ -298,7 +324,7 @@ def test_f2_reduce_random_n2():
         assert not graph.has_double_edge()
         assert not graph.has_self_loop()
         assert graph.is_acyclic()
-        assert graph.J < 2 * graph.n  # acyclic forest on n nodes has < n edges per tree
+        assert len(graph.edges) < 2 * graph.n  # acyclic forest on n nodes has < n edges per tree
 
 
 def test_f2_reduce_rejects_malformed():

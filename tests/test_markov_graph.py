@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import centerwalk as cw
+from centerwalk import markov_graph as mg
 from centerwalk.markov_graph import lost_mass, split_edge_walk
 
 from conftest import make_zwalk, make_zwalk_dec
@@ -247,6 +248,27 @@ def test_frontier_depth_of_loaded_kernel():
     kernel = cw.Kernel(rows)
     assert [kernel.depth(x) for x in range(6)] == [6, 5, 4, 3, 2, 1]
     assert kernel.depth(7) == kernel.depth(8) == math.inf
+
+
+def test_every_traversal_stops_at_its_budget(monkeypatch):
+    # a budget binds as a default when its function is defined, so each case
+    # patches what the callee reads at call time
+    srw = {1: Fraction(1, 2), -1: Fraction(1, 2)}
+    path = cw.Kernel({x: {x + 1: Fraction(1)} for x in range(30)})
+    monkeypatch.setattr(mg, "MAX_WINDOW", 20)
+    with pytest.raises(cw.SupportOverflowError, match="radius 10 passed 20 vertices at distance 10"):
+        cw.step_kernel(srw, radius=10)
+    assert len(cw.step_kernel(srw, radius=9).window) == 19
+    # an explicit window is searched within MAX_SUPPORT, not MAX_WINDOW
+    assert len(cw.step_kernel(srw, window=range(-10, 11)).window) == 21
+    monkeypatch.setitem(mg.bfs.__kwdefaults__, "max_support", 10)
+    for search in (lambda: cw.Kernel({x: {x + 1: Fraction(1)} for x in range(30)}),
+                   lambda: cw.graph_distance(path, 0, 29, radius=40),
+                   lambda: cw.directed_detour(path, cw.CycleDecomposition(()), 0, 29, radius=40),
+                   lambda: cw.dirichlet_forms.distance_map(path, 0)):
+        with pytest.raises(cw.SupportOverflowError, match="passed 10 vertices"):
+            search()
+    assert cw.graph_distance(path, 0, 9, radius=40) == 9
 
 
 def test_step_kernel_window_depth_oracle():
