@@ -299,6 +299,8 @@ def cmd_dirichlet_sector(args):
         g = _load_test_function(args.g)
         eff = df.dirichlet_form(kernel, m, f, f)
         egg = df.dirichlet_form(kernel, m, g, g)
+        if eff == 0 or egg == 0:
+            raise PreconditionError("a test function with E(f,f) = 0 or E(g,g) = 0 has no sector ratio")
         efg = df.dirichlet_form(kernel, m, f, g)
         ratio = abs(float(efg)) / (float(eff) * float(egg)) ** 0.5
         return {"sector_ratio": ratio, "e_fg": float(efg),

@@ -491,7 +491,7 @@ def green_comparison(
             f"ball reaches vertices without complete in-rows, e.g. {shallow[0]!r}"
         )
     killed = kernel.restrict(ball)
-    killed0 = symmetrized_kernel(kernel, m).restrict(ball)
+    killed0 = symmetrized_kernel(killed, m)
     interior = _interior_of_ball(kernel, killed, dec.max_length)
     if not interior:
         raise PreconditionError("ball has no interior at the decomposition's cycle length")

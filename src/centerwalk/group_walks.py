@@ -13,13 +13,14 @@ that separates the two conditions.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import PreconditionError, StructuralError
 from .groups import FiniteCyclic, FreeGroup, Group, IntegerLattice
-from .markov_graph import MAX_SUPPORT, MAX_WINDOW, Cycle, CycleDecomposition, Kernel, bfs, split_edge_walk
+from .markov_graph import MAX_SUPPORT, MAX_WINDOW, Cycle, CycleDecomposition, Kernel, _window_kernel, bfs, split_edge_walk
 from .weights import Weight, sort_key, vanishes
 
 #: default node budget of ``c1_search``
@@ -211,8 +212,6 @@ def _cayley_neighbors(group: Group, gens: Sequence):
 def word_ball(group: Group, gens: Sequence, radius: int,
               max_support: int = MAX_SUPPORT) -> Dict[object, int]:
     """BFS distances from the identity over gens and their inverses, at most ``max_support`` of them."""
-    if radius < 0:
-        raise PreconditionError("radius must be >= 0")
     return bfs([group.identity], _cayley_neighbors(group, gens), radius, max_support=max_support)[0]
 
 
@@ -230,29 +229,14 @@ def word_distance(group: Group, gens: Sequence, x, radius: int) -> Optional[int]
 
 def cayley_kernel(group: Group, gens: Sequence, radius: int) -> Kernel:
     """Uniform-step walk kernel materialized on the word-metric ball of at most ``MAX_WINDOW`` vertices."""
-    gens = tuple(group.validate(g) for g in gens)
-    k = len(gens)
-    ball = word_ball(group, gens, radius, MAX_WINDOW)
-    rows: Dict[object, Dict[object, Weight]] = {}
-    w = Fraction(1, k)
-    for x in ball:
-        row: Dict[object, Weight] = {}
-        for g in gens:
-            y = group.multiply(x, g)
-            row[y] = row.get(y, 0) + w
-        rows[x] = row
-    depth = {x: radius - d + 1 for x, d in ball.items()}
-    return Kernel(rows, depth=depth)
+    gens = [group.validate(g) for g in gens]
+    steps = {g: Fraction(c, len(gens)) for g, c in Counter(gens).items()}
+    return _window_kernel(group.identity, group.multiply, group.inverse, steps, radius=radius, max_support=MAX_WINDOW)
 
 
 def finite_group_kernel(group: Group, mu: Mapping) -> Kernel:
     """Kernel q(x, y) = mu(x^-1 y) on a finite group."""
-    elements = list(group.elements())
-    rows = {
-        x: {group.multiply(x, g): w for g, w in mu.items() if w != 0}
-        for x in elements
-    }
-    return Kernel(rows)
+    return _window_kernel(group.identity, group.multiply, group.inverse, mu, window=group.elements())
 
 
 def translated_cycle_decomposition(

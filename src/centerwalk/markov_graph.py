@@ -2,17 +2,20 @@
 
 A kernel is materialized on a finite *window* of an (often infinite) vertex
 set.  Every materialized row is the complete out-distribution of its vertex;
-the window truncates reachability, never the rows themselves.  Each vertex
+the window truncates reachability, never the rows themselves.  Rows are
+stored in ``sort_key`` order, whatever order they were given in, and rows,
+in-rows and the float view all iterate in that one order.  Each vertex
 carries a certified ``depth``: a lower bound on the number of undirected
 steps needed to leave the window.  Checks that require complete
 neighborhoods (invariance, cycle coverage) restrict themselves to vertices
 of sufficient depth and report what they skipped.
 
-Builders (:func:`step_kernel`, :func:`rotation_kernel`, and the Cayley
-builder in :mod:`centerwalk.group_walks`) compute exact depths.  For kernels
-loaded from edge lists the depth falls back to the visible distance to the
-frontier (vertices with an edge leaving the window), which is exact for
-fully materialized finite graphs.
+One builder makes every translation-invariant window (:func:`step_kernel`,
+and ``cayley_kernel`` and ``finite_group_kernel`` in
+:mod:`centerwalk.group_walks`) with exact depths.  For kernels loaded from
+edge lists the depth falls back to the visible distance to the frontier
+(vertices with an edge leaving the window), which is exact for fully
+materialized finite graphs.
 """
 
 from __future__ import annotations
@@ -52,11 +55,13 @@ def bfs(sources: Iterable[Vertex], neighbors: Callable[[Vertex], Iterable[Vertex
     """Breadth-first distances and parents from ``sources`` (all at distance 0).
 
     ``neighbors(x)`` lists x's neighbors in discovery order.  Vertices at
-    ``radius`` are not expanded; the search stops once ``target`` is found.
-    Both maps are in discovery order, and a source is its own parent.
-    Discovering a vertex beyond the first ``max_support`` raises
+    ``radius`` (at least 0) are not expanded; the search stops once ``target``
+    is found.  Both maps are in discovery order, and a source is its own
+    parent.  Discovering a vertex beyond the first ``max_support`` raises
     ``SupportOverflowError``.
     """
+    if radius is not None and radius < 0:
+        raise PreconditionError("radius must be >= 0")
     check_budget(max_support)
     dist = dict.fromkeys(sources, 0)
     parent = {x: x for x in dist}
@@ -127,7 +132,7 @@ class FloatView:
 
 
 class Kernel:
-    """Row-stochastic (or explicitly substochastic) transition weights on a window."""
+    """Row-stochastic (or explicitly substochastic) transition weights on a window, rows in ``sort_key`` order."""
 
     def __init__(
         self,
@@ -138,8 +143,8 @@ class Kernel:
     ):
         self.substochastic = substochastic
         self._rows: Dict[Vertex, Dict[Vertex, Weight]] = {}
-        for x, row in rows.items():
-            clean = {y: w for y, w in dict(row).items() if w != 0}
+        for x in sorted(rows, key=sort_key):
+            clean = {y: w for y, w in dict(rows[x]).items() if w != 0}
             for y, w in clean.items():
                 if w < 0:
                     raise StructuralError(f"negative weight q({x!r}, {y!r}) = {w}")
@@ -165,7 +170,7 @@ class Kernel:
         # Fallback convention: depth = visible undirected distance to the
         # frontier, plus one; exact when no in-edges arrive from outside.
         frontier = [x for x in self._rows if any(y not in self.window for y in self._rows[x])]
-        dist, _ = bfs(sorted(frontier, key=sort_key), self.undirected_neighbors)
+        dist, _ = bfs(frontier, self.undirected_neighbors)
         return {x: dist[x] + 1 if x in dist else math.inf for x in self._rows}
 
     # -- row access ------------------------------------------------------
@@ -203,7 +208,7 @@ class Kernel:
                 yield x, y, w
 
     def sorted_vertices(self) -> List[Vertex]:
-        return sorted(self.window, key=sort_key)
+        return list(self._rows)
 
     def undirected_neighbors(self, x: Vertex) -> List[Vertex]:
         """In-window vertices adjacent to x in the undirected support."""
@@ -262,39 +267,46 @@ def step_kernel(
 
     Steps are integers (d = 1) or integer tuples.  The window is either the
     ball of the given ``radius`` around the origin in the undirected step
-    graph, or an explicit vertex set; in both cases the certified depth is
-    the exact step-graph distance to the complement.
+    graph (at most ``MAX_WINDOW`` vertices), or an explicit vertex set.
     """
     steps = dict(steps)
     if not steps:
         raise PreconditionError("empty step distribution")
-    offsets = sorted({s for s in steps} | {_neg(s) for s in steps}, key=sort_key)
     first = next(iter(steps))
     origin = tuple(0 for _ in first) if isinstance(first, tuple) else 0
+    return _window_kernel(origin, _add, _neg, steps, radius=radius, window=window, max_support=MAX_WINDOW)
 
+
+def _window_kernel(origin: Vertex, act: Callable, inverse: Callable, steps: Mapping[object, Weight], *,
+                   radius: Optional[int] = None, window: Optional[Iterable[Vertex]] = None,
+                   max_support: int = MAX_SUPPORT) -> Kernel:
+    """Rows {x: {act(x, s): steps[s]}} on the ball of ``radius`` around ``origin`` or on ``window``.
+
+    Neighbors are ``act(x, s)`` and ``act(x, inverse(s))`` over the steps; the
+    ball holds at most ``max_support`` vertices.  In both cases the certified
+    depth is the exact step-graph distance to the complement.
+    """
     if (radius is None) == (window is None):
         raise PreconditionError("specify exactly one of radius or window")
+    directions = sorted(set(steps) | {inverse(s) for s in steps}, key=sort_key)
 
     def neighbors(x):
-        return [_add(x, s) for s in offsets]
+        return [act(x, s) for s in directions]
 
     if radius is not None:
-        dist, _ = bfs([origin], neighbors, radius, max_support=MAX_WINDOW)
-        vertices = set(dist)
-        depth = {x: radius - d + 1 for x, d in dist.items()}
+        depth = {x: radius - d + 1 for x, d in bfs([origin], neighbors, radius, max_support=max_support)[0].items()}
     else:
         vertices = set(window)
         # inward BFS from the layer adjacent to the complement
-        frontier = [x for x in sorted(vertices, key=sort_key)
-                    if any(y not in vertices for y in neighbors(x))]
-        dist, _ = bfs(frontier, lambda x: [y for y in neighbors(x) if y in vertices])
+        frontier = [x for x in vertices if any(y not in vertices for y in neighbors(x))]
+        dist = bfs(frontier, lambda x: [y for y in neighbors(x) if y in vertices])[0]
         depth = {x: dist[x] + 1 if x in dist else math.inf for x in vertices}
 
-    rows = {x: {} for x in vertices}
-    for x in vertices:
+    rows = {x: {} for x in depth}
+    for x, row in rows.items():
         for s, w in steps.items():
-            y = _add(x, s)
-            rows[x][y] = rows[x].get(y, 0) + w
+            y = act(x, s)
+            row[y] = row.get(y, 0) + w
     return Kernel(rows, depth=depth)
 
 
@@ -561,8 +573,6 @@ def invariance_check(kernel: Kernel, m: Measure) -> InvarianceReport:
 
 def graph_distance(kernel: Kernel, x: Vertex, y: Vertex, radius: int) -> Optional[int]:
     """BFS distance in the undirected support within the window; None beyond radius."""
-    if radius < 0:
-        raise PreconditionError("radius must be >= 0")
     if x not in kernel.window or y not in kernel.window:
         raise StructuralError("both endpoints must lie in the window")
     path = _bfs_path(kernel.undirected_neighbors, x, y, radius)

@@ -39,7 +39,7 @@ def decode_vertex(v):
 def kernel_to_obj(kernel: Kernel) -> dict:
     edges = [
         {"src": encode_vertex(x), "dst": encode_vertex(y), "w": format_weight(w)}
-        for x, y, w in sorted(kernel.edges(), key=lambda e: (repr(e[0]), repr(e[1])))
+        for x, y, w in kernel.edges()
     ]
     vertices = [encode_vertex(v) for v in kernel.sorted_vertices()]
     obj = {"vertices": vertices, "edges": edges}

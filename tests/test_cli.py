@@ -39,6 +39,14 @@ def test_kernel_json_roundtrip(zwalk):
         assert dict(back.row(x)) == dict(zwalk.row(x))
 
 
+def test_kernel_json_roundtrip_keeps_row_order():
+    k = cw.step_kernel({1: Fraction(2, 3), -2: Fraction(1, 3)}, radius=12)
+    back = ser.kernel_from_obj(ser.kernel_to_obj(k))
+    assert back.sorted_vertices() == k.sorted_vertices()
+    for x in k.window:
+        assert list(back.row(x)) == list(k.row(x)), x
+
+
 def test_kernel_json_tuple_vertices():
     k = cw.cayley_kernel(cw.IntegerLattice(2), ((1, 0), (-1, 0), (0, 1), (0, -1)), 3)
     back = ser.kernel_from_obj(ser.kernel_to_obj(k))
@@ -354,6 +362,8 @@ def test_cli_input_errors_are_json(tmp_path, capsys):
         "bad_f.json": {"not json": 1.0},
         "f.json": {"1": 1.0},
         "g.json": {"0": 1.0},
+        "zero_f.json": {"[0]": 0.0},
+        "unit_g.json": {"[0]": 1.0},
     }
     for name, obj in files.items():
         (tmp_path / name).write_text(json.dumps(obj))
@@ -405,6 +415,9 @@ def test_cli_input_errors_are_json(tmp_path, capsys):
         (["dirichlet", "sector", "--graph", "tri.json", "--f", "f.json", "--g", "g.json",
           "--seed", "0"], 2, "parse_error"),
         (["dirichlet", "sector", "--graph", "tri.json"], 2, "parse_error"),
+        # a pair with a zero-energy function used to divide by zero
+        (["dirichlet", "sector", "--group", "z:1", "--gens", "[1],[-1]", "--radius", "10",
+          "--f", "zero_f.json", "--g", "unit_g.json"], 3, "validation_error"),
         (["green", "compare", "--graph", "tri.json", "--killing", "1/10", "--dec", "tri_dec.json",
           "--seed", "1", "--n-max", "9"], 2, "parse_error"),
         (["green", "compare", *z_kernel, "--dec", "tri_dec.json", "--n-max", "9"], 2, "parse_error"),
@@ -461,6 +474,9 @@ def test_cli_results_independent_of_hash_seed(tmp_path):
         "verify": ["centering", "verify", "--graph", "ring.json", "--dec", "ring_dec.json"],
         "sector": ["dirichlet", "sector", "--graph", "ring.json", "--dec", "ring_dec.json",
                    "--killing", "1/10", "--trials", "5", "--seed", "3"],
+        # the killed ring's rows used to be stored in set order
+        "green": ["green", "compare", "--graph", "ring.json", "--killing", "1/10", "--dec", "ring_dec.json",
+                  "--trials", "5", "--seed", "3"],
         # the exact laws come out of the evolution engine's interned ids
         "evolve": ["walk", "evolve", "--group", "f2", "--gens", "a,A,b,B", "--tmax", "6"],
         "entropy": ["walk", "entropy", "--group", "f2", "--gens", "a,A,b,B", "--t", "6",

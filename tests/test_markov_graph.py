@@ -86,6 +86,20 @@ def test_float_view_mirrors_rows():
         assert all(type(w) is float for w in view.rows[x].values())
 
 
+def test_kernel_order_does_not_depend_on_insertion_order():
+    names = [f"v{i}" for i in range(7)]
+    rows = {names[i]: {names[(i + 1) % 7]: Fraction(2, 3), names[(i - 2) % 7]: Fraction(1, 3)}
+            for i in range(7)}
+    a = cw.Kernel(rows)
+    b = cw.Kernel({names[i]: rows[names[i]] for i in (3, 6, 0, 5, 1, 4, 2)})
+    assert a.sorted_vertices() == b.sorted_vertices() == names
+    assert list(a.edges()) == list(b.edges())
+    for y in names:
+        assert list(a.in_row(y)) == list(b.in_row(y))
+        assert list(a.float_view.in_rows[y].items()) == list(b.float_view.in_rows[y].items())
+    assert a.float_view == b.float_view
+
+
 def test_measure_positive():
     with pytest.raises(cw.StructuralError):
         cw.Measure({0: 0})
@@ -269,6 +283,16 @@ def test_every_traversal_stops_at_its_budget(monkeypatch):
         with pytest.raises(cw.SupportOverflowError, match="passed 10 vertices"):
             search()
     assert cw.graph_distance(path, 0, 9, radius=40) == 9
+
+
+def test_negative_radius_is_rejected_by_bfs():
+    srw = {1: Fraction(1, 2), -1: Fraction(1, 2)}
+    for search in (lambda: mg.bfs([0], lambda x: [x - 1, x + 1], radius=-1),
+                   lambda: cw.step_kernel(srw, radius=-1),
+                   lambda: cw.graph_distance(cw.step_kernel(srw, radius=3), 0, 1, radius=-1),
+                   lambda: cw.word_ball(cw.IntegerLattice(1), [(1,)], -1)):
+        with pytest.raises(cw.PreconditionError, match="radius must be >= 0"):
+            search()
 
 
 def test_step_kernel_window_depth_oracle():
