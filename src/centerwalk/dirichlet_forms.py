@@ -18,7 +18,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import PreconditionError, StructuralError
 from .markov_graph import CycleDecomposition, Kernel, Measure, Vertex, bfs, lost_mass
-from .weights import Weight, sort_key
+from .weights import Weight
 
 TestFunction = Mapping[Vertex, Weight]
 
@@ -66,10 +66,10 @@ def dirichlet_form(kernel: Kernel, m: Measure, f: TestFunction, g: TestFunction)
 
 
 def symmetrized_weights(kernel: Kernel, m: Measure, pairs: Iterable[Tuple[Vertex, Vertex]]) -> Dict[Tuple[Vertex, Vertex], Weight]:
-    """p0 on the given unordered pairs (keys are sort-ordered (x, y) tuples)."""
+    """p0 on the given unordered pairs (keys are (x, y) tuples with x < y)."""
     out = {}
     for x, y in pairs:
-        if sort_key(y) < sort_key(x):
+        if y < x:
             x, y = y, x
         out[(x, y)] = (m(x) * kernel.weight(x, y) + m(y) * kernel.weight(y, x)) / 2
     return out
@@ -82,7 +82,7 @@ def _touching_pairs(kernel: Kernel, f: TestFunction, g: TestFunction):
         for y in list(kernel.row(x)) + list(kernel.in_row(x)):
             if y == x:
                 continue
-            pairs.add((x, y) if sort_key(x) < sort_key(y) else (y, x))
+            pairs.add((x, y) if x < y else (y, x))
     return support, pairs
 
 
@@ -95,14 +95,14 @@ def symmetrized_form(kernel: Kernel, m: Measure, f: TestFunction, g: TestFunctio
     _check_support(kernel, f, g)
     support, pairs = _touching_pairs(kernel, f, g)
     total = Fraction(0)
-    for (x, y) in pairs:
+    for (x, y), p0 in symmetrized_weights(kernel, m, sorted(pairs)).items():
         df = f.get(x, 0) - f.get(y, 0)
         dg = g.get(x, 0) - g.get(y, 0)
         if df == 0 or dg == 0:
             continue
-        total += ((m(x) * kernel.weight(x, y) + m(y) * kernel.weight(y, x)) / 2) * df * dg
+        total += p0 * df * dg
     if kernel.substochastic:
-        for x in support:
+        for x in sorted(support):
             fx, gx = f.get(x, 0), g.get(x, 0)
             if fx != 0 and gx != 0:
                 total += m(x) * kernel.defect(x) * fx * gx
@@ -250,8 +250,8 @@ def _respond(kernel, form, h, neighbors, coefficient, margin):
         cand.update(neighbors(x))
     cand = [x for x in cand if kernel.depth(x) >= margin]
     coeffs = {x: coefficient(h, x) for x in cand}
-    support = sorted(cand, key=lambda x: (-abs(coeffs[x]), sort_key(x)))[:GROW_CAP]
-    support.sort(key=sort_key)
+    support = sorted(cand, key=lambda x: (-abs(coeffs[x]), x))[:GROW_CAP]
+    support.sort()
     return _best_response(form, [coeffs[x] for x in support], support)
 
 
@@ -485,7 +485,7 @@ def green_comparison(
     ball = set(ball)
     if not ball <= kernel.window:
         raise StructuralError("ball must lie inside the kernel window")
-    shallow = [x for x in ball if kernel.depth(x) < 2]
+    shallow = [x for x in kernel.sorted_vertices() if x in ball and kernel.depth(x) < 2]
     if shallow:
         raise PreconditionError(
             f"ball reaches vertices without complete in-rows, e.g. {shallow[0]!r}"

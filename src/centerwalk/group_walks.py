@@ -21,7 +21,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from .errors import PreconditionError, StructuralError
 from .groups import FiniteCyclic, FreeGroup, Group, IntegerLattice
 from .markov_graph import MAX_SUPPORT, MAX_WINDOW, Cycle, CycleDecomposition, Kernel, _window_kernel, bfs, split_edge_walk
-from .weights import Weight, sort_key, vanishes
+from .weights import Weight, vanishes
 
 #: default node budget of ``c1_search``
 NODE_BUDGET = 5_000_000
@@ -136,6 +136,8 @@ def c1_search(
     """
     if n_max < 1:
         raise PreconditionError("n_max must be >= 1")
+    if node_budget < 1:
+        raise PreconditionError(f"node_budget must be >= 1, got {node_budget}")
     gens = tuple(group.validate(g) for g in gens)
     k = len(gens)
     report = c2_check(group, gens)
@@ -201,7 +203,7 @@ def brute_force_c1(group: Group, gens: Sequence, n: int) -> Optional[C1Witness]:
 def _directions(group: Group, gens: Sequence) -> List:
     dirs = {group.validate(g) for g in gens}
     dirs |= {group.inverse(g) for g in gens}
-    return sorted(dirs, key=sort_key)
+    return sorted(dirs)
 
 
 def _cayley_neighbors(group: Group, gens: Sequence):
@@ -261,7 +263,7 @@ def translated_cycle_decomposition(
     ball = word_ball(group, gens, ball_radius, MAX_WINDOW)
     weight = Fraction(1, witness.n * k)
     entries: List[Tuple[Cycle, Weight]] = []
-    for x in sorted(ball, key=sort_key):
+    for x in sorted(ball):
         walk = [group.multiply(x, t) for t in partial]
         if any(v not in ball for v in walk):
             continue
@@ -278,7 +280,7 @@ def torsion_decomposition(group: Group, mu: Mapping) -> CycleDecomposition:
     """
     elements = group.elements()
     entries: List[Tuple[Cycle, Weight]] = []
-    support = sorted((g for g, w in mu.items() if w != 0), key=sort_key)
+    support = sorted(g for g, w in mu.items() if w != 0)
     total = sum(Fraction(mu[g]) if isinstance(mu[g], int) else mu[g] for g in support)
     if not vanishes(total - 1):
         raise PreconditionError(f"mu must be a probability measure, mass {total}")
@@ -290,7 +292,7 @@ def torsion_decomposition(group: Group, mu: Mapping) -> CycleDecomposition:
                 f"element {group.format_element(g)} has infinite order"
             )
         orders[g] = p
-    for x in sorted(elements, key=sort_key):
+    for x in sorted(elements):
         for g in support:
             p = orders[g]
             orbit = [x]

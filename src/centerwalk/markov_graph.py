@@ -2,9 +2,11 @@
 
 A kernel is materialized on a finite *window* of an (often infinite) vertex
 set.  Every materialized row is the complete out-distribution of its vertex;
-the window truncates reachability, never the rows themselves.  Rows are
-stored in ``sort_key`` order, whatever order they were given in, and rows,
-in-rows and the float view all iterate in that one order.  Each vertex
+the window truncates reachability, never the rows themselves.  Vertex
+labels are ints, strings or tuples of labels, and the labels of one kernel,
+row targets included, compare under Python's own ``<``.  Every order here is
+that label order: rows are stored in it, whatever order they were given in,
+and in-rows, the float view, centering edges and circulation peels follow it.  Each vertex
 carries a certified ``depth``: a lower bound on the number of undirected
 steps needed to leave the window.  Checks that require complete
 neighborhoods (invariance, cycle coverage) restrict themselves to vertices
@@ -28,7 +30,7 @@ from fractions import Fraction
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import PreconditionError, StructuralError, SupportOverflowError
-from .weights import Weight, all_exact, edge_key, is_exact, sort_key, vanishes
+from .weights import Weight, all_exact, is_exact, vanishes
 
 Vertex = object
 Edge = Tuple[Vertex, Vertex]
@@ -132,7 +134,7 @@ class FloatView:
 
 
 class Kernel:
-    """Row-stochastic (or explicitly substochastic) transition weights on a window, rows in ``sort_key`` order."""
+    """Row-stochastic (or explicitly substochastic) transition weights on a window, rows in label order."""
 
     def __init__(
         self,
@@ -143,7 +145,7 @@ class Kernel:
     ):
         self.substochastic = substochastic
         self._rows: Dict[Vertex, Dict[Vertex, Weight]] = {}
-        for x in sorted(rows, key=sort_key):
+        for x in sorted(rows):
             clean = {y: w for y, w in dict(rows[x]).items() if w != 0}
             for y, w in clean.items():
                 if w < 0:
@@ -214,7 +216,7 @@ class Kernel:
         """In-window vertices adjacent to x in the undirected support."""
         seen = set(self._rows.get(x, ())) | set(self._in.get(x, ()))
         seen.discard(x)
-        return sorted((y for y in seen if y in self.window), key=sort_key)
+        return sorted(y for y in seen if y in self.window)
 
     def depth(self, x: Vertex) -> float:
         return self._depth.get(x, 0)
@@ -288,7 +290,7 @@ def _window_kernel(origin: Vertex, act: Callable, inverse: Callable, steps: Mapp
     """
     if (radius is None) == (window is None):
         raise PreconditionError("specify exactly one of radius or window")
-    directions = sorted(set(steps) | {inverse(s) for s in steps}, key=sort_key)
+    directions = sorted(set(steps) | {inverse(s) for s in steps})
 
     def neighbors(x):
         return [act(x, s) for s in directions]
@@ -451,7 +453,7 @@ def verify_centering(
     residuals: Dict[Edge, Weight] = {}
     zero_covered: List[Edge] = []
     edges = {(x, y) for x, y, _ in kernel.edges()} | set(cov)
-    for e in sorted(edges, key=edge_key):
+    for e in sorted(edges):
         x, y = e
         q = kernel.weight(x, y)
         residuals[e] = m(x) * q - cov.get(e, 0)
@@ -486,12 +488,12 @@ def reversible_decomposition(kernel: Kernel, m: Measure) -> CycleDecomposition:
         raise PreconditionError(f"detailed balance fails at edge {e!r} by {gap}")
     entries: List[Tuple[Cycle, Weight]] = []
     for x in kernel.sorted_vertices():
-        for y in sorted(kernel.row(x), key=sort_key):
+        for y in sorted(kernel.row(x)):
             if y not in kernel.window:
                 continue
             if x == y:
                 entries.append((Cycle((x, x)), m(x) * kernel.weight(x, x)))
-            elif sort_key(x) < sort_key(y) or kernel.weight(y, x) == 0:
+            elif x < y or kernel.weight(y, x) == 0:
                 entries.append((Cycle((x, y, x)), m(x) * kernel.weight(x, y)))
     return CycleDecomposition(tuple(entries))
 
@@ -535,13 +537,13 @@ def circulation_to_cycles(
     entries: List[Tuple[Cycle, Weight]] = []
     exceeded = False
     while residual:
-        start = max(residual, key=lambda e: (residual[e], tuple(map(sort_key, e))))
+        start = max(residual, key=lambda e: (residual[e], e))
         src, dst = start
         if src == dst:
             cycle_vertices: Tuple[Vertex, ...] = (src, src)
         else:
             # shortest directed return path dst -> src in the residual support
-            back = _bfs_path(lambda u: sorted(out_edges.get(u, ()), key=sort_key), dst, src)
+            back = _bfs_path(lambda u: sorted(out_edges.get(u, ())), dst, src)
             if back is None:
                 raise PreconditionError(
                     f"no directed cycle through edge {start!r}; flow is not decomposable"

@@ -4,7 +4,12 @@ Graph files:          {"vertices": [...], "edges": [{"src", "dst", "w"}]}
 Decomposition files:  {"cycles": [{"vertices": [...], "weight": "p/q"}]}
 
 Weights are exact fraction strings ("2/3") when rational, JSON numbers when
-not.  Vertex labels are ints, strings, or (nested) lists standing for tuples.
+not.  Vertex labels are ints, strings, or (nested) lists of labels standing
+for tuples; any other JSON value (a boolean, null, a float, an object) is an
+``InputParseError``.  The package orders labels by Python's own ``<``, so the
+labels of one graph or flow, edge endpoints included, must compare (no int
+and string in the same place): :func:`kernel_from_obj` and
+:func:`flow_from_obj` sort them once to check it, after which no sort fails.
 Report payloads serialize canonically (sorted keys, fixed separators) so
 identical runs produce byte-identical output.
 """
@@ -33,7 +38,9 @@ def encode_vertex(v):
 def decode_vertex(v):
     if isinstance(v, list):
         return tuple(decode_vertex(x) for x in v)
-    return v
+    if isinstance(v, (int, str)) and not isinstance(v, bool):
+        return v
+    raise ValueError(f"vertex label {v!r} is not an int, a string or a list of labels")
 
 
 def kernel_to_obj(kernel: Kernel) -> dict:
@@ -59,6 +66,7 @@ def kernel_from_obj(obj: Mapping) -> Kernel:
             if src not in rows:
                 raise InputParseError(f"edge source {e['src']!r} not among the vertices")
             rows[src][dst] = rows[src].get(dst, 0) + w
+        sorted(set(rows).union(*rows.values()))  # TypeError unless every label compares
     except (KeyError, TypeError, ValueError) as exc:
         raise InputParseError(f"malformed graph object: {exc!r}") from exc
     return Kernel(rows, substochastic=bool(obj.get("substochastic", False)))
@@ -88,12 +96,14 @@ def decomposition_from_obj(obj: Mapping) -> CycleDecomposition:
 
 def flow_from_obj(obj: Mapping) -> Dict[tuple, object]:
     try:
-        return {
+        flow = {
             (decode_vertex(e["src"]), decode_vertex(e["dst"])): parse_weight(e["w"])
             for e in obj["edges"]
         }
+        sorted(set().union(*flow))  # TypeError unless every label compares
     except (KeyError, TypeError, ValueError) as exc:
         raise InputParseError(f"malformed flow object: {exc!r}") from exc
+    return flow
 
 
 def load_json(path: str) -> dict:

@@ -1,4 +1,4 @@
-"""Weight arithmetic and deterministic label ordering.
+"""Weight arithmetic, parsing and identity checks.
 
 Kernel weights, cycle weights and probabilities are exact
 ``fractions.Fraction`` values whenever the inputs are rational, and floats
@@ -10,7 +10,7 @@ case, ``DEFAULT_TOL`` in the float case.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, Union
+from typing import Union
 
 Weight = Union[int, Fraction, float]
 
@@ -53,24 +53,3 @@ def format_weight(w: Weight):
         return str(Fraction(w))
     return float(w)
 
-
-def sort_key(label: Any):
-    """Total order on vertex labels, used for deterministic tie-breaking.
-
-    Labels within one graph are homogeneous (ints, tuples of ints, or
-    strings); the leading tag only keeps accidental mixtures comparable.
-    """
-    if isinstance(label, bool):
-        return (3, (repr(label),))
-    if isinstance(label, (int, float)):
-        return (0, (label,))
-    if isinstance(label, tuple):
-        return (1, tuple(sort_key(part) for part in label))
-    if isinstance(label, str):
-        return (2, (label,))
-    return (3, (repr(label),))
-
-
-def edge_key(edge):
-    src, dst = edge
-    return (sort_key(src), sort_key(dst))

@@ -1,5 +1,8 @@
-"""Shared fixtures: the walks every module is exercised against."""
+"""Shared fixtures: the walks every module is exercised against, and a hash-seed runner."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -50,3 +53,17 @@ def zwalk_dec(zwalk):
 @pytest.fixture(scope="session")
 def srw():
     return cw.step_kernel({1: Fraction(1, 2), -1: Fraction(1, 2)}, radius=25)
+
+
+def under_hash_seeds(args, cwd=None):
+    """Run ``python args`` under PYTHONHASHSEED 0-3 with centerwalk importable; yield each finished process.
+
+    String hashes differ under each seed, so any set or dict order that leaks
+    into an output shows up as a difference between the four runs.
+    """
+    src = os.path.dirname(os.path.dirname(cw.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    for hash_seed in range(4):
+        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=path)
+        yield subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True,
+                             text=True, timeout=120)

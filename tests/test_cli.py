@@ -1,9 +1,6 @@
 """Wire formats and the command-line surface."""
 
 import json
-import os
-import subprocess
-import sys
 from fractions import Fraction
 
 import pytest
@@ -14,6 +11,7 @@ from centerwalk import markov_graph as mg
 from centerwalk import serialization as ser
 from centerwalk.cli import main
 from centerwalk.markov_graph import MAX_SUPPORT
+from conftest import under_hash_seeds
 
 
 def triangle_graph_obj():
@@ -29,6 +27,14 @@ def triangle_graph_obj():
 
 def triangle_dec_obj():
     return {"cycles": [{"vertices": [0, 1, 2, 0], "weight": "1"}]}
+
+
+def two_cycle_obj(x, y, vertices=False):
+    """The two-cycle x -> y -> x as a graph (with ``vertices``) or as a flow."""
+    obj = {"edges": [{"src": x, "dst": y, "w": "1"}, {"src": y, "dst": x, "w": "1"}]}
+    if vertices:
+        obj["vertices"] = [x, y]
+    return obj
 
 
 def test_kernel_json_roundtrip(zwalk):
@@ -66,6 +72,17 @@ def test_malformed_objects_raise_parse_errors():
         ser.kernel_from_obj({"vertices": [0], "edges": [{"src": 9, "dst": 0, "w": "1"}]})
     with pytest.raises(cw.InputParseError):
         ser.decomposition_from_obj({"cycles": [{"vertices": [0]}]})
+    # labels are ints, strings or lists of labels, and one graph's labels must compare
+    assert ser.decode_vertex([1, ["a", [2]]]) == (1, ("a", (2,)))
+    for label in (True, None, 1.5, {"a": 1}, [0, False]):
+        with pytest.raises(ValueError):
+            ser.decode_vertex(label)
+        with pytest.raises(cw.InputParseError):
+            ser.decomposition_from_obj({"cycles": [{"vertices": [0, label, 0], "weight": "1"}]})
+    with pytest.raises(cw.InputParseError):
+        ser.kernel_from_obj({"vertices": [[0, 1]], "edges": [{"src": [0, 1], "dst": [0, "b"], "w": "1"}]})
+    with pytest.raises(cw.InputParseError):
+        ser.flow_from_obj(two_cycle_obj([0], ["a"]))
 
 
 def test_canonical_json_fractions_and_tuple_keys():
@@ -364,6 +381,12 @@ def test_cli_input_errors_are_json(tmp_path, capsys):
         "g.json": {"0": 1.0},
         "zero_f.json": {"[0]": 0.0},
         "unit_g.json": {"[0]": 1.0},
+        # labels that Python's own < cannot order, or that are not ints, strings or lists
+        "mixed.json": two_cycle_obj(0, "a", vertices=True),
+        "true.json": two_cycle_obj(True, 2, vertices=True),
+        "null.json": two_cycle_obj(None, 2, vertices=True),
+        "float.json": two_cycle_obj(1.5, 2, vertices=True),
+        "mixed_flow.json": two_cycle_obj(0, "a"),
     }
     for name, obj in files.items():
         (tmp_path / name).write_text(json.dumps(obj))
@@ -421,6 +444,15 @@ def test_cli_input_errors_are_json(tmp_path, capsys):
         (["green", "compare", "--graph", "tri.json", "--killing", "1/10", "--dec", "tri_dec.json",
           "--seed", "1", "--n-max", "9"], 2, "parse_error"),
         (["green", "compare", *z_kernel, "--dec", "tri_dec.json", "--n-max", "9"], 2, "parse_error"),
+        # these labels used to run, ordered by a second label order of their own
+        (["centering", "reversible", "--graph", "mixed.json"], 2, "parse_error"),
+        (["centering", "reversible", "--graph", "true.json"], 2, "parse_error"),
+        (["centering", "reversible", "--graph", "null.json"], 2, "parse_error"),
+        (["centering", "reversible", "--graph", "float.json"], 2, "parse_error"),
+        (["centering", "from-flow", "--flow", "mixed_flow.json", "--max-len", "2"], 2, "parse_error"),
+        # a node budget below 1 used to end in budget_exhausted
+        (["group", "c1-search", "--group", "f2", "--gens", "a,A", "--budget", "0"], 3, "validation_error"),
+        (["group", "c1-search", "--group", "f2", "--gens", "a,A", "--budget=-5"], 3, "validation_error"),
     ]
     for argv, exit_code, error_code in cases:
         argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
@@ -482,19 +514,36 @@ def test_cli_results_independent_of_hash_seed(tmp_path):
         "entropy": ["walk", "entropy", "--group", "f2", "--gens", "a,A,b,B", "--t", "6",
                     "--paths", "40", "--seed", "5"],
     }
-    src = os.path.dirname(os.path.dirname(cw.__file__))
     # one interpreter per hash seed runs every command
     script = ("import json, sys; from centerwalk.cli import main; "
               "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))")
+    batch = [argv + ["--out", f"{label}.json"] for label, argv in commands.items()]
     seen = {}
-    for hash_seed in range(4):
-        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed),
-                   PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-        batch = [argv + ["--out", f"{label}.json"] for label, argv in commands.items()]
-        subprocess.run([sys.executable, "-c", script, json.dumps(batch)], cwd=tmp_path, env=env,
-                       check=True, timeout=120)
+    for hash_seed, proc in enumerate(under_hash_seeds(["-c", script, json.dumps(batch)], cwd=tmp_path)):
+        assert proc.returncode == 0, proc.stderr
         for label in commands:
             results = json.loads((tmp_path / f"{label}.json").read_text())["results"]
             blob = ser.canonical_json_bytes(results)
             assert seen.setdefault(label, blob) == blob, (label, hash_seed)
     assert json.loads(seen["verify"])["valid"] is True
+
+
+def test_cli_error_message_independent_of_hash_seed(tmp_path):
+    # a string ring whose vertices v0, v3, v6 and v9 leak out of the window: the
+    # shallow vertex the error names was once taken from a set
+    n = 10
+    name = [f"v{i}" for i in range(n)]
+    graph = {"vertices": name, "edges": [
+        e for i in range(n) for e in ({"src": name[i], "dst": name[(i + 1) % n], "w": "1/2"},
+                                      {"src": name[i], "dst": f"out{i}" if i % 3 == 0 else name[i - 1],
+                                       "w": "1/2"})]}
+    (tmp_path / "leaky.json").write_text(json.dumps(graph))
+    (tmp_path / "empty_dec.json").write_text(json.dumps({"cycles": []}))
+    argv = ["-m", "centerwalk.cli", "green", "compare", "--graph", "leaky.json", "--dec", "empty_dec.json",
+            "--trials", "5", "--seed", "1"]
+    errors = set()
+    for proc in under_hash_seeds(argv, cwd=tmp_path):
+        assert proc.returncode == 3, proc.stderr
+        errors.add(proc.stderr)
+    assert len(errors) == 1
+    assert "e.g. 'v0'" in json.loads(errors.pop())["error"]["message"]

@@ -9,14 +9,14 @@ import pytest
 
 import centerwalk as cw
 from centerwalk import dirichlet_forms as df
-from conftest import make_zwalk, make_zwalk_dec
+from conftest import make_zwalk, make_zwalk_dec, under_hash_seeds
 from centerwalk.dirichlet_forms import (
     distance_map,
     random_test_function,
     weighted_form_ratios,
 )
 from centerwalk.markov_graph import adjoint_kernel, lost_mass
-from centerwalk.weights import sort_key
+
 
 def test_dirichlet_form_constant_function_vanishes(zwalk, counting):
     inner = zwalk.interior_vertices(5)
@@ -286,8 +286,8 @@ def _ref_refine_pair(kernel, m, f, g, margin, rounds=12, grow_cap=200):
             cand.update(kernel.in_row(x))
         cand = [x for x in cand if kernel.depth(x) >= margin]
         coeffs = {x: _ref_g_coefficient(kernel, m, f, x) for x in cand}
-        support_g = sorted(cand, key=lambda x: (-abs(coeffs[x]), sort_key(x)))[:grow_cap]
-        support_g.sort(key=sort_key)
+        support_g = sorted(cand, key=lambda x: (-abs(coeffs[x]), x))[:grow_cap]
+        support_g.sort()
         g = _ref_best_response(kernel, m, [coeffs[x] for x in support_g], support_g)
 
         cand = set(g)
@@ -295,8 +295,8 @@ def _ref_refine_pair(kernel, m, f, g, margin, rounds=12, grow_cap=200):
             cand.update(kernel.row(x))
         cand = [y for y in cand if kernel.depth(y) >= margin]
         coeffs = {y: _ref_f_coefficient(kernel, m, g, y) for y in cand}
-        support_f = sorted(cand, key=lambda y: (-abs(coeffs[y]), sort_key(y)))[:grow_cap]
-        support_f.sort(key=sort_key)
+        support_f = sorted(cand, key=lambda y: (-abs(coeffs[y]), y))[:grow_cap]
+        support_f.sort()
         f = _ref_best_response(kernel, m, [coeffs[y] for y in support_f], support_f)
 
         r = _ref_ratio(kernel, m, f, g)
@@ -486,3 +486,25 @@ def test_symmetrized_weights_symmetric(zwalk, counting):
     assert p0[(-2, 0)] == Fraction(1, 3) / 2  # q(0,-2)=1/3, q(-2,0)=0
     flipped = cw.symmetrized_weights(zwalk, counting, [(y, x) for x, y in pairs])
     assert p0 == flipped
+
+
+def test_symmetrized_form_float_bits_independent_of_hash_seed():
+    # float test functions on a string-labelled ring: the pair sum once ran in set order
+    script = """
+import random
+from fractions import Fraction
+import centerwalk as cw
+n = 30
+name = [f"v{i:02d}" for i in range(n)]
+ring = cw.Kernel({name[i]: {name[(i + 1) % n]: Fraction(2, 3), name[(i - 2) % n]: Fraction(1, 3)}
+                  for i in range(n)})
+rng = random.Random(7)
+f = {x: rng.uniform(-1, 1) for x in name}
+g = {x: rng.uniform(-1, 1) for x in name}
+print(repr(cw.symmetrized_form(ring, cw.Measure.counting(), f, g)))
+"""
+    outputs = set()
+    for proc in under_hash_seeds(["-c", script]):
+        assert proc.returncode == 0, proc.stderr
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1

@@ -332,3 +332,42 @@ def test_f2_reduce_rejects_malformed():
         cw.f2_reduce([1, 2, 3])
     with pytest.raises(cw.StructuralError):
         cw.f2_reduce([0, 1, 2, 3, 4, 5])
+
+
+def _reference_sort_key(label):
+    """The former tagged-tuple label order, kept to check that Python's own < agrees with it."""
+    if isinstance(label, bool):
+        return (3, (repr(label),))
+    if isinstance(label, (int, float)):
+        return (0, (label,))
+    if isinstance(label, tuple):
+        return (1, tuple(_reference_sort_key(part) for part in label))
+    if isinstance(label, str):
+        return (2, (label,))
+    return (3, (repr(label),))
+
+
+@pytest.mark.parametrize("spec, gens, radius", [
+    ("z:1", ((1,),), 20),
+    ("z:2", ((1, 0), (0, 1)), 8),
+    ("heisenberg", ((1, 0, 0), (0, 1, 0)), 5),
+    ("bs:2", ((0, 0, 1), (0, 1, 0)), 6),
+    ("wreath", ((1, ()), (0, ((0, 1),))), 5),
+    ("f2", ((1,), (2,)), 5),
+    ("zmod:7", (1,), 3),
+])
+def test_native_label_order_matches_reference_on_word_balls(spec, gens, radius):
+    ball = list(gw.word_ball(cw.group_from_spec(spec), gens, radius))
+    assert len(ball) > radius
+    assert sorted(ball) == sorted(ball, key=_reference_sort_key)
+
+
+def test_native_label_order_matches_reference_on_edges_and_strings():
+    kernel = cw.cayley_kernel(H, H_GENS, 4)
+    assert kernel.sorted_vertices() == sorted(kernel.window, key=_reference_sort_key)
+    edges = [(x, y) for x, y, _ in kernel.edges()]
+    assert sorted(edges) == sorted(edges, key=lambda e: tuple(map(_reference_sort_key, e)))
+    words = ["v10", "v9", "v09", "a", "", "ab", "a b", "B", "é"]
+    assert sorted(words) == sorted(words, key=_reference_sort_key)
+    tuples = [("a", 1), ("a", 0), ("b",), (), ("a", 1, "x"), ("", -3)]
+    assert sorted(tuples) == sorted(tuples, key=_reference_sort_key)
