@@ -274,12 +274,18 @@ def cmd_walk_volume(args):
     return {"volume": vols}, (("t", "V"), rows)
 
 
+def _finite_value(v) -> float:
+    if isinstance(v, bool) or not math.isfinite(x := float(v)):
+        raise ValueError(f"value {v!r} is not a finite number")
+    return x
+
+
 def _load_test_function(path: str) -> dict:
     obj = ser.load_json(path)
     if not isinstance(obj, dict):
         raise InputParseError(f"test function file {path} must be a JSON map")
     try:
-        return {ser.decode_vertex(json.loads(k)): float(v) for k, v in obj.items()}
+        return {ser.decode_vertex(json.loads(k)): _finite_value(v) for k, v in obj.items()}
     except (ValueError, TypeError) as exc:
         raise InputParseError(f"malformed test function in {path}: {exc}") from exc
 
@@ -299,10 +305,15 @@ def cmd_dirichlet_sector(args):
         g = _load_test_function(args.g)
         eff = df.dirichlet_form(kernel, m, f, f)
         egg = df.dirichlet_form(kernel, m, g, g)
-        if eff == 0 or egg == 0:
-            raise PreconditionError("a test function with E(f,f) = 0 or E(g,g) = 0 has no sector ratio")
         efg = df.dirichlet_form(kernel, m, f, g)
-        ratio = abs(float(efg)) / (float(eff) * float(egg)) ** 0.5
+        if not all(map(math.isfinite, (eff, egg, efg))):
+            raise PreconditionError(
+                f"the energies must be finite, got E(f,f) = {eff}, E(g,g) = {egg}, E(f,g) = {efg}")
+        # E(f,f) < 0 is possible where the counting measure is not excessive for the kernel
+        if eff <= 0 or egg <= 0:
+            raise PreconditionError(f"a sector ratio needs E(f,f) > 0 and E(g,g) > 0, got {eff} and {egg}")
+        # two roots, not the root of a product that overflows or underflows
+        ratio = abs(float(efg)) / math.sqrt(eff) / math.sqrt(egg)
         return {"sector_ratio": ratio, "e_fg": float(efg),
                 "e_ff": float(eff), "e_gg": float(egg)}, None
     dec = None
@@ -413,7 +424,8 @@ def _group_walk_args(p, *, tmax=False, paths=False, prune=False, budget=False):
         p.add_argument("--t", type=int, required=True)
     if prune:
         p.add_argument("--prune-eps", type=float, default=None,
-                       help="drop atoms below this mass and renormalize (flags the run approximate)")
+                       help="drop atoms below this mass and renormalize exactly; the run is flagged "
+                            "approximate once an atom is dropped")
     if budget:
         p.add_argument("--max-support", type=int, default=mg.MAX_SUPPORT,
                        help="stop with support_overflow (exit 5) once a law or ball passes this "

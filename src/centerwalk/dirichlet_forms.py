@@ -38,6 +38,8 @@ def _check_support(kernel: Kernel, *functions: TestFunction, margin: float = SUP
         for x, v in f.items():
             if v == 0:
                 continue
+            if x not in kernel.window:
+                raise PreconditionError(f"support vertex {x!r} is outside the kernel window")
             if kernel.depth(x) < margin:
                 raise PreconditionError(
                     f"support touches the window boundary at {x!r} (depth {kernel.depth(x)})"

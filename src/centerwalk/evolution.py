@@ -1,10 +1,10 @@
 """Exact distribution evolution, Monte Carlo sampling, and walk statistics.
 
-Distributions are exact by default: integer numerators over a common power
-of the step denominator, so convolution is pure integer arithmetic and mass
-is conserved to the last bit.  An optional pruning mode switches to floats
-for groups whose supports explode; everything computed from a pruned
-distribution is flagged approximate.
+Distributions are exact: integer numerators over a common integer
+denominator, so convolution is pure integer arithmetic and mass is conserved
+to the last bit.  Optional pruning, for groups whose supports explode, drops
+small atoms and renormalizes in integers; everything computed from a law that
+lost an atom is flagged approximate.
 """
 
 from __future__ import annotations
@@ -25,18 +25,20 @@ from .errors import PreconditionError, StructuralError, SupportOverflowError
 from .groups import Group, WreathZZ
 from .group_walks import _directions, word_ball
 from .markov_graph import MAX_SUPPORT, check_budget
-from .weights import Weight
 
 
 class SparseDistribution:
     """Finitely supported probability measure on group elements at time t.
 
-    The atoms are two aligned sequences: the elements and a numpy array of
-    their weights, Python-int numerators over ``denominator`` (exact) or
-    float64 masses (``approximate``).  ``prob``, ``log_prob`` and ``in`` read
-    a table built on the first such call: a list by engine id while the law
-    holds the evolution engine, else an {element: weight} dict.
+    The atoms are two aligned sequences: the elements and a numpy object
+    array of their Python-int numerators over the int ``denominator``.
+    ``prob``, ``log_prob`` and ``in`` read a table built on the first such
+    call: a list by engine id while the law holds the evolution engine, else
+    an {element: numerator} dict.
     """
+
+    #: True once pruning dropped an atom of this law or of a law it was evolved from
+    approximate = False
 
     def __init__(self, group: Group, t: int, numerators: Dict[object, int], denominator: int = 1):
         import numpy as np
@@ -51,7 +53,7 @@ class SparseDistribution:
         self._lookup = self._ids = self._engine = None
 
     @classmethod
-    def _atoms(cls, group: Group, t: int, elements: List, weights, den: Optional[int],
+    def _atoms(cls, group: Group, t: int, elements: List, weights, den: int,
                ids=None, engine: Optional["_Translates"] = None) -> "SparseDistribution":
         """A law from aligned atoms, unchecked; ``ids`` index them in ``engine``."""
         law = cls.__new__(cls)
@@ -70,11 +72,7 @@ class SparseDistribution:
         return cls(group, t, numerators={x: 1}, denominator=1)
 
     @property
-    def approximate(self) -> bool:
-        return self._den is None
-
-    @property
-    def denominator(self) -> Optional[int]:
+    def denominator(self) -> int:
         return self._den
 
     def support(self) -> Tuple:
@@ -84,7 +82,7 @@ class SparseDistribution:
         return len(self._elements)
 
     def _weight(self, x):
-        """x's weight, None off the support, from a table built on the first call:
+        """x's numerator, None off the support, from a table built on the first call:
         a list by engine id while the law holds the evolution engine, else a dict."""
         if self._lookup is None:
             if self._engine is None:
@@ -101,42 +99,31 @@ class SparseDistribution:
     def __contains__(self, x) -> bool:
         return self._weight(x) is not None
 
-    def prob(self, x) -> Weight:
+    def prob(self, x) -> Fraction:
         w = self._weight(x)
-        if self._den is not None:
-            return Fraction(w, self._den) if w else Fraction(0)
-        return w if w is not None else 0.0
+        return Fraction(w, self._den) if w else Fraction(0)
 
     def log_prob(self, x) -> float:
-        """Natural log of the point mass; exact-mode safe for huge denominators."""
+        """Natural log of the point mass; safe for huge denominators."""
         w = self._weight(x)
         if w is None:
             raise PreconditionError(f"element {x!r} outside the support")
-        if self._den is not None:
-            return math.log(w) - math.log(self._den)
-        return math.log(w)
+        return math.log(w) - math.log(self._den)
 
     def numerators(self):
-        """(x, integer numerator over ``denominator``) pairs of an exact law."""
-        if self._den is None:
-            raise PreconditionError("an approximate law has no integer numerators")
+        """(x, integer numerator over ``denominator``) pairs."""
         return zip(self._elements, self._weights.tolist())
 
     def items(self):
-        if self._den is not None:
-            den = self._den
-            for x, n in self.numerators():
-                yield x, Fraction(n, den)
-        else:
-            yield from zip(self._elements, self._weights.tolist())
+        den = self._den
+        for x, n in self.numerators():
+            yield x, Fraction(n, den)
 
-    def total(self) -> Weight:
-        if self._den is not None:
-            return Fraction(sum(self._weights.tolist()), self._den)
-        return sum(self._weights.tolist())
+    def total(self) -> Fraction:
+        return Fraction(sum(self._weights.tolist()), self._den)
 
     def __repr__(self) -> str:
-        mode = "float" if self.approximate else "exact"
+        mode = "approximate" if self.approximate else "exact"
         return f"SparseDistribution(t={self.t}, support={len(self)}, {mode})"
 
 
@@ -205,10 +192,12 @@ def evolve(
 ) -> SparseDistribution:
     """Right convolution: the law after one more independent step.
 
-    Exact integer arithmetic unless either input is approximate or pruning
-    is requested; pruning drops atoms below ``prune_eps`` (a finite
-    positive mass) and renormalizes by the correctly rounded ``math.fsum``,
-    so the pruned bits do not depend on the interpreter's ``sum()``.
+    Exact integer arithmetic over D = dist.denominator * step.denominator.
+    Pruning keeps the atoms of mass at least ``prune_eps`` (a finite positive
+    mass), that is the numerators n >= ceil(prune_eps * D), and makes their
+    sum the new denominator, so a pruned law is exact too and has mass 1.
+    The result is ``approximate`` once an atom was dropped, here or in an
+    input; a threshold that drops nothing changes nothing.
 
     The step is one gather-add per step atom g with weight c:
     ``new[table_g[ids]] += weights * c`` over the ids of dist's support in a
@@ -233,32 +222,31 @@ def evolve(
     else:
         ids = dist._ids
     tables = engine.translate(ids)
-    exact = not dist.approximate and not step.approximate and prune_eps is None
-    if exact:
-        weights, coefs = dist._weights, step._weights.tolist()
-        acc = np.zeros(len(engine.elements), dtype=object)
-    else:
-        weights = dist._weights if dist.approximate else (dist._weights / dist._den).astype(float)
-        coefs = (step._weights if step.approximate else step._weights / step._den).tolist()
-        acc = np.zeros(len(engine.elements))
-    for table, c in zip(tables, coefs):
+    weights = dist._weights
+    acc = np.zeros(len(engine.elements), dtype=object)
+    for table, c in zip(tables, step._weights.tolist()):
         acc[table[ids]] += weights if c == 1 else weights * c
     support = np.flatnonzero(acc)
     new = acc[support]
+    den = dist._den * step._den
+    approximate = dist.approximate or step.approximate
     if prune_eps is not None:
-        keep = new >= prune_eps
-        support, new = support[keep], new[keep]
-        if not len(support):
+        keep = new >= math.ceil(Fraction(prune_eps) * den)
+        if not keep.any():
             raise PreconditionError(
                 f"pruning at prune_eps={prune_eps!r} removes every atom at t={dist.t + step.t}"
             )
-        new = new / math.fsum(new.tolist())
+        if not keep.all():
+            support, new = support[keep], new[keep]
+            den, approximate = sum(new.tolist()), True
     if len(support) > max_support:
-        hint = " or enable pruning" if exact else ""
+        hint = " or enable pruning" if prune_eps is None else ""
         raise SupportOverflowError(f"support {len(support)} exceeds {max_support}; use a smaller t{hint}")
-    return SparseDistribution._atoms(
+    law = SparseDistribution._atoms(
         dist.group, dist.t + step.t, list(map(engine.elements.__getitem__, support)), new,
-        dist._den * step._den if exact else None, support, engine)
+        den, support, engine)
+    law.approximate = approximate
+    return law
 
 
 def walk_distributions(
@@ -268,7 +256,7 @@ def walk_distributions(
     prune_eps: Optional[float] = None,
     max_support: int = MAX_SUPPORT,
 ) -> List[SparseDistribution]:
-    """mu^0 .. mu^t_max as a list; exact unless pruning kicks in, each law within ``max_support``."""
+    """mu^0 .. mu^t_max as a list, each law within ``max_support``; see ``evolve`` for pruning."""
     if t_max < 0:
         raise PreconditionError(f"t_max must be >= 0, got {t_max}")
     step = step_measure(group, gens)
@@ -341,9 +329,8 @@ def fit_cv_constant(
         if d.t < 1:
             continue
         approximate = approximate or d.approximate
-        masses = d.items() if d.approximate else ((x, n / d.denominator) for x, n in d.numerators())
-        for x, p in masses:
-            points.append((d.t, x, p, dist_fn(x), float(mval(x))))
+        for x, n in d.numerators():
+            points.append((d.t, x, n / d.denominator, dist_fn(x), float(mval(x))))
     if not points:
         raise PreconditionError("no distributions with t >= 1 given")
     if max(pt[0] for pt in points) ** (-abs(d_exp) / 2.0) < sys.float_info.min:
@@ -373,19 +360,13 @@ def fit_cv_constant(
     raise PreconditionError(f"C* = {c_star!r} cannot be certified: the Gaussian bound underflows at some point")
 
 
-def escape_probability(dist: SparseDistribution, distance, alpha) -> Weight:
-    """Tail mass P[d(id, X_t) >= alpha t], exact for exact distributions."""
+def escape_probability(dist: SparseDistribution, distance, alpha) -> Fraction:
+    """Tail mass P[d(id, X_t) >= alpha t] of the law, exact."""
     if not 0 < float(alpha) <= 1:
         raise PreconditionError("alpha must lie in (0, 1]")
     thr = (alpha if isinstance(alpha, Fraction) else Fraction(alpha)) * dist.t
     dist_fn = _distance_fn(distance)
-    if not dist.approximate:
-        return Fraction(sum(n for x, n in dist.numerators() if dist_fn(x) >= thr), dist.denominator)
-    total = 0.0
-    for x, p in dist.items():
-        if dist_fn(x) >= thr:
-            total += p
-    return total
+    return Fraction(sum(n for x, n in dist.numerators() if dist_fn(x) >= thr), dist.denominator)
 
 
 def volume_growth(group: Group, gens: Sequence, t_max: int,

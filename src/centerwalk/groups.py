@@ -63,18 +63,6 @@ class Group:
     def format_element(self, x) -> str:
         return repr(x)
 
-    def power(self, x, n: int):
-        if n < 0:
-            return self.power(self.inverse(x), -n)
-        acc = self.identity
-        base = x
-        while n:
-            if n & 1:
-                acc = self.multiply(acc, base)
-            base = self.multiply(base, base)
-            n >>= 1
-        return acc
-
     def product(self, elements: Iterable):
         acc = self.identity
         for g in elements:

@@ -264,6 +264,22 @@ def test_cli_sector_with_supplied_pair(tmp_path):
     # E(delta_1, delta_0) = -q(0,1) = -1 on the rotation; both diagonals are 1
     assert abs(report["results"]["sector_ratio"] - 1.0) < 1e-12
     assert report["results"]["e_fg"] == -1.0
+    # E(f,f) E(g,g) leaves the float range although each energy is finite: the ratio is still 1
+    for value in (1e154, 1e-160):
+        f.write_text(json.dumps({"1": value}))
+        report = run_cli(tmp_path, "dirichlet", "sector", "--graph", str(graph), "--f", str(f), "--g", str(f))
+        assert report["results"]["sector_ratio"] == 1.0
+
+
+def test_cli_sector_names_a_vertex_outside_the_window(tmp_path, capsys):
+    # the z:1 window's labels are [x]; the key "0" is the int 0, which is not in it at all
+    f = tmp_path / "f.json"
+    f.write_text(json.dumps({"0": 1.0}))
+    assert main(["dirichlet", "sector", "--group", "z:1", "--gens", "[1],[-1]", "--radius", "10",
+                 "--f", str(f), "--g", str(f)]) == 3
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["code"] == "validation_error"
+    assert error["message"] == "support vertex 0 is outside the kernel window"
 
 
 def test_cli_config_echoes_only_flags_the_mode_reads(tmp_path):
@@ -305,12 +321,25 @@ def test_cli_fit_and_escape_use_the_closed_form_metric(tmp_path, monkeypatch, ca
 
 
 def test_cli_escape_flags_a_pruned_law_approximate(tmp_path):
-    # pruning at 1e-3 drops every F2 atom at distance >= 5 by t = 10, so the tail reads 0
+    # pruning at 1e-3 drops every F2 atom at distance >= 5 by t = 10, so the tail is exactly 0
     escape = ["walk", "escape", "--group", "f2", "--gens", "a,A,b,B", "--alpha", "1/2", "--times", "10"]
     exact = run_cli(tmp_path, *escape)["results"]
     assert exact["approximate"] is False and exact["trace"] == [{"t": 10, "p": "41067/65536"}]
     pruned = run_cli(tmp_path, *escape, "--prune-eps", "1e-3")["results"]
-    assert pruned["approximate"] is True and pruned["trace"] == [{"t": 10, "p": 0.0}]
+    assert pruned["approximate"] is True and pruned["trace"] == [{"t": 10, "p": "0"}]
+
+
+def test_cli_pruning_that_drops_nothing_changes_nothing(tmp_path):
+    evolve = ["walk", "evolve", "--group", "z:2", "--gens", "[1,0],[-1,0],[0,1],[0,-1]", "--tmax", "6"]
+    exact = run_cli(tmp_path, *evolve)["results"]
+    kept = run_cli(tmp_path, *evolve, "--prune-eps", "1e-300")["results"]
+    assert kept["approximate"] is False
+    assert ser.canonical_json_bytes(kept) == ser.canonical_json_bytes(exact)
+    # a pruned law is exact too: "p/q" masses that sum to exactly 1
+    pruned = run_cli(tmp_path, *evolve, "--prune-eps", "1e-2")["results"]
+    assert pruned["approximate"] is True and len(pruned["final"]) < len(exact["final"])
+    assert all(row["mass"] == "1" for row in pruned["trace"])
+    assert sum(map(Fraction, pruned["final"].values())) == 1
 
 
 def test_cli_f2_reduce(tmp_path):
@@ -381,6 +410,14 @@ def test_cli_input_errors_are_json(tmp_path, capsys):
         "g.json": {"0": 1.0},
         "zero_f.json": {"[0]": 0.0},
         "unit_g.json": {"[0]": 1.0},
+        "nan_f.json": {"[0]": "nan"},
+        "inf_f.json": {"[0]": "inf"},
+        "true_f.json": {"[0]": True},
+        "huge_f.json": {"[0]": 1e308},
+        # every edge enters 2, so the counting measure is not excessive and E(f,f) = -1/2
+        "sink.json": {"vertices": [0, 1, 2], "edges": [{"src": x, "dst": 2, "w": "1"} for x in (0, 1, 2)]},
+        "sink_f.json": {"0": 0.5, "1": 0.5, "2": 1.0},
+        "sink_g.json": {"0": 1.0},
         # labels that Python's own < cannot order, or that are not ints, strings or lists
         "mixed.json": two_cycle_obj(0, "a", vertices=True),
         "true.json": two_cycle_obj(True, 2, vertices=True),
@@ -441,6 +478,19 @@ def test_cli_input_errors_are_json(tmp_path, capsys):
         # a pair with a zero-energy function used to divide by zero
         (["dirichlet", "sector", "--group", "z:1", "--gens", "[1],[-1]", "--radius", "10",
           "--f", "zero_f.json", "--g", "unit_g.json"], 3, "validation_error"),
+        # these pairs used to exit 0 with a NaN ratio, or read true as 1.0
+        (["dirichlet", "sector", "--group", "z:1", "--gens", "[1],[-1]", "--radius", "10",
+          "--f", "nan_f.json", "--g", "unit_g.json"], 2, "parse_error"),
+        (["dirichlet", "sector", "--group", "z:1", "--gens", "[1],[-1]", "--radius", "10",
+          "--f", "unit_g.json", "--g", "inf_f.json"], 2, "parse_error"),
+        (["dirichlet", "sector", "--group", "z:1", "--gens", "[1],[-1]", "--radius", "10",
+          "--f", "true_f.json", "--g", "unit_g.json"], 2, "parse_error"),
+        # finite values whose energies overflow
+        (["dirichlet", "sector", "--group", "z:1", "--gens", "[1],[-1]", "--radius", "10",
+          "--f", "huge_f.json", "--g", "huge_f.json"], 3, "validation_error"),
+        # a negative energy used to end in internal_error
+        (["dirichlet", "sector", "--graph", "sink.json", "--f", "sink_f.json", "--g", "sink_g.json"],
+         3, "validation_error"),
         (["green", "compare", "--graph", "tri.json", "--killing", "1/10", "--dec", "tri_dec.json",
           "--seed", "1", "--n-max", "9"], 2, "parse_error"),
         (["green", "compare", *z_kernel, "--dec", "tri_dec.json", "--n-max", "9"], 2, "parse_error"),

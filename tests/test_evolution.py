@@ -113,11 +113,19 @@ def test_entropy_default_budget_is_the_shared_constant():
 
 def test_evolve_pruning_flags_approximate():
     mu = cw.step_measure(Z1, SRW_GENS)
+    exact = cw.walk_distributions(Z1, SRW_GENS, 6)
+    # the smallest SRW atom up to t = 6 is 1/64 > 1e-3: nothing is dropped
+    kept = cw.walk_distributions(Z1, SRW_GENS, 6, prune_eps=1e-3)
+    for d, e in zip(kept, exact):
+        assert not d.approximate and (d.denominator, list(d.numerators())) == (e.denominator, list(e.numerators()))
+    # 0.02 drops just the atoms at +-6 (1/64 each) at t = 6: 6, 15, 20, 15, 6 over 62 remain
     d = cw.SparseDistribution.point(Z1)
     for _ in range(6):
-        d = cw.evolve(d, mu, prune_eps=1e-3)
-    assert d.approximate
-    assert abs(d.total() - 1.0) < 1e-9
+        d = cw.evolve(d, mu, prune_eps=0.02)
+    assert d.approximate and len(d) == 5 and d.total() == 1 and type(d.denominator) is int
+    assert d.prob((0,)) == Fraction(10, 31)
+    # the flag is kept by later steps that drop nothing, pruned or not
+    assert cw.evolve(d, mu).approximate and cw.evolve(d, mu, prune_eps=1e-300).approximate
 
 
 def test_evolve_rejects_bad_prune_eps():
@@ -134,26 +142,20 @@ def test_evolve_rejects_bad_prune_eps():
 def _dict_evolve(group, atoms, den, step, prune_eps=None):
     """Reference: the former dict convolution, one multiply and one dict update per pair.
 
-    ``atoms`` maps elements to integer numerators over ``den``, or to masses
-    when ``den`` is None; returns the next law in the same form.
+    ``atoms`` maps elements to integer numerators over ``den``; returns the
+    next law in the same form.  Pruning keeps the atoms whose exact mass is at
+    least ``prune_eps`` and makes the sum of their numerators the denominator.
     """
     out = {}
-    if den is not None and prune_eps is None:
-        for x, nx in atoms.items():
-            for g, cg in step.numerators():
-                y = group.multiply(x, g)
-                out[y] = out.get(y, 0) + nx * cg
-        return out, den * step.denominator
-    for x, px in atoms.items():
-        px = float(Fraction(px, den)) if den is not None else px
+    for x, nx in atoms.items():
         for g, cg in step.numerators():
             y = group.multiply(x, g)
-            out[y] = out.get(y, 0.0) + px * float(Fraction(cg, step.denominator))
+            out[y] = out.get(y, 0) + nx * cg
+    den *= step.denominator
     if prune_eps is not None:
-        out = {x: v for x, v in out.items() if v >= prune_eps}
-        mass = math.fsum(out.values())
-        out = {x: v / mass for x, v in out.items()}
-    return out, None
+        out = {x: n for x, n in out.items() if Fraction(n, den) >= prune_eps}
+        den = sum(out.values())
+    return out, den
 
 
 WALKS = {
@@ -222,34 +224,32 @@ def test_engine_overflows_at_the_reference_t():
 @pytest.mark.parametrize("eps", [1e-4, 1e-3])
 @pytest.mark.parametrize("walk", ["z", "z2", "heisenberg", "f2-repeats"])
 def test_engine_pruned_laws_within_4_ulps(walk, eps):
-    # each pruned law against the reference step from the same predecessor: the
-    # engine adds a target's terms in step order, the reference in support order
+    # a pruned law is exact: each one equals the integer reference step from the
+    # same predecessor, numerator for numerator, with no rounding left to allow for
     group, gens, t_max = WALKS[walk]
     step = cw.step_measure(group, gens)
     dists = cw.walk_distributions(group, gens, t_max, prune_eps=eps)
-    prev = ({group.identity: 1}, 1)
+    atoms, den, dropped = {group.identity: 1}, 1, False
     for d in dists[1:]:
-        atoms, _ = _dict_evolve(group, *prev, step, prune_eps=eps)
-        assert d.approximate and d.denominator is None
-        got = dict(d.items())
-        assert got.keys() == atoms.keys()
-        assert all(abs(got[x] - v) <= 4 * math.ulp(v) for x, v in atoms.items())
-        assert all(type(v) is float for v in got.values())
-        with pytest.raises(cw.PreconditionError, match="numerators"):
-            d.numerators()
-        prev = (got, None)
+        full, _ = _dict_evolve(group, atoms, den, step)
+        atoms, den = _dict_evolve(group, atoms, den, step, prune_eps=eps)
+        dropped = dropped or len(atoms) < len(full)
+        assert type(d.denominator) is int and d.denominator == den
+        assert dict(d.numerators()) == atoms and len(d) == len(atoms)
+        assert d.total() == 1 and d.approximate == dropped
+    assert dropped
 
 
 def test_pruned_law_bits_are_pinned():
-    # a pruned law is normalized by the correctly rounded math.fsum, so its bits do
-    # not depend on the interpreter (sum() of floats is compensated on 3.12+)
+    # the pruned Heisenberg law at t = 8, pinned exactly
     group, gens, _ = WALKS["heisenberg"]
     d = cw.walk_distributions(group, gens, 8, prune_eps=1e-4)[8]
-    atoms = sorted((x, p.hex()) for x, p in d.items())
-    assert len(atoms) == 501
-    assert d.prob(group.identity).hex() == "0x1.1563be414b6d3p-5"
+    assert (len(d), d.denominator, d.total(), d.approximate) == (501, 63672, 1, True)
+    assert d.prob(group.identity) == Fraction(77, 2274)
+    assert float(d.prob(group.identity)).hex() == "0x1.1563be414b6d3p-5"
+    atoms = sorted((x, str(p)) for x, p in d.items())
     assert hashlib.sha256(repr(atoms).encode()).hexdigest() == (
-        "aa0d54c815707adb22c837fd844caf5af840f12d14b532a169958b9860d1fcb8")
+        "26a1ebc46be2d2afa611983562f62db0a7731c59dea468a6a69526894496588e")
 
 
 def test_law_keyed_access_after_release():
@@ -271,7 +271,7 @@ def test_law_keyed_access_after_release():
     assert live._engine is not None
     for x in [(0, 0), (1, 1), (2, 0), (1, 0), (7, 0), (-2, 0)]:
         assert (x in live, live.prob(x)) == (x in ref, ref.prob(x))
-        assert type(live.prob(x)) is float
+        assert type(live.prob(x)) is Fraction
     # a list by engine id, not a dict over the support
     assert not isinstance(getattr(live._lookup, "__self__", None), dict)
     exact = cw.evolve(cw.evolve(cw.SparseDistribution.point(Z2), step), step)
@@ -524,14 +524,12 @@ def test_mc_tv_bound_free_group():
 
 
 def test_fit_cv_approximate_flag():
-    mu = cw.step_measure(Z1, Z_GENS)
-    d = cw.SparseDistribution.point(Z1)
-    dists = []
-    for _ in range(6):
-        d = cw.evolve(d, mu, prune_eps=1e-6)
-        dists.append(d)
     table = cw.word_ball(Z1, Z_GENS, 12)
-    report = cw.fit_cv_constant(dists, table)
+    exact = cw.fit_cv_constant(cw.walk_distributions(Z1, Z_GENS, 6), table)
+    # the smallest atom up to t = 6 is 1/729 > 1e-6: nothing is dropped, so nothing changes
+    kept = cw.fit_cv_constant(cw.walk_distributions(Z1, Z_GENS, 6, prune_eps=1e-6), table)
+    assert not exact.approximate and (kept.approximate, kept.c_star) == (False, exact.c_star)
+    report = cw.fit_cv_constant(cw.walk_distributions(Z1, Z_GENS, 6, prune_eps=0.01), table)
     assert report.approximate
 
 
