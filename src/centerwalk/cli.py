@@ -346,13 +346,9 @@ def cmd_green_compare(args):
         dec = gw.translated_cycle_decomposition(group, gens, res.witness, args.radius)
     else:
         raise InputParseError("--dec is required with --graph")
-    if args.ball_radius is not None:
-        if group is None:
-            raise InputParseError("--ball-radius needs --group")
-        table = gw.word_ball(group, gens, args.ball_radius)
-        ball = set(table)
-    else:
-        ball = set(kernel.window)
+    # a Cayley window's outer sphere has depth 1 and lacks in-rows, so the ball
+    # is the window's depth >= 2 part: the ball of radius --radius - 1
+    ball = kernel.window if group is None else kernel.interior_vertices(2)
     report = df.green_comparison(kernel, mg.Measure.counting(), dec, ball,
                                  trials=args.trials, seed=args.seed)
     rows = sorted(
@@ -528,7 +524,6 @@ def build_parser() -> argparse.ArgumentParser:
     green = tops.add_parser("green").add_subparsers(dest="action", required=True)
     p = green.add_parser("compare")
     p.add_argument("--dec", default=None)
-    p.add_argument("--ball-radius", type=int, default=None)
     p.add_argument("--n-max", type=int, default=None,
                    help=f"witness search depth without --dec (default {GREEN_N_MAX})")
     p.add_argument("--trials", type=int, default=2000)

@@ -46,11 +46,6 @@ def _check_support(kernel: Kernel, *functions: TestFunction, margin: float = SUP
                 )
 
 
-def apply_kernel(kernel: Kernel, f: TestFunction, x: Vertex) -> Weight:
-    """(Qf)(x); f is zero off its support."""
-    return sum((w * f[y] for y, w in kernel.row(x).items() if y in f), start=Fraction(0))
-
-
 def dirichlet_form(kernel: Kernel, m: Measure, f: TestFunction, g: TestFunction) -> Weight:
     """E(f, g) = sum_x m(x) g(x) ((I - Q)f)(x) for finitely supported f, g.
 
@@ -58,13 +53,7 @@ def dirichlet_form(kernel: Kernel, m: Measure, f: TestFunction, g: TestFunction)
     term; this is the operator definition, which the Green comparisons need.
     """
     _check_support(kernel, f, g)
-    total = Fraction(0)
-    for x, gx in g.items():
-        if gx == 0:
-            continue
-        fx = f.get(x, 0)
-        total += m(x) * gx * (fx - apply_kernel(kernel, f, x))
-    return total
+    return _Form(kernel, m, exact=True)(f, g)
 
 
 def symmetrized_weights(kernel: Kernel, m: Measure, pairs: Iterable[Tuple[Vertex, Vertex]]) -> Dict[Tuple[Vertex, Vertex], Weight]:
@@ -158,54 +147,59 @@ def random_test_function(
     return {x: rng.uniform(-1.0, 1.0) for x in points}
 
 
-class _FloatForm:
-    """E(f, g) = m(g . (I - Q)f) on float test functions, from the kernel's float view.
+class _Form:
+    """E(f, g) = m(g . (I - Q)f) on one of two views of a kernel.
 
-    m(x) is converted once per vertex actually touched, so a measure defined
-    only where the functions live is enough.  Every sum is a plain loop in
-    row (or in-row) order starting from 0.0, never sum(), whose float path
-    is compensated on Python 3.12+: that is what the exact path computes on
-    float inputs (a Fraction times a float is float(w) * f), so each value is
-    bit-identical to the one dirichlet_form gives.  The callers draw supports
-    from the interior at the support margin, so dirichlet_form's boundary
-    check is not repeated.
+    The exact view reads the kernel's own rows and in-rows with m(x); the
+    float view reads ``kernel.float_view`` with float(m(x)), converted once
+    per vertex actually touched, so a measure defined only where the
+    functions live is enough.  Both run the same plain loops, in row (or
+    in-row) order from the int 0: exact weights stay exact, and float sums
+    never take sum()'s compensated float path (Python 3.12+).  On float test
+    functions the two views give the same bits, since a Fraction times a
+    float is float(w) * f.  The form does not check supports: dirichlet_form
+    does, and the float callers draw supports from the interior at the
+    support margin.
     """
 
-    def __init__(self, kernel: Kernel, m: Measure):
-        view = kernel.float_view
-        self.rows, self.in_rows = view.rows, view.in_rows
-        self._m = m
-        self._mass: Dict[Vertex, float] = {}
+    def __init__(self, kernel: Kernel, m: Measure, exact: bool = False):
+        if exact:
+            self.row, self.in_row, self._m = kernel.row, kernel.in_row, m
+        else:
+            view = kernel.float_view
+            self.row, self.in_row = view.rows.__getitem__, view.in_rows.__getitem__
+            self._m = lambda x: float(m(x))
+        self._mass: Dict[Vertex, Weight] = {}
 
-    def mass(self, x: Vertex) -> float:
+    def mass(self, x: Vertex) -> Weight:
         v = self._mass.get(x)
         if v is None:
-            v = self._mass[x] = float(self._m(x))
+            v = self._mass[x] = self._m(x)
         return v
 
-    def _apply(self, f, x) -> float:
+    def _apply(self, f, x) -> Weight:
         # (Qf)(x)
-        acc = 0.0
-        for y, w in self.rows[x].items():
+        acc = 0
+        for y, w in self.row(x).items():
             if y in f:
                 acc += w * f[y]
         return acc
 
-    def __call__(self, f, g) -> float:
-        total = 0.0
+    def __call__(self, f, g) -> Weight:
+        total = 0
         for x, gx in g.items():
             if gx != 0:
-                total += self.mass(x) * gx * (f.get(x, 0.0) - self._apply(f, x))
+                total += self.mass(x) * gx * (f.get(x, 0) - self._apply(f, x))
         return total
 
-    def g_coefficient(self, f, x) -> float:
+    def g_coefficient(self, f, x) -> Weight:
         # E(f, g) = sum_x g(x) * this
-        return self.mass(x) * (f.get(x, 0.0) - self._apply(f, x))
+        return self.mass(x) * (f.get(x, 0) - self._apply(f, x))
 
-    def f_coefficient(self, g, y) -> float:
+    def f_coefficient(self, g, y) -> Weight:
         # E(f, g) = sum_y f(y) * this
-        acc = self.mass(y) * g.get(y, 0.0)
-        for x, w in self.in_rows[y].items():
+        acc = self.mass(y) * g.get(y, 0)
+        for x, w in self.in_row(y).items():
             if x in g:
                 acc -= self.mass(x) * g[x] * w
         return acc
@@ -221,14 +215,14 @@ class _FloatForm:
         for i, x in enumerate(support):
             mx = self.mass(x)
             e[i, i] = mx
-            for y, w in self.rows[x].items():
+            for y, w in self.row(x).items():
                 j = index.get(y)
                 if j is not None:
                     e[i, j] = mx * ((1.0 if i == j else 0.0) - w)
         return (e + e.T) / 2.0
 
 
-def _ratio(form: _FloatForm, f, g) -> Optional[float]:
+def _ratio(form: _Form, f, g) -> Optional[float]:
     eff = form(f, f)
     egg = form(g, g)
     if eff < 1e-14 or egg < 1e-14:
@@ -236,7 +230,7 @@ def _ratio(form: _FloatForm, f, g) -> Optional[float]:
     return abs(form(f, g)) / math.sqrt(eff * egg)
 
 
-def _best_response(form: _FloatForm, coeffs, support):
+def _best_response(form: _Form, coeffs, support):
     # maximize <g, coeffs> / sqrt(g^T B g) over functions on the support
     import numpy as np
 
@@ -297,7 +291,7 @@ def sector_ratio(
     interior = kernel.interior_vertices(margin)
     if not interior:
         raise PreconditionError(f"window has no interior at depth {margin}")
-    form = _FloatForm(kernel, m)
+    form = _Form(kernel, m)
     rng = random.Random(seed)
     scored = []
     for i in range(trials):
@@ -335,13 +329,13 @@ def weighted_form_ratios(
     any sample when that holds.
     """
     dist = distance_map(kernel, origin)
-    form = _FloatForm(kernel, m)
+    form = _Form(kernel, m)
     rng = random.Random(seed)
     interior = kernel.interior_vertices(SUPPORT_MARGIN)
     out: List[float] = []
     for _ in range(trials):
         f = random_test_function(interior, rng)
-        mass = sum(form.mass(x) * v * v for x, v in f.items())
+        mass = sum((form.mass(x) * v * v for x, v in f.items()), Fraction(0))
         if mass < 1e-14:
             continue
         for s in s_values:

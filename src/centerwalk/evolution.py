@@ -364,7 +364,7 @@ def escape_probability(dist: SparseDistribution, distance, alpha) -> Fraction:
     """Tail mass P[d(id, X_t) >= alpha t] of the law, exact."""
     if not 0 < float(alpha) <= 1:
         raise PreconditionError("alpha must lie in (0, 1]")
-    thr = (alpha if isinstance(alpha, Fraction) else Fraction(alpha)) * dist.t
+    thr = Fraction(alpha) * dist.t
     dist_fn = _distance_fn(distance)
     return Fraction(sum(n for x, n in dist.numerators() if dist_fn(x) >= thr), dist.denominator)
 
@@ -522,28 +522,21 @@ def speed_estimate(
         raise PreconditionError("t and n_paths must be >= 1")
     endpoints = _mc_endpoints(group, gens, t, n_paths, seed)
     exact = group.exact_metric(tuple(_directions(group, gens)))
+    table = word_ball(group, gens, radius) if exact is None and radius is not None else {}
     if exact is not None:
-        dists = [exact(x) for x in endpoints]
-        kind = "exact"
-    elif radius is not None:
-        table = word_ball(group, gens, radius)
-        if all(x in table for x in endpoints):
-            dists = [table[x] for x in endpoints]
-            kind = "bfs"
-        elif group.distance_lower_bound(group.identity) is not None:
-            dists = [group.distance_lower_bound(x) for x in endpoints]
-            kind = "lower_bound"
-        else:
-            missing = next(x for x in endpoints if x not in table)
-            raise PreconditionError(
-                f"endpoint {group.format_element(missing)} beyond BFS radius {radius} "
-                "and no lower-bound metric is registered"
-            )
+        dists, kind = [exact(x) for x in endpoints], "exact"
+    elif radius is not None and all(x in table for x in endpoints):
+        dists, kind = [table[x] for x in endpoints], "bfs"
     elif group.distance_lower_bound(group.identity) is not None:
-        dists = [group.distance_lower_bound(x) for x in endpoints]
-        kind = "lower_bound"
-    else:
+        dists, kind = [group.distance_lower_bound(x) for x in endpoints], "lower_bound"
+    elif radius is None:
         raise PreconditionError("no metric available: pass a BFS radius")
+    else:
+        missing = next(x for x in endpoints if x not in table)
+        raise PreconditionError(
+            f"endpoint {group.format_element(missing)} beyond BFS radius {radius} "
+            "and no lower-bound metric is registered"
+        )
     mean, err = _mean_stderr([d / t for d in dists])
     return SpeedEstimate(value=mean, stderr=err, t=t, n_paths=n_paths, seed=seed,
                          metric_kind=kind)

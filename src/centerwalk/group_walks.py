@@ -281,7 +281,7 @@ def torsion_decomposition(group: Group, mu: Mapping) -> CycleDecomposition:
     elements = group.elements()
     entries: List[Tuple[Cycle, Weight]] = []
     support = sorted(g for g, w in mu.items() if w != 0)
-    total = sum(Fraction(mu[g]) if isinstance(mu[g], int) else mu[g] for g in support)
+    total = sum((mu[g] for g in support), Fraction(0))
     if not vanishes(total - 1):
         raise PreconditionError(f"mu must be a probability measure, mass {total}")
     orders = {}
@@ -298,8 +298,7 @@ def torsion_decomposition(group: Group, mu: Mapping) -> CycleDecomposition:
             orbit = [x]
             for _ in range(p):
                 orbit.append(group.multiply(orbit[-1], g))
-            q_g = Fraction(mu[g], p) if isinstance(mu[g], (int, Fraction)) else mu[g] / p
-            entries.append((Cycle(tuple(orbit)), q_g))
+            entries.append((Cycle(tuple(orbit)), mu[g] / Fraction(p)))
     return CycleDecomposition(tuple(entries))
 
 

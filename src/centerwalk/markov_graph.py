@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import PreconditionError, StructuralError, SupportOverflowError
-from .weights import Weight, all_exact, is_exact, vanishes
+from .weights import Weight, vanishes
 
 Vertex = object
 Edge = Tuple[Vertex, Vertex]
@@ -154,7 +154,7 @@ class Kernel:
         self.window = frozenset(self._rows)
         self._row_sums: Dict[Vertex, Weight] = {}
         for x, row in self._rows.items():
-            s = sum(row.values(), Fraction(0) if all_exact(row.values()) else 0.0)
+            s = sum(row.values(), Fraction(0))
             self._row_sums[x] = s
             if not (vanishes(s - 1) or substochastic and s < 1):
                 raise StructuralError(f"row at {x!r} sums to {s}, " + ("above 1" if substochastic else "not 1"))
@@ -239,7 +239,7 @@ class Kernel:
     def with_killing(self, rate: Weight) -> "Kernel":
         if not 0 < rate < 1:
             raise PreconditionError(f"killing rate must lie in (0, 1), got {rate}")
-        factor = (1 - Fraction(rate)) if is_exact(rate) else (1 - rate)
+        factor = 1 - rate
         rows = {x: {y: w * factor for y, w in row.items()} for x, row in self._rows.items()}
         return Kernel(rows, depth=dict(self._depth), substochastic=True)
 
@@ -567,7 +567,7 @@ def invariance_check(kernel: Kernel, m: Measure) -> InvarianceReport:
     skipped: List[Vertex] = []
     for y in kernel.sorted_vertices():
         if kernel.depth(y) >= 2:
-            residuals[y] = sum(m(x) * w for x, w in kernel.in_row(y).items()) - m(y)
+            residuals[y] = sum((m(x) * w for x, w in kernel.in_row(y).items()), Fraction(0)) - m(y)
         else:
             skipped.append(y)
     return InvarianceReport(residuals=residuals, boundary_skipped=skipped)

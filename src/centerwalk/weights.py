@@ -22,10 +22,6 @@ def is_exact(w: Weight) -> bool:
     return isinstance(w, (int, Fraction)) and not isinstance(w, bool)
 
 
-def all_exact(values) -> bool:
-    return all(is_exact(v) for v in values)
-
-
 def vanishes(r: Weight) -> bool:
     """Whether an identity residual is zero: exactly when exact, within ``DEFAULT_TOL`` when a float."""
     return r == 0 if is_exact(r) else abs(r) <= DEFAULT_TOL

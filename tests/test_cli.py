@@ -11,6 +11,7 @@ from centerwalk import markov_graph as mg
 from centerwalk import serialization as ser
 from centerwalk.cli import main
 from centerwalk.markov_graph import MAX_SUPPORT
+from centerwalk.weights import parse_weight
 from conftest import under_hash_seeds
 
 
@@ -133,6 +134,23 @@ def test_cli_centering_reversible_and_from_flow(tmp_path):
     assert report["results"]["cycles"] == 1
 
 
+def test_cli_json_number_weights_stay_floats(tmp_path):
+    # a simple random walk on a 4-ring, its weights given as JSON numbers
+    ring = {"vertices": [0, 1, 2, 3], "edges": [
+        {"src": x, "dst": (x + s) % 4, "w": 0.5} for x in range(4) for s in (1, -1)]}
+    gpath, dec_out = tmp_path / "ring.json", tmp_path / "dec.json"
+    gpath.write_text(json.dumps(ring))
+    run_cli(tmp_path, "centering", "reversible", "--graph", str(gpath), "--dec-out", str(dec_out))
+    cycles = json.loads(dec_out.read_text())["cycles"]
+    assert cycles and all(c["weight"] == 0.5 for c in cycles)
+    report = run_cli(tmp_path, "centering", "verify", "--graph", str(gpath), "--dec", str(dec_out))
+    assert report["results"]["valid"] is True
+    assert report["results"]["max_abs_residual"] == 0.0
+    for literal in (True, None):
+        with pytest.raises(ValueError):
+            parse_weight(literal)
+
+
 def test_cli_group_commands(tmp_path):
     report = run_cli(tmp_path, "group", "c1-search", "--group", "f2",
                      "--gens", "a,A,b,B,BB,ababAA", "--n-max", "1")
@@ -228,7 +246,8 @@ def test_cli_removed_flags_are_parse_errors(capsys):
                  ["centering", "verify", "--graph", "g.json", "--dec", "d.json", "--tol", "1e-9"],
                  ["centering", "reversible", "--graph", "g.json", "--tol", "1e-9"],
                  ["centering", "from-flow", "--flow", "f.json", "--max-len", "3", "--tol", "1e-9"],
-                 ["f2", "reduce", "--arrangement", "1,6,3,5,2,4", "--tol", "1"]):
+                 ["f2", "reduce", "--arrangement", "1,6,3,5,2,4", "--tol", "1"],
+                 ["green", "compare", *z, "--radius", "5", "--seed", "1", "--ball-radius", "4"]):
         assert main(argv) == 2, argv
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["code"] == "parse_error" and "unrecognized arguments" in err["message"], argv
@@ -250,6 +269,24 @@ def test_cli_dirichlet_and_green(tmp_path):
                      "--trials", "200", "--seed", "2")
     assert report["results"]["g_le_g0"] is True
     assert report["results"]["g0_le_m2_g"] is True
+
+
+def test_cli_green_compare_on_a_group_window(tmp_path):
+    # without --dec the witness search builds the decomposition; the ball is the
+    # window's depth >= 2 part, the word ball of radius --radius - 1, so the
+    # comparison matches the library's on that ball in a larger window
+    gens = ((1,), (1,), (-2,))
+    report = run_cli(tmp_path, "green", "compare", "--group", "z:1", "--gens", "[1],[1],[-2]",
+                     "--radius", "9", "--trials", "50", "--seed", "1")
+    z1 = cw.IntegerLattice(1)
+    witness = cw.c1_search(z1, gens, n_max=cli.GREEN_N_MAX).witness
+    dec = cw.translated_cycle_decomposition(z1, gens, witness, 12)
+    expected = cw.green_comparison(cw.cayley_kernel(z1, gens, 12), mg.Measure.counting(), dec,
+                                   cw.word_ball(z1, gens, 8), trials=50, seed=1)
+    assert report["results"] == {
+        "sector_ratio": expected.sector_m, "mode": "absorbing_ball", "g_le_g0": expected.holds_upper,
+        "g0_le_m2_g": expected.holds_lower, "interior_points": len(expected.interior)}
+    assert report["results"]["interior_points"] == 22
 
 
 def test_cli_sector_with_supplied_pair(tmp_path):

@@ -68,6 +68,20 @@ def test_symmetrized_matches_half_sum(rotation3, zwalk, counting):
             assert direct == halfsum
 
 
+def test_symmetrized_form_killing_term(counting):
+    # uniform killing on a rotation: in-flow equals out-flow at every vertex, so
+    # the defect diagonal of E0 is exactly the symmetric part of the killed form
+    killed = cw.rotation_kernel(5).with_killing(Fraction(1, 10))
+    assert killed.defect(0) == Fraction(1, 10)
+    rng = random.Random(17)
+    inner = list(killed.window)
+    for _ in range(50):
+        f = random_test_function(inner, rng, exact=True)
+        g = random_test_function(inner, rng, exact=True)
+        halfsum = (cw.dirichlet_form(killed, counting, f, g) + cw.dirichlet_form(killed, counting, g, f)) / 2
+        assert cw.symmetrized_form(killed, counting, f, g) == halfsum
+
+
 def test_symmetrized_rotation_delta_pair(rotation3, counting):
     val = cw.symmetrized_form(rotation3, counting, {0: 1}, {1: 1})
     assert val == Fraction(-1, 2)
@@ -267,7 +281,11 @@ def _ref_best_response(kernel, m, coeffs, support):
 
 
 def _ref_g_coefficient(kernel, m, f, x):
-    return float(m(x)) * (float(f.get(x, 0)) - float(df.apply_kernel(kernel, f, x)))
+    qf = 0.0
+    for y, w in kernel.row(x).items():
+        if y in f:
+            qf += float(w) * float(f[y])
+    return float(m(x)) * (float(f.get(x, 0)) - qf)
 
 
 def _ref_f_coefficient(kernel, m, g, y):
@@ -355,7 +373,7 @@ def test_float_form_matches_exact_reference(case, request, monkeypatch, counting
         m = cw.Measure({x: Fraction(3 + x % 4, 2 + x % 3) for x in kernel.window})
 
     built = []
-    original = df._FloatForm.sym_matrix
+    original = df._Form.sym_matrix
 
     def checked(form, support):
         b = original(form, support)
@@ -363,12 +381,12 @@ def test_float_form_matches_exact_reference(case, request, monkeypatch, counting
         built.append(len(support))
         return b
 
-    monkeypatch.setattr(df._FloatForm, "sym_matrix", checked)
+    monkeypatch.setattr(df._Form, "sym_matrix", checked)
     assert cw.sector_ratio(kernel, m, dec=dec, trials=trials, seed=5) == _ref_sector_ratio(
         kernel, m, dec, trials, seed=5)
     assert built
 
-    form = df._FloatForm(kernel, m)
+    form = df._Form(kernel, m)
     rng = random.Random(6)
     inner = kernel.interior_vertices(df.SUPPORT_MARGIN)
     for _ in range(20):

@@ -548,6 +548,14 @@ def test_speed_bfs_table_and_radius_error():
         cw.speed_estimate(Z1, Z_GENS, t=40, n_paths=20, seed=3)
 
 
+def test_speed_falls_back_to_the_lower_bound_beyond_the_ball():
+    # the lamp pair has no closed-form word metric; endpoints beyond the radius-2
+    # ball take the certified lower bound, as they do with no radius at all
+    est = cw.speed_estimate(cw.WreathZZ(), cw.WREATH_LAMP_PAIR, t=20, n_paths=5, seed=1, radius=2)
+    assert est.metric_kind == "lower_bound"
+    assert est.value == 1.2
+
+
 def test_speed_wreath_lower_bound_metric():
     wr = cw.WreathZZ()
     est = cw.speed_estimate(wr, cw.WREATH_LAMP_PAIR, t=100, n_paths=40, seed=9)

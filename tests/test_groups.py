@@ -231,6 +231,24 @@ def test_group_from_spec_and_parsing():
         wr.parse_element("(2, [1])")
 
 
+def test_element_codecs_round_trip():
+    bs = cw.BaumslagSolitar(2)
+    assert bs.parse_element("ab") == (0, 2, 1)
+    assert bs.format_element((0, 2, 1)) == "b^2 a"
+    assert bs.format_element((1, 1, 0)) == "a^-1 b a"
+    assert bs.format_element(bs.identity) == "id"
+    with pytest.raises(cw.InputParseError):
+        bs.parse_element("aX")
+    z7 = cw.FiniteCyclic(7)
+    assert z7.parse_element("-1") == 6
+    with pytest.raises(cw.InputParseError):
+        z7.parse_element("1.5")
+    wr = cw.WreathZZ()
+    text = wr.format_element((2, ((1, 1),)))
+    assert text == "(2, {1: 1})"
+    assert wr.parse_element(text) == (2, ((1, 1),))
+
+
 def test_generator_literal_splitting():
     assert split_generator_literals("[1],[1],[-2]") == ["[1]", "[1]", "[-2]"]
     assert split_generator_literals("(2, {1: 1}), (-2, {0: -1})") == [

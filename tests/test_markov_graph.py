@@ -410,3 +410,14 @@ def test_with_killing_scales_rows(rotation3):
     killed = rotation3.with_killing(Fraction(1, 10))
     assert killed.weight(0, 1) == Fraction(9, 10)
     assert killed.substochastic
+
+
+def test_float_sums_are_plain_left_to_right():
+    # ten 0.1s add up to 0.9999999999999999 from left to right, while the
+    # compensated float sum() of Python 3.12+ gives exactly 1.0; row sums and
+    # invariance residuals are plain sums on every interpreter
+    plain = functools.reduce(operator.add, [0.1] * 10)
+    assert cw.Kernel({0: {i: 0.1 for i in range(10)}}).defect(0) == 1 - plain == 1.1102230246251565e-16
+    complete = cw.Kernel({x: {y: 0.1 for y in range(10)} for x in range(10)})
+    residuals = cw.invariance_check(complete, cw.Measure.counting()).residuals
+    assert residuals[0] == plain - 1 == -1.1102230246251565e-16
