@@ -45,7 +45,7 @@ from .errors import (
     PreconditionError,
 )
 from .groups import group_from_spec, parse_generators
-from .weights import format_weight
+from .weights import format_weight, parse_rational
 
 
 def _group_gens(args):
@@ -74,9 +74,9 @@ def _load_kernel(args) -> Tuple[mg.Kernel, Optional[object], Optional[Tuple]]:
 
 def _fraction(flag: str, text: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputParseError(f"{flag} must be a rational number, got {text!r}") from exc
+        return parse_rational(text)
+    except ValueError as exc:
+        raise InputParseError(f"{flag} must be a rational number: {exc}") from exc
 
 
 def _finite_float(text: str) -> float:
@@ -286,7 +286,7 @@ def _load_test_function(path: str) -> dict:
         raise InputParseError(f"test function file {path} must be a JSON map")
     try:
         return {ser.decode_vertex(json.loads(k)): _finite_value(v) for k, v in obj.items()}
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, RecursionError) as exc:
         raise InputParseError(f"malformed test function in {path}: {exc}") from exc
 
 

@@ -92,8 +92,8 @@ class SparseDistribution:
 
                 by_id = np.full(len(self._engine.elements), None, dtype=object)
                 by_id[self._ids] = self._weights
-                get, n = self._engine.index.get, len(by_id)
-                self._lookup = lambda x: by_id[i] if (i := get(x, n)) < n else None
+                find, n = self._engine.find, len(by_id)
+                self._lookup = lambda x: by_id[i] if (i := find(x)) < n else None
         return self._lookup(x)
 
     def __contains__(self, x) -> bool:
@@ -141,11 +141,13 @@ def step_measure(group: Group, gens: Sequence) -> SparseDistribution:
 class _Translates:
     """Interned group elements and their right translates by fixed steps.
 
-    Every element met gets an integer id once.  ``x·g`` is computed once per
-    (id, step) and kept in one numpy ``int32`` table per step (half the
-    memory of ``intp``; a support of 2**31 elements cannot be held anyway),
-    indexed by the id of x (-1 where not yet computed); the tables grow only
-    when ids without translates enter a support.
+    Every element met gets an integer id once, through ``group.key`` when the
+    group sets that hook.  ``x·g`` is computed once per (id, step) and kept in
+    one numpy ``int32`` table per step (half the memory of ``intp``; a support
+    of 2**31 elements cannot be held anyway), indexed by the id of x (-1 where
+    not yet computed).  When g's inverse is a step too, computing y = x·g also
+    fills the inverse's table at y with x, so translates back into a support
+    cost no multiplication.
     """
 
     def __init__(self, group: Group, steps: List):
@@ -156,32 +158,58 @@ class _Translates:
         self.elements: List = []
         self.index: Dict[object, int] = {}
         self.tables = [np.empty(0, dtype=np.int32) for _ in steps]
+        position = {g: k for k, g in enumerate(steps)}
+        #: the index of each step's inverse among the steps, None when it is not one
+        self.inverses = [position.get(group.inverse(g)) for g in steps]
 
-    def ids(self, xs) -> Iterator[int]:
-        """Yield the id of each x, giving a new x the next free id."""
-        elements, setdefault = self.elements, self.index.setdefault
+    def ids(self, xs: List) -> Iterator[int]:
+        """Yield the id of each x of the list xs, giving a new x the next free id."""
+        elements, setdefault, key = self.elements, self.index.setdefault, self.group.key
         n = len(elements)
-        for x in xs:
-            i = setdefault(x, n)
+        for x, k in zip(xs, xs if key is None else map(key, xs)):
+            i = setdefault(k, n)
             if i == n:
                 elements.append(x)
                 n += 1
             yield i
 
-    def translate(self, ids) -> List:
-        """The tables, with the translates of every id in ``ids`` filled in."""
+    def find(self, x) -> int:
+        """x's id, or ``len(elements)`` when x was never interned; a non-element misses."""
+        n, key = len(self.elements), self.group.key
+        if key is None:
+            return self.index.get(x, n)
+        try:
+            return self.index.get(key(self.group.validate(x)), n)
+        except StructuralError:
+            return n
+
+    def _table(self, k: int, n: int):
+        """Step k's table, grown to at least n entries, new entries -1."""
         import numpy as np
 
-        tables, n = self.tables, len(self.elements)
-        for k, t in enumerate(tables):
-            if len(t) < n:
-                tables[k] = np.concatenate((t, np.full(n - len(t), -1, dtype=np.int32)))
-        fresh = ids[tables[0][ids] < 0]
-        xs = list(map(self.elements.__getitem__, fresh))
-        mul = self.group.multiply
-        for g, table in zip(self.steps, tables):
-            table[fresh] = np.fromiter(self.ids(map(mul, xs, itertools.repeat(g))), np.int32, len(xs))
-        return tables
+        table = self.tables[k]
+        if len(table) < n:
+            table = self.tables[k] = np.concatenate((table, np.full(n - len(table), -1, dtype=np.int32)))
+        return table
+
+    def translate(self, ids) -> List:
+        """The tables, with the translates of every id in ``ids`` filled in.
+
+        Only entries still -1 are computed.  A skipped x·g is already
+        interned, so new ids come in the same order as when every entry is
+        computed.
+        """
+        import numpy as np
+
+        mul, n = self.group.multiply, len(self.elements)
+        for k, (g, inv) in enumerate(zip(self.steps, self.inverses)):
+            table = self._table(k, n)
+            fresh = ids[table[ids] < 0]
+            ys = list(map(mul, map(self.elements.__getitem__, fresh), itertools.repeat(g)))
+            table[fresh] = y_ids = np.fromiter(self.ids(ys), np.int32, len(ys))
+            if inv is not None:
+                self._table(inv, len(self.elements))[y_ids] = fresh
+        return self.tables
 
 
 def evolve(

@@ -17,6 +17,7 @@ elements is exact:
 from __future__ import annotations
 
 import ast
+import struct
 from bisect import bisect_left
 from dataclasses import dataclass
 from operator import add
@@ -39,6 +40,12 @@ class Group:
 
     name: str = "group"
     spec_string: str = ""
+
+    #: Optional interning hook: ``key(x)`` maps each canonical element to a
+    #: hashable value, equal for equal elements only, that the exact evolution
+    #: engine indexes in place of x.  A group sets it when its element values
+    #: hash poorly; None indexes the elements themselves.
+    key: Optional[Callable] = None
 
     @property
     def identity(self):
@@ -360,6 +367,11 @@ class WreathZZ(Group):
         return abs(x[0]) + sum(abs(v) for _, v in x[1])
 
 
+#: ``struct`` packers of F2 words by length, filled on first use up to _PACKED_LETTERS
+_WORD_PACKS: Dict[int, Callable] = {}
+_PACKED_LETTERS = 64
+
+
 class FreeGroup(Group):
     """Free group of rank 2; elements are reduced tuples of letters.
 
@@ -370,18 +382,34 @@ class FreeGroup(Group):
     spec_string = "f2"
     rank = 2
 
+    @staticmethod
+    def key(x):
+        """The word's letters as signed bytes; a word longer than ``_PACKED_LETTERS`` is its own key.
+
+        In CPython ``hash(-1) == hash(-2)``, so letter tuples that differ
+        only by A <-> B share one hash; their byte strings hash apart.  The
+        packer cache stays bounded: a longer word makes no packer.
+        """
+        try:
+            return _WORD_PACKS[len(x)](*x)
+        except KeyError:
+            if len(x) > _PACKED_LETTERS:
+                return x
+        pack = _WORD_PACKS[len(x)] = struct.Struct(f"{len(x)}b").pack
+        return pack(*x)
+
     @property
     def identity(self):
         return ()
 
     def multiply(self, x, y):
-        buf = list(x)
-        for letter in y:
-            if buf and buf[-1] == -letter:
-                buf.pop()
-            else:
-                buf.append(letter)
-        return tuple(buf)
+        if not (x and y and x[-1] == -y[0]):
+            return x + y
+        # cancel the longest suffix of x that is the inverse of a prefix of y
+        k, n = 1, min(len(x), len(y))
+        while k < n and x[-1 - k] == -y[k]:
+            k += 1
+        return x[:len(x) - k] + y[k:]
 
     def product(self, elements: Iterable):
         # one cancellation stack for the whole word

@@ -54,37 +54,41 @@ def check_budget(max_support: int) -> None:
 def bfs(sources: Iterable[Vertex], neighbors: Callable[[Vertex], Iterable[Vertex]],
         radius: Optional[int] = None, target: Optional[Vertex] = None,
         *, max_support: int = MAX_SUPPORT) -> Tuple[Dict[Vertex, int], Dict[Vertex, Vertex]]:
-    """Breadth-first distances and parents from ``sources`` (all at distance 0).
+    """Breadth-first distances from ``sources`` (all at distance 0), and parents when a target is given.
 
     ``neighbors(x)`` lists x's neighbors in discovery order.  Vertices at
-    ``radius`` (at least 0) are not expanded; the search stops once ``target``
-    is found.  Both maps are in discovery order, and a source is its own
-    parent.  Discovering a vertex beyond the first ``max_support`` raises
+    ``radius`` (at least 0) are not expanded.  With a ``target``, the search
+    stops once it is found and the second map holds each vertex's parent (a
+    source is its own parent); without one, that map is empty, since only a
+    path back to a target reads it.  Both maps are in discovery order.
+    Discovering a vertex beyond the first ``max_support`` raises
     ``SupportOverflowError``.
     """
     if radius is not None and radius < 0:
         raise PreconditionError("radius must be >= 0")
     check_budget(max_support)
     dist = dict.fromkeys(sources, 0)
-    parent = {x: x for x in dist}
-    if target in dist:
+    track = target is not None
+    parent = {x: x for x in dist} if track else {}
+    if track and target in dist:
         return dist, parent
-    queue = deque(dist)
+    queue = deque((x, 0) for x in dist)
     while queue:
-        x = queue.popleft()
-        d = dist[x]
+        x, d = queue.popleft()
         if d == radius:
             continue
+        d += 1
         for y in neighbors(x):
             if y not in dist:
                 if len(dist) >= max_support:
                     within = "" if radius is None else f" to radius {radius}"
-                    raise SupportOverflowError(f"search{within} passed {max_support} vertices at distance {d + 1}")
-                dist[y] = d + 1
-                parent[y] = x
-                if y == target:
-                    return dist, parent
-                queue.append(y)
+                    raise SupportOverflowError(f"search{within} passed {max_support} vertices at distance {d}")
+                dist[y] = d
+                if track:
+                    parent[y] = x
+                    if y == target:
+                        return dist, parent
+                queue.append((y, d))
     return dist, parent
 
 

@@ -6,10 +6,12 @@ Decomposition files:  {"cycles": [{"vertices": [...], "weight": "p/q"}]}
 Weights are exact fraction strings ("2/3") when rational, JSON numbers when
 not.  Vertex labels are ints, strings, or (nested) lists of labels standing
 for tuples; any other JSON value (a boolean, null, a float, an object) is an
-``InputParseError``.  The package orders labels by Python's own ``<``, so the
-labels of one graph or flow, edge endpoints included, must compare (no int
-and string in the same place): :func:`kernel_from_obj` and
-:func:`flow_from_obj` sort them once to check it, after which no sort fails.
+``InputParseError``, and so is a label nested deeper than ``MAX_LABEL_DEPTH``
+lists or a file nested too deep to decode.  The package orders labels by
+Python's own ``<``, so the labels of one graph or flow, edge endpoints
+included, must compare (no int and string in the same place):
+:func:`kernel_from_obj` and :func:`flow_from_obj` sort them once to check it,
+after which no sort fails.
 Report payloads serialize canonically (sorted keys, fixed separators) so
 identical runs produce byte-identical output.
 """
@@ -28,6 +30,10 @@ from .weights import format_weight, parse_weight
 
 ARTIFACT_VERSION = "0.1.0"
 
+#: deepest list nesting of a vertex label, far below the interpreter's recursion
+#: limit so that sorting, hashing and encoding a label cannot reach it
+MAX_LABEL_DEPTH = 100
+
 
 def encode_vertex(v):
     if isinstance(v, tuple):
@@ -36,8 +42,14 @@ def encode_vertex(v):
 
 
 def decode_vertex(v):
+    return _decode_vertex(v, 0)
+
+
+def _decode_vertex(v, depth: int):
     if isinstance(v, list):
-        return tuple(decode_vertex(x) for x in v)
+        if depth == MAX_LABEL_DEPTH:
+            raise InputParseError(f"vertex label nested deeper than {MAX_LABEL_DEPTH} lists")
+        return tuple(_decode_vertex(x, depth + 1) for x in v)
     if isinstance(v, (int, str)) and not isinstance(v, bool):
         return v
     raise ValueError(f"vertex label {v!r} is not an int, a string or a list of labels")
@@ -110,7 +122,7 @@ def load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON, UTF-8 or an int too long
         raise InputParseError(f"cannot read JSON file {path}: {exc}") from exc
 
 

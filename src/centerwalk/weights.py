@@ -9,6 +9,8 @@ case, ``DEFAULT_TOL`` in the float case.
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 from typing import Union
 
@@ -16,6 +18,12 @@ Weight = Union[int, Fraction, float]
 
 #: slack of a float identity residual; an exact residual gets none
 DEFAULT_TOL = 1e-12
+
+#: most digits, and largest decimal exponent, of a rational literal: CPython's
+#: default limit on the digits of an int-string conversion
+MAX_DIGITS = getattr(sys.int_info, "default_max_str_digits", 4300)
+
+_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*$")
 
 
 def is_exact(w: Weight) -> bool:
@@ -27,13 +35,26 @@ def vanishes(r: Weight) -> bool:
     return r == 0 if is_exact(r) else abs(r) <= DEFAULT_TOL
 
 
+def parse_rational(text: str) -> Fraction:
+    """``Fraction(text)`` of at most ``MAX_DIGITS`` digits and decimal exponent; else ``ValueError``.
+
+    ``Fraction("1e1000000000")`` builds 10**1000000000, which takes minutes,
+    so the bounds are checked on the text first.
+    """
+    exponent = _EXPONENT.search(text)
+    if sum(c.isdigit() for c in text) > MAX_DIGITS or (exponent and abs(int(exponent[1])) > MAX_DIGITS):
+        raise ValueError(f"rational literal starting {text[:40]!r} has more than {MAX_DIGITS} digits "
+                         f"or a decimal exponent beyond {MAX_DIGITS}")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"bad rational literal {text!r}") from exc
+
+
 def parse_weight(raw) -> Weight:
-    """Parse a weight from its wire form: "p/q" or "p" strings, or a number."""
+    """Parse a weight from its wire form: "p/q" or "p" strings (see ``parse_rational``), or a number."""
     if isinstance(raw, str):
-        try:
-            return Fraction(raw)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"bad weight literal {raw!r}") from exc
+        return parse_rational(raw)
     if isinstance(raw, bool):
         raise ValueError(f"bad weight literal {raw!r}")
     if isinstance(raw, int):

@@ -9,6 +9,7 @@ import centerwalk as cw
 from centerwalk import cli
 from centerwalk import markov_graph as mg
 from centerwalk import serialization as ser
+from centerwalk import weights
 from centerwalk.cli import main
 from centerwalk.markov_graph import MAX_SUPPORT
 from centerwalk.weights import parse_weight
@@ -438,7 +439,23 @@ def test_cli_error_paths(tmp_path, capsys):
 def test_cli_input_errors_are_json(tmp_path, capsys):
     bad_weight = triangle_graph_obj()
     bad_weight["edges"][0]["w"] = "x/y"
+    huge_weight = triangle_graph_obj()
+    huge_weight["edges"][0]["w"] = "1e1000000000"
+    deep = "[" * 200_000 + "0" + "]" * 200_000
+    (tmp_path / "deep.json").write_text('{"vertices": [0, ' + deep + '], "edges": []}')
+    (tmp_path / "deep_f.json").write_text(json.dumps({deep: 1.0}))
+    (tmp_path / "long_int.json").write_text('{"vertices": [0], "edges": [{"src": 0, "dst": 0, "w": 1'
+                                           + "0" * weights.MAX_DIGITS + "}]}")
+    (tmp_path / "latin1.json").write_bytes('{"vertices": ["\u00e9"], "edges": []}'.encode("latin-1"))
+
+    def nest(label):
+        for _ in range(ser.MAX_LABEL_DEPTH + 1):
+            label = [label]
+        return label
+
     files = {
+        "huge_weight.json": huge_weight,
+        "deep_label.json": two_cycle_obj(nest(0), nest(1), vertices=True),
         "tri.json": triangle_graph_obj(),
         "tri_dec.json": triangle_dec_obj(),
         "bad_weight.json": bad_weight,
@@ -475,6 +492,20 @@ def test_cli_input_errors_are_json(tmp_path, capsys):
         (escape + ["--alpha", "abc", "--times", "4"], 2, "parse_error"),
         (escape + ["--alpha", "1/2", "--times", ","], 2, "parse_error"),
         (escape + ["--alpha", "1/2", "--times=-1,2"], 2, "parse_error"),
+        # Fraction("1eN") builds 10**N: these ended in internal_error after 11 s, or hung
+        (escape + ["--alpha", "1e10000000", "--times", "3"], 2, "parse_error"),
+        (escape + ["--alpha", "1e1000000000", "--times", "3"], 2, "parse_error"),
+        (escape + ["--alpha", "1" * 5000 + "e-4999", "--times", "3"], 2, "parse_error"),
+        (["dirichlet", "sector", "--graph", "tri.json", "--killing", "1e-1000000000", "--seed", "1"],
+         2, "parse_error"),
+        (["centering", "reversible", "--graph", "huge_weight.json"], 2, "parse_error"),
+        (["centering", "reversible", "--graph", "long_int.json"], 2, "parse_error"),
+        (["centering", "reversible", "--graph", "latin1.json"], 2, "parse_error"),
+        # nesting that used to end in internal_error with a RecursionError
+        (["centering", "reversible", "--graph", "deep.json"], 2, "parse_error"),
+        (["centering", "reversible", "--graph", "deep_label.json"], 2, "parse_error"),
+        (["dirichlet", "sector", "--graph", "tri.json", "--f", "deep_f.json", "--g", "deep_f.json"],
+         2, "parse_error"),
         (["centering", "verify", "--graph", "bad_weight.json", "--dec", "tri_dec.json"], 2, "parse_error"),
         (["dirichlet", "sector", "--graph", "tri.json", "--killing", "abc", "--seed", "1"], 2, "parse_error"),
         (["dirichlet", "sector", "--graph", "tri.json", "--f", "bad_f.json", "--g", "bad_f.json"],
@@ -547,6 +578,20 @@ def test_cli_input_errors_are_json(tmp_path, capsys):
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"]["code"] == error_code, argv
         assert err["error"]["message"]
+
+
+def test_rational_literals_are_bounded():
+    limit = weights.MAX_DIGITS
+    assert weights.parse_rational(f"1e{limit}") == 10 ** limit
+    assert weights.parse_rational(f" 3e-{limit} ") == Fraction(3, 10 ** limit)
+    assert parse_weight("1" * limit) == int("1" * limit)
+    # Fraction reads any Unicode decimal digits: "\u0669" is ARABIC-INDIC DIGIT NINE
+    for text in (f"1e{limit + 1}", f"1E-{limit + 1}", "1e" + "\u0669" * 9, "1" * (limit + 1),
+                 "1/" + "1" * limit, "x/y", "1/0", ""):
+        with pytest.raises(ValueError):
+            weights.parse_rational(text)
+    with pytest.raises(ValueError):
+        parse_weight("1e1000000000")
 
 
 def test_cli_prune_cut_names_t_and_eps(capsys):

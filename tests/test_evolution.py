@@ -281,6 +281,78 @@ def test_law_keyed_access_after_release():
     assert not isinstance(getattr(exact._lookup, "__self__", None), dict)
 
 
+#: SHA-256 of [(t, denominator, list(numerators()))] of walk_distributions, recorded
+#: before the engine filled inverse translates and keyed F2 words by their bytes
+PINNED_LAWS = {
+    "f2": (F2, F2_GENS, 9, "dfc33b195dc9d3f4bab2566b593d4334ee8198596f55b6587bb7395d7b815657"),
+    # no step of the sequence but a and A has its inverse among the steps
+    "f2-sequence": (F2, cw.F2_SEQUENCE, 5, "ded30a5eab0264098808b73e0b8177716bcdfd08dcada37c48d6736cbec5d7b2"),
+    "z2": (Z2, WALKS["z2"][1], 20, "f82308269661c2f3d2b5856d40948b4231a9506a715ef6e5d3d763e978140cd7"),
+    "heisenberg": (*WALKS["heisenberg"][:2], 10, "dc616002816a5898c32530993bc735226a65cf34997361364758e8131c95fd92"),
+    "bs": (*WALKS["bs"][:2], 9, "f906902c95e6cc74f2ee028352b32e7126e0c35f201e03aadb3bcfabd9f94fc8"),
+    "wreath": (*WALKS["wreath"][:2], 7, "0ec06946b9655bad95c39249b276baa1b68597784f779d689268cdda28c506d8"),
+    "z": (Z1, Z_GENS, 30, "d61176a143c40fd465f6027f2fe62706393bfc5fe877a17887766d0343263267"),
+}
+
+
+@pytest.mark.parametrize("walk", sorted(PINNED_LAWS))
+def test_engine_laws_are_pinned(walk):
+    # the atoms and their order: translates filled from a step's inverse never
+    # change which ids are new, nor the order in which they are interned
+    group, gens, t_max, digest = PINNED_LAWS[walk]
+    laws = cw.walk_distributions(group, gens, t_max)
+    atoms = [(d.t, d.denominator, list(d.numerators())) for d in laws]
+    assert hashlib.sha256(repr(atoms).encode()).hexdigest() == digest
+
+
+def test_engine_fills_inverse_translates():
+    calls = []
+
+    class CountingF2(cw.FreeGroup):
+        def multiply(self, x, y):
+            calls.append(1)
+            return super().multiply(x, y)
+
+    group = CountingF2()
+    step = cw.step_measure(group, F2_GENS)
+    law = cw.SparseDistribution.point(group)
+    for t in range(1, 8):
+        law = cw.evolve(law, step)
+        # only the 4 * 3**(t-2) words of the sphere of radius t - 1 are multiplied,
+        # each by the 3 letters that lengthen it: every other translate came with
+        # the word it was computed from
+        assert len(calls) == 4 * 3 ** (t - 1)
+        calls.clear()
+
+
+def test_f2_keys_hash_apart():
+    law = cw.SparseDistribution.point(F2)
+    step = cw.step_measure(F2, F2_GENS)
+    for _ in range(10):
+        law = cw.evolve(law, step)
+    words = law.support()
+    assert len(words) == 88_573
+    # in CPython hash(-1) == hash(-2): words that differ by A <-> B collide as tuples
+    assert hash((-1,)) == hash((-2,)) and len(set(map(hash, words))) == 35_778
+    assert len(set(map(hash, map(F2.key, words)))) == len(words)
+    assert set(law._engine.index) >= set(map(F2.key, words))
+
+
+def test_engine_lookups_of_non_words_miss():
+    from centerwalk import groups
+
+    step = cw.step_measure(F2, F2_GENS)
+    law = cw.evolve(cw.evolve(cw.evolve(cw.SparseDistribution.point(F2), step), step), step)
+    assert law._engine is not None and (1, 2, 1) in law and law.prob((1, 2, 1)) == Fraction(1, 64)
+    packs = set(groups._WORD_PACKS)
+    for x in [(3,), (300,), (1, -1), "ab", b"\x01", 5, (1,) * 10 ** 6]:
+        assert law.prob(x) == 0 and x not in law
+        with pytest.raises(cw.PreconditionError, match="outside the support"):
+            law.log_prob(x)
+    assert set(groups._WORD_PACKS) == packs
+    assert (True, 2, True) in law  # equal to (1, 2, 1), as in a dict of tuples
+
+
 def _bisection_c_star(dists, distance, m=lambda x: 1.0, d_exp=0.0, bracket=(1e-6, 1e12), rel_tol=1e-6):
     """Reference: the former fit, geometric bisection of log C inside a fixed bracket."""
     points = [(d.t, float(p), distance(x), float(m(x))) for d in dists if d.t >= 1 for x, p in d.items()]

@@ -1,6 +1,7 @@
 """Group arithmetic: axioms, canonical forms, and independent oracles."""
 
 import functools
+import itertools
 import random
 from fractions import Fraction
 
@@ -190,6 +191,46 @@ def test_free_group_reduction():
     assert w == (1, 2, -1, -2)
     assert f2.format_element(w) == "abAB"
     assert f2.parse_element("aA") == ()
+
+
+def test_free_group_multiply_matches_a_cancellation_stack():
+    f2, rng = cw.FreeGroup(), random.Random(7)
+
+    def word(n):
+        w = []
+        while len(w) < n:
+            letter = rng.choice((1, -1, 2, -2))
+            if not w or w[-1] != -letter:
+                w.append(letter)
+        return tuple(w)
+
+    def stack(x, y):
+        buf = list(x)
+        for letter in y:
+            if buf and buf[-1] == -letter:
+                buf.pop()
+            else:
+                buf.append(letter)
+        return tuple(buf)
+
+    for _ in range(3000):
+        x = word(rng.randrange(8))
+        # y often starts with the inverse of a suffix of x, so that some or all cancels
+        y = f2.inverse(x[rng.randrange(len(x) + 1):]) + word(rng.randrange(4)) if rng.random() < 0.7 else word(6)
+        y = stack((), y)
+        assert f2.multiply(x, y) == stack(x, y) == f2.validate(f2.multiply(x, y))
+    assert f2.multiply((1, 2), (-2, -1)) == () and f2.multiply((), ()) == ()
+
+
+def test_free_group_key_is_injective_on_words():
+    f2 = cw.FreeGroup()
+    words = [w for n in range(5) for w in itertools.product((1, -1, 2, -2), repeat=n)
+             if all(w[i] != -w[i + 1] for i in range(n - 1))]
+    keys = [f2.key(w) for w in words]
+    assert len(set(keys)) == len(words) and all(type(k) is bytes for k in keys)
+    assert f2.key((1, -2)) == b"\x01\xfe"
+    long = (1,) * 65  # beyond the packed lengths a word is its own key
+    assert f2.key(long) is long and cw.Group.key is None
 
 
 def test_abelianization_images():

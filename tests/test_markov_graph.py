@@ -3,6 +3,7 @@
 import functools
 import math
 import operator
+import random
 from fractions import Fraction
 
 import pytest
@@ -283,6 +284,37 @@ def test_every_traversal_stops_at_its_budget(monkeypatch):
         with pytest.raises(cw.SupportOverflowError, match="passed 10 vertices"):
             search()
     assert cw.graph_distance(path, 0, 9, radius=40) == 9
+
+
+def test_bfs_paths_are_shortest_directed_paths():
+    rng = random.Random(5)
+    for _ in range(40):
+        n = rng.randrange(2, 12)
+        out = {u: {v for v in range(n) if rng.random() < 0.2} for u in range(n)}
+        # reference distances: layer by layer over the directed edges
+        dist = {}
+        for x in range(n):
+            layer, seen, d = {x}, {x}, 0
+            while layer:
+                dist.update({(x, y): d for y in layer})
+                layer = {v for u in layer for v in out[u]} - seen
+                seen |= layer
+                d += 1
+        for x in range(n):
+            for y in range(n):
+                path = mg._bfs_path(lambda u: sorted(out[u]), x, y)
+                if (x, y) not in dist:
+                    assert path is None
+                    continue
+                assert (path[0], path[-1], len(path) - 1) == (x, y, dist[x, y])
+                assert all(v in out[u] for u, v in zip(path, path[1:]))
+                if x != y:
+                    assert mg._bfs_path(lambda u: sorted(out[u]), x, y, radius=dist[x, y] - 1) is None
+    # parents are kept only for a search with a target
+    line = lambda x: [x - 1, x + 1]  # noqa: E731
+    assert mg.bfs([0], line, radius=3)[1] == {}
+    dist, parent = mg.bfs([0], line, target=-2)
+    assert dist == {0: 0, -1: 1, 1: 1, -2: 2} and parent == {0: 0, -1: 0, 1: 0, -2: -1}
 
 
 def test_negative_radius_is_rejected_by_bfs():
