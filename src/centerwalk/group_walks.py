@@ -133,6 +133,11 @@ def c1_search(
     n it reports.  Sequences whose abelianized free parts do not sum to
     zero are refuted outright for all n; values of n whose torsion sum
     cannot vanish are skipped, also exactly.
+
+    Failed states are grouped by their remaining counts, coded as one int
+    in the radix n_max + 1; the radix is the same for every n, so a state
+    that failed at n still matches at n + 1.  Each group is the set of its
+    products, stored by ``group.key`` when the group has one.
     """
     if n_max < 1:
         raise PreconditionError("n_max must be >= 1")
@@ -144,42 +149,54 @@ def c1_search(
     if not report.holds:
         return C1SearchResult(status="not_found", n_checked=n_max, method="abelianization")
 
-    identity = group.identity
-    failed: set = set()
+    identity, multiply, key = group.identity, group.multiply, group.key
+    place = [(n_max + 1) ** i for i in range(k)]
+    failed: Dict[int, set] = {}
     nodes = 0
     for n in range(1, n_max + 1):
         if any((n * t) % mod for t, mod in zip(report.torsion_sums, report.moduli)):
             continue
-        # explicit depth-first stack of (partial product, remaining counts,
-        # generators left to try); path holds the 1-based choices so far
+        # depth-first state on parallel lists: path holds the 0-based choices,
+        # prods and codes the partial product and remaining-counts code of
+        # each state on it; counts is the current state's counts, in place
+        counts = [n] * k
         path: List[int] = []
-        stack = [(identity, (n,) * k, iter(range(k)))]
-        while stack:
-            prod, counts, todo = stack[-1]
-            for i in todo:
-                if counts[i] == 0:
-                    continue
-                nodes += 1
-                if nodes > node_budget:
-                    return C1SearchResult(status="budget_exhausted", n_checked=n - 1, nodes=nodes)
-                child = group.multiply(prod, gens[i])
-                nxt = counts[:i] + (counts[i] - 1,) + counts[i + 1:]
-                if (child, nxt) in failed:
-                    continue
-                path.append(i + 1)
-                if child == identity and not any(nxt):
-                    witness = C1Witness(n=n, sigma=tuple(path))
+        prods = [identity]
+        codes = [n * sum(place)]
+        i = 0
+        while True:
+            prod, code = prods[-1], codes[-1]
+            while i < k:
+                if counts[i]:
+                    nodes += 1
+                    if nodes > node_budget:
+                        return C1SearchResult(status="budget_exhausted", n_checked=n - 1, nodes=nodes)
+                    child = multiply(prod, gens[i])
+                    nxt = code - place[i]
+                    dead = failed.get(nxt)
+                    if dead is None or (child if key is None else key(child)) not in dead:
+                        break
+                i += 1
+            if i < k:
+                path.append(i)
+                if not nxt and child == identity:
+                    witness = C1Witness(n=n, sigma=tuple(j + 1 for j in path))
                     witness.validate(group, gens)
                     return C1SearchResult(status="witness", witness=witness,
                                           n_checked=n, nodes=nodes)
-                stack.append((child, nxt, iter(range(k))))
+                counts[i] -= 1
+                prods.append(child)
+                codes.append(nxt)
+                i = 0
+                continue
+            # every continuation of this state failed
+            if not path:
                 break
-            else:
-                # every continuation of this state failed
-                stack.pop()
-                if stack:
-                    path.pop()
-                    failed.add((prod, counts))
+            prods.pop()
+            failed.setdefault(codes.pop(), set()).add(prod if key is None else key(prod))
+            i = path.pop()
+            counts[i] += 1
+            i += 1
     return C1SearchResult(status="not_found", n_checked=n_max, nodes=nodes)
 
 

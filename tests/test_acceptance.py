@@ -296,6 +296,7 @@ def test_criterion_10_condition_machinery():
     ok = ok and cw.brute_force_c1(F2, cw.F2_SEQUENCE, 1) is None  # all 720 orderings
     res_f2_2 = cw.c1_search(F2, cw.F2_SEQUENCE, n_max=2, node_budget=20_000_000)
     ok = ok and res_f2_2.status == "not_found" and res_f2_2.n_checked == 2
+    ok = ok and res_f2_2.nodes == 2_595_502  # the memoized search visits a fixed set of states
 
     ok = ok and cw.c2_check(F2, cw.F2_SEQUENCE).holds
     ok = ok and cw.c2_check(WR, cw.WREATH_LAMP_PAIR).holds

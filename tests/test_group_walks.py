@@ -80,6 +80,54 @@ def test_c1_search_deep_witness():
     assert res.nodes == 1500
 
 
+def test_c1_search_carries_failed_states_across_n():
+    # n = 1 fails, and its failed states prune the n = 2 search, which must
+    # still reach the same witness at the same node count; n_max = 3 codes
+    # the counts in a wider radix and must not change either
+    gens = ((-1, 1, -2), (2, -1, 1), (1, 2, -1), (-2, -2, 0))
+    res = cw.c1_search(H, gens, n_max=1)
+    assert (res.status, res.n_checked, res.nodes) == ("not_found", 1, 64)
+    for n_max in (2, 3):
+        res = cw.c1_search(H, gens, n_max=n_max)
+        assert (res.status, res.n_checked, res.nodes) == ("witness", 2, 212)
+        assert res.witness == cw.C1Witness(n=2, sigma=(1, 1, 3, 4, 4, 2, 3, 2))
+
+
+def test_c1_search_agrees_with_brute_force():
+    # c1_search finds a witness exactly when some n <= n_max has one, and at
+    # the smallest such n; most sequences end in a word of the inverse
+    # letters, shuffled, so their abelianization vanishes and only the
+    # search can tell
+    rng = random.Random(17)
+    bs = cw.BaumslagSolitar(2)
+    letters = (
+        (cw.FiniteCyclic(5), (1, 2, 3, 4)),
+        (H, ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0))),
+        (bs, (bs.gen_a, bs.inverse(bs.gen_a), bs.gen_b, bs.inverse(bs.gen_b))),
+        (F2, ((1,), (-1,), (2,), (-2,))),
+    )
+    outcomes = set()
+    for group, steps in letters:
+        for _ in range(16):
+            words = [[rng.choice(steps) for _ in range(rng.randint(1, 3))]
+                     for _ in range(rng.randint(2, 3))]
+            if rng.random() < 0.75:
+                close = [group.inverse(s) for w in words for s in w]
+                rng.shuffle(close)
+                words.append(close)
+            gens = [group.product(w) for w in words]
+            res = cw.c1_search(group, gens, n_max=2)
+            smallest = next((n for n in (1, 2)
+                             if cw.brute_force_c1(group, gens, n) is not None), None)
+            if smallest is None:
+                assert res.status == "not_found" and res.n_checked == 2
+            else:
+                assert res.found and res.witness.n == smallest
+                res.witness.validate(group, gens)
+            outcomes.add((smallest, res.method))
+    assert outcomes == {(1, "search"), (2, "search"), (None, "search"), (None, "abelianization")}
+
+
 def test_c1_witness_implies_c2():
     cases = [(Z2, Z2_GENS), (H, H_GENS), (Z1, Z_GENS)]
     for group, gens in cases:
