@@ -67,9 +67,9 @@ class SparseDistribution:
         self._ids = self._engine = self._lookup = None
 
     @classmethod
-    def point(cls, group: Group, x=None, t: int = 0) -> "SparseDistribution":
-        x = group.identity if x is None else group.validate(x)
-        return cls(group, t, numerators={x: 1}, denominator=1)
+    def point(cls, group: Group) -> "SparseDistribution":
+        """The law of the walk at t = 0: all mass on the identity."""
+        return cls(group, 0, numerators={group.identity: 1}, denominator=1)
 
     @property
     def denominator(self) -> int:
@@ -425,13 +425,19 @@ def path_rng(seed: int, index: int) -> random.Random:
     return random.Random(int.from_bytes(digest, "big"))
 
 
+#: MT19937 words drawn per ``getrandbits`` call: its bit count is a C int, so one
+#: call for a whole long path (2**26 words or more) raises OverflowError
+_DRAW_WORDS = 1 << 20
+
+
 def _path_indices(seed: int, index: int, t: int, k: int) -> List[int]:
-    """The first t ``randrange(k)`` draws of ``path_rng(seed, index)`` (k >= 1), in one pass.
+    """The first t ``randrange(k)`` draws of ``path_rng(seed, index)`` (k >= 1), in bulk.
 
     ``randrange(k)`` takes the top ``k.bit_length()`` bits of the next
     32-bit MT19937 word and rejects values >= k (k < 2**32 here), and
     ``getrandbits(32 * n)`` returns the next n words, least significant
-    first.  So one C-level draw, a shift and a mask replay the stream.
+    first, the same words as n successive 32-bit draws.  So C-level draws
+    of at most ``_DRAW_WORDS`` words, a shift and a mask replay the stream.
     """
     if k == 1:
         return [0] * t
@@ -442,7 +448,7 @@ def _path_indices(seed: int, index: int, t: int, k: int) -> List[int]:
     out: List[int] = []
     while len(out) < t:
         # enough words for the missing draws at the expected rejection rate, plus slack
-        n = (t - len(out)) * (1 << k.bit_length()) // k + 16
+        n = min((t - len(out)) * (1 << k.bit_length()) // k + 16, _DRAW_WORDS)
         words = np.frombuffer(rng.getrandbits(32 * n).to_bytes(4 * n, "little"), "<u4") >> shift
         out += words[words < k].tolist()
     return out[:t]
@@ -548,6 +554,8 @@ def speed_estimate(
     """
     if t < 1 or n_paths < 1:
         raise PreconditionError("t and n_paths must be >= 1")
+    if radius is not None and radius < 0:
+        raise PreconditionError("radius must be >= 0")
     endpoints = _mc_endpoints(group, gens, t, n_paths, seed)
     exact = group.exact_metric(tuple(_directions(group, gens)))
     table = word_ball(group, gens, radius) if exact is None and radius is not None else {}

@@ -70,6 +70,17 @@ class Group:
     def format_element(self, x) -> str:
         return repr(x)
 
+    def _parse_word(self, text: str, letters: Dict[str, object]):
+        """The product of a word's letters, each mapped to an element by ``letters``; blanks are skipped."""
+        acc = self.identity
+        for ch in text:
+            if ch.isspace():
+                continue
+            if ch not in letters:
+                raise InputParseError(f"bad letter {ch!r} in {self.name} word {text!r}")
+            acc = self.multiply(acc, letters[ch])
+        return acc
+
     def product(self, elements: Iterable):
         acc = self.identity
         for g in elements:
@@ -95,16 +106,6 @@ class Group:
         return f"<{self.name}>"
 
 
-def _int_tuple(obj, length=None):
-    if isinstance(obj, int):
-        obj = (obj,)
-    if not isinstance(obj, (tuple, list)) or not all(isinstance(v, int) for v in obj):
-        raise InputParseError(f"expected integer vector, got {obj!r}")
-    if length is not None and len(obj) != length:
-        raise InputParseError(f"expected vector of length {length}, got {obj!r}")
-    return tuple(obj)
-
-
 def _literal(text: str):
     try:
         return ast.literal_eval(text.strip())
@@ -112,17 +113,39 @@ def _literal(text: str):
         raise InputParseError(f"bad element literal {text!r}: {exc}") from exc
 
 
-class IntegerLattice(Group):
+class _IntVector(Group):
+    """Elements are length-``d`` integer tuples, written ``[a, b, c]``."""
+
+    d = 3
+
+    @property
+    def identity(self):
+        return (0,) * self.d
+
+    def validate(self, x):
+        if not (isinstance(x, tuple) and len(x) == self.d and all(isinstance(v, int) for v in x)):
+            raise StructuralError(f"not a {self.name} element: {x!r}")
+        return x
+
+    def parse_element(self, text: str):
+        obj = _literal(text)
+        if isinstance(obj, int) and self.d == 1:
+            obj = (obj,)
+        if not (isinstance(obj, (tuple, list)) and len(obj) == self.d and all(isinstance(v, int) for v in obj)):
+            raise InputParseError(f"expected a {self.name} element, a vector of {self.d} integers, got {obj!r}")
+        return tuple(obj)
+
+    def format_element(self, x) -> str:
+        return "[" + ", ".join(map(str, x)) + "]"
+
+
+class IntegerLattice(_IntVector):
     def __init__(self, d: int):
         if d < 1:
             raise StructuralError("lattice dimension must be >= 1")
         self.d = d
         self.name = f"Z^{d}"
         self.spec_string = f"z:{d}"
-
-    @property
-    def identity(self):
-        return (0,) * self.d
 
     def multiply(self, x, y):
         return tuple(map(add, x, y))
@@ -133,19 +156,8 @@ class IntegerLattice(Group):
     def inverse(self, x):
         return tuple(-a for a in x)
 
-    def validate(self, x):
-        if not (isinstance(x, tuple) and len(x) == self.d and all(isinstance(v, int) for v in x)):
-            raise StructuralError(f"not a Z^{self.d} element: {x!r}")
-        return x
-
     def abelianization(self, x) -> AbelianImage:
         return AbelianImage(free=tuple(x))
-
-    def parse_element(self, text: str):
-        return self.validate(_int_tuple(_literal(text), self.d))
-
-    def format_element(self, x) -> str:
-        return "[" + ", ".join(str(v) for v in x) + "]"
 
     def exact_metric(self, gens: Sequence) -> Optional[Callable]:
         basis = set()
@@ -158,15 +170,11 @@ class IntegerLattice(Group):
         return None
 
 
-class Heisenberg(Group):
+class Heisenberg(_IntVector):
     """Integer Heisenberg group: (a, b, c) with (a,b,c)(a',b',c') = (a+a', b+b', c+c'+a b')."""
 
     name = "Heisenberg"
     spec_string = "heisenberg"
-
-    @property
-    def identity(self):
-        return (0, 0, 0)
 
     def multiply(self, x, y):
         return (x[0] + y[0], x[1] + y[1], x[2] + y[2] + x[0] * y[1])
@@ -174,22 +182,11 @@ class Heisenberg(Group):
     def inverse(self, x):
         return (-x[0], -x[1], -x[2] + x[0] * x[1])
 
-    def validate(self, x):
-        if not (isinstance(x, tuple) and len(x) == 3 and all(isinstance(v, int) for v in x)):
-            raise StructuralError(f"not a Heisenberg element: {x!r}")
-        return x
-
     def abelianization(self, x) -> AbelianImage:
         return AbelianImage(free=(x[0], x[1]))
 
-    def parse_element(self, text: str):
-        return self.validate(_int_tuple(_literal(text), 3))
 
-    def format_element(self, x) -> str:
-        return "[" + ", ".join(str(v) for v in x) + "]"
-
-
-class BaumslagSolitar(Group):
+class BaumslagSolitar(_IntVector):
     """BS(1, q) = <a, b | ab = b^q a> in the normal form (l, m, k).
 
     (l, m, k) stands for a^-l b^m a^(l+k); as an affine map it sends
@@ -198,16 +195,15 @@ class BaumslagSolitar(Group):
     which grow like q^l.
     """
 
+    gen_a, gen_b = (0, 0, 1), (0, 1, 0)
+    _letters = {"a": gen_a, "A": (0, 0, -1), "b": gen_b, "B": (0, -1, 0)}
+
     def __init__(self, q: int):
         if q < 2:
             raise StructuralError("Baumslag-Solitar parameter q must be >= 2")
         self.q = q
         self.name = f"BS(1,{q})"
         self.spec_string = f"bs:{q}"
-
-    @property
-    def identity(self):
-        return (0, 0, 0)
 
     def _normalize(self, l: int, m: int, k: int):
         if m == 0:
@@ -235,9 +231,7 @@ class BaumslagSolitar(Group):
         return self._normalize(0, -m * q ** (-e), -k)
 
     def validate(self, x):
-        if not (isinstance(x, tuple) and len(x) == 3 and all(isinstance(v, int) for v in x)):
-            raise StructuralError(f"not a BS({self.q}) element: {x!r}")
-        l, m, k = x
+        l, m, k = super().validate(x)
         if l < 0 or (l > 0 and m % self.q == 0):
             raise StructuralError(f"non-canonical BS normal form: {x!r}")
         return x
@@ -246,29 +240,8 @@ class BaumslagSolitar(Group):
         l, m, k = x
         return AbelianImage(free=(k,), torsion=(m % (self.q - 1),), moduli=(self.q - 1,))
 
-    @property
-    def gen_a(self):
-        return (0, 0, 1)
-
-    @property
-    def gen_b(self):
-        return (0, 1, 0)
-
     def parse_element(self, text: str):
-        acc = self.identity
-        table = {
-            "a": self.gen_a,
-            "b": self.gen_b,
-            "A": self.inverse(self.gen_a),
-            "B": self.inverse(self.gen_b),
-        }
-        for ch in text.strip():
-            if ch.isspace():
-                continue
-            if ch not in table:
-                raise InputParseError(f"bad letter {ch!r} in BS word {text!r}")
-            acc = self.multiply(acc, table[ch])
-        return acc
+        return self._parse_word(text, self._letters)
 
     def format_element(self, x) -> str:
         l, m, k = x
@@ -438,18 +411,11 @@ class FreeGroup(Group):
         eb = sum(1 if v == 2 else -1 for v in x if abs(v) == 2)
         return AbelianImage(free=(ea, eb))
 
-    _letters = {"a": 1, "A": -1, "b": 2, "B": -2}
+    _letters = {"a": (1,), "A": (-1,), "b": (2,), "B": (-2,)}
     _names = {1: "a", -1: "A", 2: "b", -2: "B"}
 
     def parse_element(self, text: str):
-        acc = self.identity
-        for ch in text.strip():
-            if ch.isspace():
-                continue
-            if ch not in self._letters:
-                raise InputParseError(f"bad letter {ch!r} in free word {text!r}")
-            acc = self.multiply(acc, (self._letters[ch],))
-        return acc
+        return self._parse_word(text, self._letters)
 
     def format_element(self, x) -> str:
         return "".join(self._names[v] for v in x) or "id"
@@ -499,9 +465,6 @@ class FiniteCyclic(Group):
         if not isinstance(obj, int):
             raise InputParseError(f"expected an integer, got {text!r}")
         return obj % self.p
-
-    def format_element(self, x) -> str:
-        return str(x)
 
 
 def group_from_spec(spec: str) -> Group:

@@ -1,6 +1,7 @@
 """JSON wire formats for graphs, decompositions and reports, plus CSV traces.
 
-Graph files:          {"vertices": [...], "edges": [{"src", "dst", "w"}]}
+Graph files:          {"vertices": [...], "edges": [{"src", "dst", "w"}]}, plus an
+                      optional boolean "substochastic" for a killed kernel
 Decomposition files:  {"cycles": [{"vertices": [...], "weight": "p/q"}]}
 
 Weights are exact fraction strings ("2/3") when rational, JSON numbers when
@@ -81,7 +82,10 @@ def kernel_from_obj(obj: Mapping) -> Kernel:
         sorted(set(rows).union(*rows.values()))  # TypeError unless every label compares
     except (KeyError, TypeError, ValueError) as exc:
         raise InputParseError(f"malformed graph object: {exc!r}") from exc
-    return Kernel(rows, substochastic=bool(obj.get("substochastic", False)))
+    substochastic = obj.get("substochastic", False)
+    if not isinstance(substochastic, bool):
+        raise InputParseError(f"graph field 'substochastic' must be true or false, got {substochastic!r}")
+    return Kernel(rows, substochastic=substochastic)
 
 
 def decomposition_to_obj(dec: CycleDecomposition) -> dict:

@@ -446,6 +446,9 @@ def test_cli_input_errors_are_json(tmp_path, capsys):
     (tmp_path / "deep_f.json").write_text(json.dumps({deep: 1.0}))
     (tmp_path / "long_int.json").write_text('{"vertices": [0], "edges": [{"src": 0, "dst": 0, "w": 1'
                                            + "0" * weights.MAX_DIGITS + "}]}")
+    half_weights = triangle_graph_obj()
+    for edge in half_weights["edges"]:
+        edge["w"] = "1/2"
     (tmp_path / "latin1.json").write_bytes('{"vertices": ["\u00e9"], "edges": []}'.encode("latin-1"))
 
     def nest(label):
@@ -478,6 +481,8 @@ def test_cli_input_errors_are_json(tmp_path, capsys):
         "null.json": two_cycle_obj(None, 2, vertices=True),
         "float.json": two_cycle_obj(1.5, 2, vertices=True),
         "mixed_flow.json": two_cycle_obj(0, "a"),
+        # every row sums to 1/2, so only a killed kernel is valid
+        "half.json": {**half_weights, "substochastic": "no"},
     }
     for name, obj in files.items():
         (tmp_path / name).write_text(json.dumps(obj))
@@ -568,6 +573,13 @@ def test_cli_input_errors_are_json(tmp_path, capsys):
         (["centering", "reversible", "--graph", "null.json"], 2, "parse_error"),
         (["centering", "reversible", "--graph", "float.json"], 2, "parse_error"),
         (["centering", "from-flow", "--flow", "mixed_flow.json", "--max-len", "2"], 2, "parse_error"),
+        # a non-boolean "substochastic" used to be read by truthiness, so "no" killed the kernel
+        (["dirichlet", "sector", "--graph", "half.json", "--seed", "0"], 2, "parse_error"),
+        (["green", "compare", "--graph", "half.json", "--dec", "tri_dec.json", "--seed", "1"],
+         2, "parse_error"),
+        # a negative radius used to be ignored by the closed-form metric
+        (["walk", "speed", "--group", "z:1", "--gens", "[1],[-1]", "--t", "4", "--paths", "2",
+          "--seed", "1", "--radius=-1"], 3, "validation_error"),
         # a node budget below 1 used to end in budget_exhausted
         (["group", "c1-search", "--group", "f2", "--gens", "a,A", "--budget", "0"], 3, "validation_error"),
         (["group", "c1-search", "--group", "f2", "--gens", "a,A", "--budget=-5"], 3, "validation_error"),

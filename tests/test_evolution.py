@@ -497,11 +497,16 @@ def test_volume_growth_budget():
 
 
 @pytest.mark.parametrize("k", [*range(1, 10), 1000])
-def test_path_indices_replay_randrange(k):
+def test_path_indices_replay_randrange(k, monkeypatch):
     for t in (0, 1, 7, 500):
         for seed, index in ((0, 0), (5, 3), (2 ** 40, 17)):
             rng = path_rng(seed, index)
             assert _path_indices(seed, index, t, k) == [rng.randrange(k) for _ in range(t)]
+    # a long path draws its words in several calls: one call of 2**31 bits or more overflows
+    monkeypatch.setattr("centerwalk.evolution._DRAW_WORDS", 3)
+    for t in (1, 7, 500):
+        rng = path_rng(9, 4)
+        assert _path_indices(9, 4, t, k) == [rng.randrange(k) for _ in range(t)]
 
 
 def test_mc_sample_determinism_and_shape():

@@ -289,6 +289,58 @@ def test_element_codecs_round_trip():
     assert text == "(2, {1: 1})"
     assert wr.parse_element(text) == (2, ((1, 1),))
 
+    rng = random.Random("codecs")
+
+    def vector(d):
+        return lambda: tuple(rng.randint(-10 ** 6, 10 ** 6) for _ in range(d))
+
+    def free_word():
+        # a nonempty reduced word: F2 prints the identity as "id", which is not a word
+        word, n = [rng.choice((1, -1, 2, -2))], rng.randint(1, 12)
+        while len(word) < n:
+            word.append(rng.choice([v for v in (1, -1, 2, -2) if v != -word[-1]]))
+        return tuple(word)
+
+    draws = [
+        (cw.IntegerLattice(1), vector(1)),
+        (cw.IntegerLattice(3), vector(3)),
+        (cw.Heisenberg(), vector(3)),
+        (wr, lambda: random_element(wr, rng, length=20)),
+        (cw.FreeGroup(), free_word),
+        (z7, lambda: rng.randrange(7)),
+    ]
+    for group, draw in draws:
+        for _ in range(200):
+            x = group.validate(draw())
+            assert group.parse_element(group.format_element(x)) == x, (group, x)
+    assert cw.IntegerLattice(1).parse_element("-4") == (-4,)
+
+    for q in (2, 3):
+        bs = cw.BaumslagSolitar(q)
+        letters = {"a": bs.gen_a, "A": bs.inverse(bs.gen_a), "b": bs.gen_b, "B": bs.inverse(bs.gen_b)}
+        for _ in range(200):
+            word = "".join(rng.choice("aAbB ") for _ in range(rng.randrange(16)))
+            expected = functools.reduce(bs.multiply, (letters[c] for c in word if c != " "), bs.identity)
+            assert bs.validate(bs.parse_element(word)) == expected, word
+
+    bad = [
+        (cw.IntegerLattice(3), "[1, 2]"),
+        (cw.IntegerLattice(3), "5"),
+        (cw.IntegerLattice(1), "[1, 2]"),
+        (cw.Heisenberg(), "[1, 2, 3, 4]"),
+        (cw.IntegerLattice(2), "[1, 'x']"),
+        (cw.Heisenberg(), "[1.5, 0, 0]"),
+        (cw.FreeGroup(), "abc"),
+        (cw.BaumslagSolitar(3), "ab-"),
+        (z7, "1.5"),
+    ]
+    for group, text in bad:
+        with pytest.raises(cw.InputParseError):
+            group.parse_element(text)
+    for x in ((1, 4, 0), (-1, 1, 0), (2, 0, 1)):
+        with pytest.raises(cw.StructuralError, match="non-canonical"):
+            cw.BaumslagSolitar(2).validate(x)
+
 
 def test_generator_literal_splitting():
     assert split_generator_literals("[1],[1],[-2]") == ["[1]", "[1]", "[-2]"]
