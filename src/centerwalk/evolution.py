@@ -24,7 +24,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 from .errors import PreconditionError, StructuralError, SupportOverflowError
 from .groups import Group, WreathZZ
 from .group_walks import _directions, word_ball
-from .markov_graph import MAX_SUPPORT, check_budget
+from .markov_graph import MAX_SUPPORT, _collector_paused, check_budget
 
 
 class SparseDistribution:
@@ -243,17 +243,18 @@ def evolve(
     check_budget(max_support)
     import numpy as np
 
-    engine = dist._engine
-    if engine is None or engine.steps != step._elements:
-        engine = _Translates(dist.group, step._elements)
-        ids = np.fromiter(engine.ids(dist._elements), np.intp, len(dist))
-    else:
-        ids = dist._ids
-    tables = engine.translate(ids)
-    weights = dist._weights
-    acc = np.zeros(len(engine.elements), dtype=object)
-    for table, c in zip(tables, step._weights.tolist()):
-        acc[table[ids]] += weights if c == 1 else weights * c
+    with _collector_paused():
+        engine = dist._engine
+        if engine is None or engine.steps != step._elements:
+            engine = _Translates(dist.group, step._elements)
+            ids = np.fromiter(engine.ids(dist._elements), np.intp, len(dist))
+        else:
+            ids = dist._ids
+        tables = engine.translate(ids)
+        weights = dist._weights
+        acc = np.zeros(len(engine.elements), dtype=object)
+        for table, c in zip(tables, step._weights.tolist()):
+            acc[table[ids]] += weights if c == 1 else weights * c
     support = np.flatnonzero(acc)
     new = acc[support]
     den = dist._den * step._den
@@ -289,9 +290,10 @@ def walk_distributions(
         raise PreconditionError(f"t_max must be >= 0, got {t_max}")
     step = step_measure(group, gens)
     out = [SparseDistribution.point(group)]
-    for _ in range(t_max):
-        out.append(evolve(out[-1], step, prune_eps=prune_eps, max_support=max_support))
-        out[-2]._release()
+    with _collector_paused():
+        for _ in range(t_max):
+            out.append(evolve(out[-1], step, prune_eps=prune_eps, max_support=max_support))
+            out[-2]._release()
     out[-1]._release()
     return out
 
@@ -353,39 +355,40 @@ def fit_cv_constant(
     mval = m if m is not None else (lambda x: 1.0)
     points: List[Tuple[int, object, float, int, float]] = []
     approximate = False
-    for d in dists:
-        if d.t < 1:
-            continue
-        approximate = approximate or d.approximate
-        for x, n in d.numerators():
-            points.append((d.t, x, n / d.denominator, dist_fn(x), float(mval(x))))
-    if not points:
-        raise PreconditionError("no distributions with t >= 1 given")
-    if max(pt[0] for pt in points) ** (-abs(d_exp) / 2.0) < sys.float_info.min:
-        raise PreconditionError(f"t^(d_exp/2) leaves the normal float range at d_exp={d_exp!r}")
+    with _collector_paused():
+        for d in dists:
+            if d.t < 1:
+                continue
+            approximate = approximate or d.approximate
+            for x, n in d.numerators():
+                points.append((d.t, x, n / d.denominator, dist_fn(x), float(mval(x))))
+        if not points:
+            raise PreconditionError("no distributions with t >= 1 given")
+        if max(pt[0] for pt in points) ** (-abs(d_exp) / 2.0) < sys.float_info.min:
+            raise PreconditionError(f"t^(d_exp/2) leaves the normal float range at d_exp={d_exp!r}")
 
-    t, p, dd, mv = (np.array([pt[i] for pt in points], dtype=float) for i in (0, 2, 3, 4))
-    if not (mv.min() > 0 and mv.max() < math.inf):
-        raise PreconditionError(f"measure must be finite and positive, got values in [{mv.min()}, {mv.max()}]")
-    a = dd * dd / t
-    moving = a > 0
-    # W0(a/b) = omega(log a - log b), the Wright omega function, since a/b
-    # overflows in the far tail; b = 0 gives C = 0, an infinite b is rejected
-    with np.errstate(divide="ignore", over="ignore"):
-        c = p * t ** (d_exp / 2.0) / mv
-        c[moving] = a[moving] / wrightomega(np.log(a[moving]) - np.log(c[moving]))
-    c_star = float(c.max())
-    if not math.isfinite(c_star):
-        raise PreconditionError(f"no finite constant: t^(d_exp/2) / m(x) overflows at d_exp={d_exp!r}")
-    # omega is good to a few tens of ulps: a margin still < 0 after 64 steps is a
-    # bound that underflowed to a subnormal float, which ulps of C do not move
-    for _ in range(64):
-        margins = {(t, x): c_star * mv * t ** (-d_exp / 2.0) * math.exp(-dd * dd / (c_star * t)) - p
-                   for t, x, p, dd, mv in points}
-        if min(margins.values()) >= 0:
-            return CVReport(c_star=c_star, d_exponent=d_exp, margins=margins, approximate=approximate)
-        c_star = math.nextafter(c_star, math.inf)
-    raise PreconditionError(f"C* = {c_star!r} cannot be certified: the Gaussian bound underflows at some point")
+        t, p, dd, mv = (np.array([pt[i] for pt in points], dtype=float) for i in (0, 2, 3, 4))
+        if not (mv.min() > 0 and mv.max() < math.inf):
+            raise PreconditionError(f"measure must be finite and positive, got values in [{mv.min()}, {mv.max()}]")
+        a = dd * dd / t
+        moving = a > 0
+        # W0(a/b) = omega(log a - log b), the Wright omega function, since a/b
+        # overflows in the far tail; b = 0 gives C = 0, an infinite b is rejected
+        with np.errstate(divide="ignore", over="ignore"):
+            c = p * t ** (d_exp / 2.0) / mv
+            c[moving] = a[moving] / wrightomega(np.log(a[moving]) - np.log(c[moving]))
+        c_star = float(c.max())
+        if not math.isfinite(c_star):
+            raise PreconditionError(f"no finite constant: t^(d_exp/2) / m(x) overflows at d_exp={d_exp!r}")
+        # omega is good to a few tens of ulps: a margin still < 0 after 64 steps is a
+        # bound that underflowed to a subnormal float, which ulps of C do not move
+        for _ in range(64):
+            margins = {(t, x): c_star * mv * t ** (-d_exp / 2.0) * math.exp(-dd * dd / (c_star * t)) - p
+                       for t, x, p, dd, mv in points}
+            if min(margins.values()) >= 0:
+                return CVReport(c_star=c_star, d_exponent=d_exp, margins=margins, approximate=approximate)
+            c_star = math.nextafter(c_star, math.inf)
+        raise PreconditionError(f"C* = {c_star!r} cannot be certified: the Gaussian bound underflows at some point")
 
 
 def escape_probability(dist: SparseDistribution, distance, alpha) -> Fraction:
@@ -404,7 +407,8 @@ def volume_growth(group: Group, gens: Sequence, t_max: int,
     Raises ``SupportOverflowError`` once the ball holds more than
     ``max_support`` elements.
     """
-    sizes = Counter(word_ball(group, gens, t_max, max_support).values())
+    with _collector_paused():
+        sizes = Counter(word_ball(group, gens, t_max, max_support).values())
     return list(itertools.accumulate(sizes[t] for t in range(t_max + 1)))
 
 
@@ -484,8 +488,9 @@ class SampledPaths(abc.Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return SampledPaths(self.group, self.gens, self.t, self.seed, self._rows[i])
-        steps = map(self.gens.__getitem__, _path_indices(self.seed, self._rows[i], self.t, len(self.gens)))
-        return list(itertools.accumulate(steps, self.group.multiply, initial=self.group.identity))
+        with _collector_paused():
+            steps = map(self.gens.__getitem__, _path_indices(self.seed, self._rows[i], self.t, len(self.gens)))
+            return list(itertools.accumulate(steps, self.group.multiply, initial=self.group.identity))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, abc.Sequence) or isinstance(other, str):
@@ -507,7 +512,8 @@ def _mc_endpoints(group: Group, gens: Sequence, t: int, n_paths: int, seed: int)
     """X_t of each sampled path: its steps folded by ``product``."""
     gens = _sample_gens(group, gens, t, n_paths)
     k = len(gens)
-    return [group.product(gens[j] for j in _path_indices(seed, i, t, k)) for i in range(n_paths)]
+    with _collector_paused():
+        return [group.product(gens[j] for j in _path_indices(seed, i, t, k)) for i in range(n_paths)]
 
 
 @dataclass
@@ -591,13 +597,14 @@ def entropy_estimate(
         raise PreconditionError("t and n_paths must be >= 1")
     step = step_measure(group, gens)
     dist = SparseDistribution.point(group)
-    for _ in range(t):
-        dist = evolve(dist, step, max_support=max_support)
-    endpoints = _mc_endpoints(group, gens, t, n_paths, seed)
-    values = [-dist.log_prob(x) / t for x in endpoints]
-    mean, err = _mean_stderr(values)
-    return EntropyEstimate(value=mean, stderr=err, t=t, n_paths=n_paths, seed=seed,
-                           support=len(dist))
+    with _collector_paused():
+        for _ in range(t):
+            dist = evolve(dist, step, max_support=max_support)
+        endpoints = _mc_endpoints(group, gens, t, n_paths, seed)
+        values = [-dist.log_prob(x) / t for x in endpoints]
+        mean, err = _mean_stderr(values)
+        return EntropyEstimate(value=mean, stderr=err, t=t, n_paths=n_paths, seed=seed,
+                               support=len(dist))
 
 
 # -- the wreath lamp bookkeeping ---------------------------------------------
@@ -619,54 +626,55 @@ def wreath_lamp_identity(paths: Sequence[Sequence]) -> bool:
     """
     from bisect import bisect_left
 
-    for path in paths:
-        if not path or path[0] != _WREATH.identity:
-            raise PreconditionError("paths must start at the identity")
-        # incremental mirror of the lamp configuration: each step touches one
-        # slot, so the per-step invariants cost O(log #lamps) instead of a
-        # full rescan; the mirror is compared against the final element
-        # exactly at the end of the path
-        mirror: Dict[int, int] = {}
-        odd_sum = even_sum = mass = 0
-        prev_shift = 0
-        for s, x in enumerate(path):
-            shift, lamps = x
-            if s > 0:
-                delta = shift - prev_shift
-                if delta == 2:
-                    pos, inc = prev_shift + 1, 1
-                elif delta == -2:
-                    pos, inc = prev_shift, -1
-                else:
-                    raise PreconditionError(
-                        f"step {s} changes the shift by {delta}; paths must come from the lamp pair"
-                    )
-                mirror[pos] = mirror.get(pos, 0) + inc
-                if pos % 2 != 0:
-                    odd_sum += inc
-                else:
-                    even_sum += inc
-                mass += 1 if mirror[pos] * inc > 0 else -1
-                if len(lamps) != len(mirror):
-                    raise PreconditionError(
-                        f"step {s} changes more than one lamp; paths must come from the lamp pair"
-                    )
-                i = bisect_left(lamps, (pos,))
-                if i == len(lamps) or lamps[i][0] != pos or lamps[i][1] != mirror[pos]:
-                    raise PreconditionError(
-                        f"step {s} is not a single-lamp update; paths must come from the lamp pair"
-                    )
-            prev_shift = shift
-            if shift % 2 != 0:
+    with _collector_paused():
+        for path in paths:
+            if not path or path[0] != _WREATH.identity:
+                raise PreconditionError("paths must start at the identity")
+            # incremental mirror of the lamp configuration: each step touches one
+            # slot, so the per-step invariants cost O(log #lamps) instead of a
+            # full rescan; the mirror is compared against the final element
+            # exactly at the end of the path
+            mirror: Dict[int, int] = {}
+            odd_sum = even_sum = mass = 0
+            prev_shift = 0
+            for s, x in enumerate(path):
+                shift, lamps = x
+                if s > 0:
+                    delta = shift - prev_shift
+                    if delta == 2:
+                        pos, inc = prev_shift + 1, 1
+                    elif delta == -2:
+                        pos, inc = prev_shift, -1
+                    else:
+                        raise PreconditionError(
+                            f"step {s} changes the shift by {delta}; paths must come from the lamp pair"
+                        )
+                    mirror[pos] = mirror.get(pos, 0) + inc
+                    if pos % 2 != 0:
+                        odd_sum += inc
+                    else:
+                        even_sum += inc
+                    mass += 1 if mirror[pos] * inc > 0 else -1
+                    if len(lamps) != len(mirror):
+                        raise PreconditionError(
+                            f"step {s} changes more than one lamp; paths must come from the lamp pair"
+                        )
+                    i = bisect_left(lamps, (pos,))
+                    if i == len(lamps) or lamps[i][0] != pos or lamps[i][1] != mirror[pos]:
+                        raise PreconditionError(
+                            f"step {s} is not a single-lamp update; paths must come from the lamp pair"
+                        )
+                prev_shift = shift
+                if shift % 2 != 0:
+                    return False
+                if odd_sum - even_sum != s or mass != s:
+                    return False
+            final = path[-1]
+            _WREATH.validate(final)
+            if tuple(sorted(mirror.items())) != final[1]:
+                raise PreconditionError("path is inconsistent with its own increments")
+            if any(v <= 0 for p, v in final[1] if p % 2 != 0):
                 return False
-            if odd_sum - even_sum != s or mass != s:
+            if any(v >= 0 for p, v in final[1] if p % 2 == 0):
                 return False
-        final = path[-1]
-        _WREATH.validate(final)
-        if tuple(sorted(mirror.items())) != final[1]:
-            raise PreconditionError("path is inconsistent with its own increments")
-        if any(v <= 0 for p, v in final[1] if p % 2 != 0):
-            return False
-        if any(v >= 0 for p, v in final[1] if p % 2 == 0):
-            return False
     return True

@@ -17,6 +17,9 @@ elements is exact:
 from __future__ import annotations
 
 import ast
+import itertools
+import math
+import re
 import struct
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -24,6 +27,10 @@ from operator import add
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InputParseError, StructuralError
+from .weights import MAX_DIGITS
+
+#: one letter of a word, with an optional exponent: ``a``, ``b^-3``
+_LETTER = re.compile(r"(\S)(?:\^([-+]?[0-9]+))?")
 
 
 @dataclass(frozen=True)
@@ -70,16 +77,26 @@ class Group:
     def format_element(self, x) -> str:
         return repr(x)
 
-    def _parse_word(self, text: str, letters: Dict[str, object]):
-        """The product of a word's letters, each mapped to an element by ``letters``; blanks are skipped."""
-        acc = self.identity
-        for ch in text:
-            if ch.isspace():
-                continue
-            if ch not in letters:
-                raise InputParseError(f"bad letter {ch!r} in {self.name} word {text!r}")
-            acc = self.multiply(acc, letters[ch])
-        return acc
+    def _word(self, text: str, letters: Dict[str, object], exponents: bool = False) -> List[Tuple[object, int]]:
+        """(letters[c], n) for each letter c^n of a word, n = 1 for a bare letter.
+
+        Blanks are skipped, and ``id`` alone is the empty word, as
+        ``format_element`` prints the identity.  Exponents are read only when
+        ``exponents`` is set.
+        """
+        if text.strip() == "id":
+            return []
+        word = []
+        for token in _LETTER.finditer(text):
+            letter, n = token.groups()
+            if letter not in letters:
+                raise InputParseError(f"bad letter {letter!r} in {self.name} word {text!r}")
+            if n is not None and not exponents:
+                raise InputParseError(f"{self.name} words take no exponents, got {token[0][:40]!r}")
+            if n is not None and len(n.lstrip("+-")) > MAX_DIGITS:
+                raise InputParseError(f"exponent of more than {MAX_DIGITS} digits in {self.name} word")
+            word.append((letters[letter], 1 if n is None else int(n)))
+        return word
 
     def product(self, elements: Iterable):
         acc = self.identity
@@ -113,6 +130,11 @@ def _literal(text: str):
         raise InputParseError(f"bad element literal {text!r}: {exc}") from exc
 
 
+def _ints(values) -> bool:
+    """Whether every value is exactly an int: a bool, an int subclass, is not."""
+    return all(type(v) is int for v in values)
+
+
 class _IntVector(Group):
     """Elements are length-``d`` integer tuples, written ``[a, b, c]``."""
 
@@ -123,7 +145,7 @@ class _IntVector(Group):
         return (0,) * self.d
 
     def validate(self, x):
-        if not (isinstance(x, tuple) and len(x) == self.d and all(isinstance(v, int) for v in x)):
+        if not (isinstance(x, tuple) and len(x) == self.d and _ints(x)):
             raise StructuralError(f"not a {self.name} element: {x!r}")
         return x
 
@@ -131,7 +153,7 @@ class _IntVector(Group):
         obj = _literal(text)
         if isinstance(obj, int) and self.d == 1:
             obj = (obj,)
-        if not (isinstance(obj, (tuple, list)) and len(obj) == self.d and all(isinstance(v, int) for v in obj)):
+        if not (isinstance(obj, (tuple, list)) and len(obj) == self.d and _ints(obj)):
             raise InputParseError(f"expected a {self.name} element, a vector of {self.d} integers, got {obj!r}")
         return tuple(obj)
 
@@ -241,7 +263,21 @@ class BaumslagSolitar(_IntVector):
         return AbelianImage(free=(k,), torsion=(m % (self.q - 1),), moduli=(self.q - 1,))
 
     def parse_element(self, text: str):
-        return self._parse_word(text, self._letters)
+        """A word in a, A, b, B with optional exponents, such as ``format_element``'s ``a^-1 b^3 a``.
+
+        The product builds powers of q up to the spread of the running
+        a-exponent, so a word whose q^spread, or whose b-exponent, would have
+        more than ``MAX_DIGITS`` digits is a parse error.
+        """
+        word = self._word(text, self._letters, exponents=True)
+        heights = list(itertools.accumulate((n * g[2] for g, n in word), initial=0))
+        if (max(heights) - min(heights)) * math.log10(self.q) > MAX_DIGITS:
+            raise InputParseError(f"the a-exponents of {self.name} word {text[:40]!r} spread past "
+                                  f"q^N of {MAX_DIGITS} digits")
+        x = self.product(tuple(n * v for v in g) for g, n in word)
+        if abs(x[1]) >= 10 ** MAX_DIGITS:
+            raise InputParseError(f"{self.name} word {text[:40]!r} has a b-exponent of more than {MAX_DIGITS} digits")
+        return x
 
     def format_element(self, x) -> str:
         l, m, k = x
@@ -308,11 +344,11 @@ class WreathZZ(Group):
         ok = (
             isinstance(x, tuple)
             and len(x) == 2
-            and isinstance(x[0], int)
+            and type(x[0]) is int
             and isinstance(x[1], tuple)
             and all(
-                isinstance(pv, tuple) and len(pv) == 2 and isinstance(pv[0], int)
-                and isinstance(pv[1], int) and pv[1] != 0
+                isinstance(pv, tuple) and len(pv) == 2 and type(pv[0]) is int
+                and type(pv[1]) is int and pv[1] != 0
                 for pv in x[1]
             )
             and list(x[1]) == sorted(x[1])
@@ -326,9 +362,11 @@ class WreathZZ(Group):
 
     def parse_element(self, text: str):
         obj = _literal(text)
-        if not (isinstance(obj, tuple) and len(obj) == 2 and isinstance(obj[0], int) and isinstance(obj[1], dict)):
-            raise InputParseError(f"expected '(shift, {{pos: val, ...}})', got {text!r}")
-        return self.validate((obj[0], self._pack({int(p): int(v) for p, v in obj[1].items()})))
+        if not (isinstance(obj, tuple) and len(obj) == 2 and type(obj[0]) is int and isinstance(obj[1], dict)
+                and _ints(obj[1]) and _ints(obj[1].values())):
+            raise InputParseError(f"expected '(shift, {{pos: val, ...}})' with int shift, positions and values, "
+                                  f"got {text!r}")
+        return self.validate((obj[0], self._pack(obj[1])))
 
     def format_element(self, x) -> str:
         lamps = "{" + ", ".join(f"{p}: {v}" for p, v in x[1]) + "}"
@@ -415,7 +453,7 @@ class FreeGroup(Group):
     _names = {1: "a", -1: "A", 2: "b", -2: "B"}
 
     def parse_element(self, text: str):
-        return self._parse_word(text, self._letters)
+        return self.product(g for g, _ in self._word(text, self._letters))
 
     def format_element(self, x) -> str:
         return "".join(self._names[v] for v in x) or "id"

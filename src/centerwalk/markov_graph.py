@@ -22,6 +22,7 @@ materialized finite graphs.
 
 from __future__ import annotations
 
+import gc
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -51,6 +52,31 @@ def check_budget(max_support: int) -> None:
         raise PreconditionError(f"max_support must be >= 1, got {max_support}")
 
 
+class _collector_paused:
+    """``with _collector_paused():`` turns CPython's cyclic collector off for the block.
+
+    The bulk element passes (``bfs``, ``evolution.evolve`` and the path
+    replays) allocate one tuple, list or int per element and make no
+    reference cycles, so reference counting alone frees what they drop;
+    the collector would only rescan the long-lived heap while it grows.
+    ``tests/test_evolution.py::test_bulk_passes_make_no_cycles`` guards that
+    premise.  The first collection after a pause scans every object the
+    block made that is still alive, so a block that runs to its function's
+    ``return`` lets the pass's temporaries die first.  The collector is
+    turned off only when it is on, and turned back on in ``__exit__``, also
+    when the block raises, only by the pause that turned it off: a nested
+    pause, or a caller that turned it off itself, leaves it off.
+    """
+
+    def __enter__(self):
+        self._paused = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc):
+        if self._paused:
+            gc.enable()
+
+
 def bfs(sources: Iterable[Vertex], neighbors: Callable[[Vertex], Iterable[Vertex]],
         radius: Optional[int] = None, target: Optional[Vertex] = None,
         *, max_support: int = MAX_SUPPORT) -> Tuple[Dict[Vertex, int], Dict[Vertex, Vertex]]:
@@ -67,29 +93,30 @@ def bfs(sources: Iterable[Vertex], neighbors: Callable[[Vertex], Iterable[Vertex
     if radius is not None and radius < 0:
         raise PreconditionError("radius must be >= 0")
     check_budget(max_support)
-    dist = dict.fromkeys(sources, 0)
-    track = target is not None
-    parent = {x: x for x in dist} if track else {}
-    if track and target in dist:
+    with _collector_paused():
+        dist = dict.fromkeys(sources, 0)
+        track = target is not None
+        parent = {x: x for x in dist} if track else {}
+        if track and target in dist:
+            return dist, parent
+        queue = deque((x, 0) for x in dist)
+        while queue:
+            x, d = queue.popleft()
+            if d == radius:
+                continue
+            d += 1
+            for y in neighbors(x):
+                if y not in dist:
+                    if len(dist) >= max_support:
+                        within = "" if radius is None else f" to radius {radius}"
+                        raise SupportOverflowError(f"search{within} passed {max_support} vertices at distance {d}")
+                    dist[y] = d
+                    if track:
+                        parent[y] = x
+                        if y == target:
+                            return dist, parent
+                    queue.append((y, d))
         return dist, parent
-    queue = deque((x, 0) for x in dist)
-    while queue:
-        x, d = queue.popleft()
-        if d == radius:
-            continue
-        d += 1
-        for y in neighbors(x):
-            if y not in dist:
-                if len(dist) >= max_support:
-                    within = "" if radius is None else f" to radius {radius}"
-                    raise SupportOverflowError(f"search{within} passed {max_support} vertices at distance {d}")
-                dist[y] = d
-                if track:
-                    parent[y] = x
-                    if y == target:
-                        return dist, parent
-                queue.append((y, d))
-    return dist, parent
 
 
 def _bfs_path(neighbors: Callable, x: Vertex, y: Vertex, radius: Optional[int] = None) -> Optional[List[Vertex]]:

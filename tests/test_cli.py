@@ -518,6 +518,14 @@ def test_cli_input_errors_are_json(tmp_path, capsys):
         # a negative radius used to search the whole group
         (["group", "dist", "--group", "z:2", "--gens", "[1,0],[-1,0]", "--element", "[0,1]",
           "--radius=-1"], 3, "validation_error"),
+        # a bool coordinate used to be read as an int and printed as True in results
+        (["group", "dist", "--group", "z:2", "--gens", "[1,0],[-1,0],[0,1],[0,-1]", "--element", "[True,0]",
+          "--radius", "3"], 2, "parse_error"),
+        (["group", "dist", "--group", "z:2", "--gens", "[True,0],[-1,0]", "--element", "[0,1]",
+          "--radius", "3"], 2, "parse_error"),
+        # a lamp position that is not an int used to be truncated, or to end in internal_error
+        (["group", "dist", "--group", "wreath", "--gens", "(1, {}),(0, {0: 1})", "--element", "(0, {'a': 1})",
+          "--radius", "3"], 2, "parse_error"),
         # the unkilled 3-rotation: I - Q is singular
         (["green", "compare", "--graph", "tri.json", "--dec", "tri_dec.json",
           "--trials", "10", "--seed", "1"], 3, "validation_error"),

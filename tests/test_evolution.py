@@ -1,5 +1,6 @@
 """Exact evolution, Monte Carlo, bound fitting, escape, speed, entropy."""
 
+import gc
 import hashlib
 import inspect
 import itertools
@@ -697,3 +698,59 @@ def test_diagonal_decay_refinement():
     dists2 = cw.walk_distributions(Z2, g4, 64)
     sup2 = max(d.t * float(d.prob((0, 0))) for d in dists2 if d.t >= 1)
     assert sup2 <= 1.0
+
+
+# -- the collector pause ------------------------------------------------------
+
+WREATH = cw.WreathZZ()
+
+#: one small call of each bulk pass that pauses the cyclic collector
+PAUSED_PASSES = {
+    "walk_distributions": lambda: cw.walk_distributions(F2, F2_GENS, 6),
+    "word_ball": lambda: cw.word_ball(F2, F2_GENS, 5),
+    "volume_growth": lambda: cw.volume_growth(Z2, ((1, 0), (0, 1)), 8),
+    "cayley_kernel": lambda: cw.cayley_kernel(Z2, ((1, 0), (-1, 0), (0, 1), (0, -1)), radius=4),
+    "mc_sample replay": lambda: list(cw.mc_sample(WREATH, cw.WREATH_LAMP_PAIR, t=60, n_paths=4, seed=2)),
+    "entropy_estimate": lambda: cw.entropy_estimate(F2, F2_GENS, t=5, n_paths=20, seed=1),
+    "fit_cv_constant": lambda: cw.fit_cv_constant(cw.walk_distributions(Z1, SRW_GENS, 12), lambda x: abs(x[0])),
+    "wreath_lamp_identity": lambda: cw.wreath_lamp_identity(
+        cw.mc_sample(WREATH, cw.WREATH_LAMP_PAIR, t=60, n_paths=4, seed=2)),
+}
+
+#: passes that stop at their support budget
+OVERFLOWING_PASSES = {
+    "word_ball": lambda: cw.word_ball(F2, F2_GENS, 9, max_support=50),
+    "walk_distributions": lambda: cw.walk_distributions(F2, F2_GENS, 9, max_support=50),
+    "evolve": lambda: cw.evolve(cw.SparseDistribution.point(F2), cw.step_measure(F2, F2_GENS), max_support=2),
+}
+
+
+@pytest.fixture
+def collector():
+    """Restore the collector's state after the test, whatever the test set it to."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_bulk_passes_restore_the_collector(collector, enabled):
+    (gc.enable if enabled else gc.disable)()
+    for name, run in PAUSED_PASSES.items():
+        run()
+        assert gc.isenabled() is enabled, name
+    for name, run in OVERFLOWING_PASSES.items():
+        with pytest.raises(cw.SupportOverflowError):
+            run()
+        assert gc.isenabled() is enabled, name
+
+
+def test_bulk_passes_make_no_cycles(collector):
+    # the premise that makes the pause safe: reference counting alone frees
+    # everything these passes drop, so a collection right after one finds nothing
+    gc.disable()
+    for name, run in PAUSED_PASSES.items():
+        run()  # the first call may import modules and fill caches
+        gc.collect()
+        run()
+        assert gc.collect() == 0, name

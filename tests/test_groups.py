@@ -278,6 +278,10 @@ def test_element_codecs_round_trip():
     assert bs.format_element((0, 2, 1)) == "b^2 a"
     assert bs.format_element((1, 1, 0)) == "a^-1 b a"
     assert bs.format_element(bs.identity) == "id"
+    assert bs.parse_element("a^-1 b a") == (1, 1, 0)
+    assert bs.parse_element("b^2 a") == bs.parse_element("ab") == (0, 2, 1)
+    assert bs.parse_element(" id ") == bs.identity
+    assert cw.FreeGroup().parse_element("id") == ()
     with pytest.raises(cw.InputParseError):
         bs.parse_element("aX")
     z7 = cw.FiniteCyclic(7)
@@ -295,10 +299,10 @@ def test_element_codecs_round_trip():
         return lambda: tuple(rng.randint(-10 ** 6, 10 ** 6) for _ in range(d))
 
     def free_word():
-        # a nonempty reduced word: F2 prints the identity as "id", which is not a word
-        word, n = [rng.choice((1, -1, 2, -2))], rng.randint(1, 12)
-        while len(word) < n:
-            word.append(rng.choice([v for v in (1, -1, 2, -2) if v != -word[-1]]))
+        # a reduced word, the identity "id" included
+        word = []
+        for _ in range(rng.randint(0, 12)):
+            word.append(rng.choice([v for v in (1, -1, 2, -2) if not word or v != -word[-1]]))
         return tuple(word)
 
     draws = [
@@ -306,6 +310,8 @@ def test_element_codecs_round_trip():
         (cw.IntegerLattice(3), vector(3)),
         (cw.Heisenberg(), vector(3)),
         (wr, lambda: random_element(wr, rng, length=20)),
+        (bs, lambda: random_element(bs, rng, length=20)),
+        (cw.BaumslagSolitar(3), lambda: random_element(cw.BaumslagSolitar(3), rng, length=20)),
         (cw.FreeGroup(), free_word),
         (z7, lambda: rng.randrange(7)),
     ]
@@ -329,6 +335,19 @@ def test_element_codecs_round_trip():
         (cw.IntegerLattice(1), "[1, 2]"),
         (cw.Heisenberg(), "[1, 2, 3, 4]"),
         (cw.IntegerLattice(2), "[1, 'x']"),
+        (cw.IntegerLattice(2), "[True, 0]"),
+        (cw.Heisenberg(), "(0, 0, False)"),
+        (cw.WreathZZ(), "(True, {})"),
+        (cw.WreathZZ(), "(0, {1.5: 1})"),
+        (cw.WreathZZ(), "(0, {1: True})"),
+        (cw.WreathZZ(), "(0, {'a': 1})"),
+        (cw.FreeGroup(), "a^2"),
+        (cw.BaumslagSolitar(2), "a^"),
+        # the product would build 2**20000, past the digits any exponent can print with
+        (cw.BaumslagSolitar(2), "a^-20000 b"),
+        (cw.BaumslagSolitar(2), "b^" + "9" * 5000),
+        # a b-exponent that format_element could not print
+        (cw.BaumslagSolitar(2), "a^14000 b^1" + "0" * 4290),
         (cw.Heisenberg(), "[1.5, 0, 0]"),
         (cw.FreeGroup(), "abc"),
         (cw.BaumslagSolitar(3), "ab-"),
@@ -340,6 +359,9 @@ def test_element_codecs_round_trip():
     for x in ((1, 4, 0), (-1, 1, 0), (2, 0, 1)):
         with pytest.raises(cw.StructuralError, match="non-canonical"):
             cw.BaumslagSolitar(2).validate(x)
+    for group, x in ((cw.IntegerLattice(2), (True, 0)), (cw.WreathZZ(), (0, ((1, True),)))):
+        with pytest.raises(cw.StructuralError):
+            group.validate(x)
 
 
 def test_generator_literal_splitting():

@@ -1,6 +1,7 @@
 """Kernels, cycles, centering verification and the graph metrics."""
 
 import functools
+import gc
 import math
 import operator
 import random
@@ -453,3 +454,25 @@ def test_float_sums_are_plain_left_to_right():
     complete = cw.Kernel({x: {y: 0.1 for y in range(10)} for x in range(10)})
     residuals = cw.invariance_check(complete, cw.Measure.counting()).residuals
     assert residuals[0] == plain - 1 == -1.1102230246251565e-16
+
+
+def test_collector_pause_nests_and_keeps_a_callers_choice():
+    enabled = gc.isenabled()
+    try:
+        gc.enable()
+        with mg._collector_paused():
+            assert not gc.isenabled()
+            with mg._collector_paused():
+                assert not gc.isenabled()
+            assert not gc.isenabled()  # only the pause that turned it off turns it on
+        assert gc.isenabled()
+        with pytest.raises(ZeroDivisionError):
+            with mg._collector_paused():
+                1 / 0
+        assert gc.isenabled()
+        gc.disable()
+        with mg._collector_paused():
+            assert not gc.isenabled()
+        assert not gc.isenabled()  # a collector the caller turned off stays off
+    finally:
+        (gc.enable if enabled else gc.disable)()
