@@ -347,8 +347,8 @@ def cmd_green_compare(args):
     else:
         raise InputParseError("--dec is required with --graph")
     # a Cayley window's outer sphere has depth 1 and lacks in-rows, so the ball
-    # is the window's depth >= 2 part: the ball of radius --radius - 1
-    ball = kernel.window if group is None else kernel.interior_vertices(2)
+    # is the window's part at the support margin: the ball of radius --radius - 1
+    ball = kernel.window if group is None else kernel.interior_vertices(mg.SUPPORT_MARGIN)
     report = df.green_comparison(kernel, mg.Measure.counting(), dec, ball,
                                  trials=args.trials, seed=args.seed)
     rows = sorted(

@@ -17,13 +17,11 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import PreconditionError, StructuralError
-from .markov_graph import CycleDecomposition, Kernel, Measure, Vertex, bfs, lost_mass
+from .markov_graph import (SUPPORT_MARGIN, CycleDecomposition, Kernel, Measure, Vertex, _inward_depth,
+                           _same_window, bfs)
 from .weights import Weight
 
 TestFunction = Mapping[Vertex, Weight]
-
-#: functions must sit at this certified depth before forms are evaluated
-SUPPORT_MARGIN = 2
 
 #: random test functions live on at most TEST_SUPPORT points; the sector search refines its
 #: REFINE_TOP best pairs by up to REFINE_ROUNDS best responses on at most GROW_CAP points
@@ -385,8 +383,7 @@ def _green_rows(kernel: Kernel, sources: Sequence[Vertex]):
     from scipy import sparse
     from scipy.sparse.linalg import splu
 
-    order = kernel.sorted_vertices()
-    index = {x: i for i, x in enumerate(order)}
+    index = {x: i for i, x in enumerate(kernel.window)}
     rows, cols, vals = [], [], []
     for x, row in kernel.float_view.rows.items():
         for y, w in row.items():
@@ -394,7 +391,7 @@ def _green_rows(kernel: Kernel, sources: Sequence[Vertex]):
                 rows.append(index[x])
                 cols.append(index[y])
                 vals.append(w)
-    n = len(order)
+    n = len(index)
     q = sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
     try:
         lu = splu((sparse.identity(n, format="csr") - q).T.tocsc())
@@ -426,15 +423,14 @@ def green_absorbing(kernel: Kernel, x: Vertex) -> Dict[Vertex, float]:
 def symmetrized_kernel(kernel: Kernel, m: Measure) -> Kernel:
     """Q0 = (Q + Q*) / 2 with respect to m on the same window; Q*(x, y) = m(y) Q(y, x) / m(x)."""
     rows: Dict[Vertex, Dict[Vertex, Weight]] = {}
-    for x in kernel.sorted_vertices():
+    for x in kernel.window:
         row: Dict[Vertex, Weight] = {}
         for y, w in kernel.row(x).items():
             row[y] = row.get(y, 0) + w / 2
         for y, w in kernel.in_row(x).items():
             row[y] = row.get(y, 0) + (m(y) * w / m(x)) / 2
         rows[x] = row
-    depth = {x: kernel.depth(x) - 1 for x in kernel.window}
-    return Kernel(rows, depth=depth, substochastic=lost_mass(kernel, rows))
+    return _same_window(kernel, rows)
 
 
 @dataclass
@@ -451,16 +447,13 @@ class GreenReport:
 
 
 def _interior_of_ball(parent: Kernel, killed: Kernel, margin: int) -> List[Vertex]:
-    # distance to the truncation layer: vertices that lost edges when the
-    # parent kernel was restricted to the ball (uniform killing is not a
-    # spatial boundary and does not count)
+    # vertices at least ``margin`` steps from the truncation layer: those that
+    # lost edges when the parent kernel was restricted to the ball (uniform
+    # killing is not a spatial boundary and does not count)
     ball = killed.window
-    leak = [
-        x for x in killed.sorted_vertices()
-        if any(y not in ball for y in parent.row(x))
-    ]
-    dist, _ = bfs(leak, killed.undirected_neighbors)
-    return [x for x in killed.sorted_vertices() if dist.get(x, math.inf) >= margin]
+    leak = [x for x in ball if any(y not in ball for y in parent.row(x))]
+    depth = _inward_depth(ball, leak, killed.undirected_neighbors)
+    return [x for x in ball if depth[x] > margin]
 
 
 def green_comparison(
@@ -481,7 +474,7 @@ def green_comparison(
     ball = set(ball)
     if not ball <= kernel.window:
         raise StructuralError("ball must lie inside the kernel window")
-    shallow = [x for x in kernel.sorted_vertices() if x in ball and kernel.depth(x) < 2]
+    shallow = [x for x in kernel.window if x in ball and kernel.depth(x) < SUPPORT_MARGIN]
     if shallow:
         raise PreconditionError(
             f"ball reaches vertices without complete in-rows, e.g. {shallow[0]!r}"

@@ -15,6 +15,7 @@ import math
 import operator
 import random
 import statistics
+import struct
 import sys
 from collections import Counter, abc
 from dataclasses import dataclass
@@ -174,14 +175,15 @@ class _Translates:
             yield i
 
     def find(self, x) -> int:
-        """x's id, or ``len(elements)`` when x was never interned; a non-element misses."""
+        """The id of the interned element equal to x, as in a dict; ``len(elements)`` for any other value."""
         n, key = len(self.elements), self.group.key
         if key is None:
             return self.index.get(x, n)
         try:
-            return self.index.get(key(self.group.validate(x)), n)
-        except StructuralError:
+            i = self.index.get(key(x), n)
+        except (TypeError, struct.error):
             return n
+        return i if i < n and self.elements[i] == x else n
 
     def _table(self, k: int, n: int):
         """Step k's table, grown to at least n entries, new entries -1."""

@@ -102,12 +102,13 @@ def abelian_c1(group: Group, gens: Sequence) -> Optional[C1Witness]:
 
     On Z^d a witness exists iff the generators sum to zero (n = 1, any
     order).  On Z_p the ordered product always has finite order p' and the
-    blocked p'-to-1 map g_1^p' ... g_K^p' is a witness.
+    blocked p'-to-1 map g_1^p' ... g_K^p' is a witness.  ``c2_check``
+    validates the generators, as in ``c1_search``.
     """
     k = len(gens)
+    report = c2_check(group, gens)
     if isinstance(group, IntegerLattice):
-        total = group.product(gens)
-        if total != group.identity:
+        if not report.holds:
             return None
         return C1Witness(n=1, sigma=tuple(range(1, k + 1)))
     if isinstance(group, FiniteCyclic):

@@ -236,19 +236,19 @@ class BaumslagSolitar(_IntVector):
         return (l, m, k)
 
     def multiply(self, x, y):
-        # combine m1/q^l1 + q^k1 * m2/q^l2 over the common power q^L
+        # m1/q^l1 + q^k1 * m2/q^l2 over the common power q^L; a zero term builds no (huge) power of q
         l1, m1, k1 = x
         l2, m2, k2 = y
         q = self.q
         big_l = max(l1, l2 - k1, 0)
-        m = m1 * q ** (big_l - l1) + m2 * q ** (big_l + k1 - l2)
+        m = (m1 * q ** (big_l - l1) if m1 else 0) + (m2 * q ** (big_l + k1 - l2) if m2 else 0)
         return self._normalize(big_l, m, k1 + k2)
 
     def inverse(self, x):
         l, m, k = x
         q = self.q
         e = l + k
-        if e >= 0:
+        if e >= 0 or not m:
             return self._normalize(e, -m, -k)
         return self._normalize(0, -m * q ** (-e), -k)
 
@@ -437,8 +437,8 @@ class FreeGroup(Group):
         return tuple(-letter for letter in reversed(x))
 
     def validate(self, x):
-        ok = isinstance(x, tuple) and all(
-            isinstance(v, int) and v != 0 and abs(v) <= self.rank for v in x
+        ok = isinstance(x, tuple) and _ints(x) and all(
+            v != 0 and abs(v) <= self.rank for v in x
         ) and all(x[i] != -x[i + 1] for i in range(len(x) - 1))
         if not ok:
             raise StructuralError(f"not a reduced F2 word: {x!r}")
@@ -483,7 +483,7 @@ class FiniteCyclic(Group):
         return (-x) % self.p
 
     def validate(self, x):
-        if not isinstance(x, int) or not 0 <= x < self.p:
+        if not (_ints((x,)) and 0 <= x < self.p):
             raise StructuralError(f"not a Z_{self.p} element: {x!r}")
         return x
 
@@ -500,7 +500,7 @@ class FiniteCyclic(Group):
 
     def parse_element(self, text: str):
         obj = _literal(text)
-        if not isinstance(obj, int):
+        if not _ints((obj,)):
             raise InputParseError(f"expected an integer, got {text!r}")
         return obj % self.p
 

@@ -28,7 +28,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, KeysView, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import PreconditionError, StructuralError, SupportOverflowError
 from .weights import Weight, vanishes
@@ -45,6 +45,10 @@ MAX_SUPPORT = 1_000_000
 #: for a ball vertex (CPython 3.11, x86-64; ``cayley_kernel`` on F2 r = 9 -> 10, Z^3 r = 20 -> 30,
 #: Heisenberg r = 12 -> 16), so a 1 M window would take about 2 GB; Z^2 at r = 315 peaks at 376 MB
 MAX_WINDOW = 200_000
+
+#: certified depth at which a vertex's in-row is complete: its in-neighbors all have
+#: complete rows.  Invariance residuals, form supports and Green balls stay at this depth.
+SUPPORT_MARGIN = 2
 
 
 def check_budget(max_support: int) -> None:
@@ -119,6 +123,12 @@ def bfs(sources: Iterable[Vertex], neighbors: Callable[[Vertex], Iterable[Vertex
         return dist, parent
 
 
+def _inward_depth(vertices: Iterable[Vertex], frontier: Iterable[Vertex], neighbors: Callable) -> Dict[Vertex, float]:
+    """1 + the BFS distance to ``frontier`` under ``neighbors``; inf where no frontier vertex is reachable."""
+    dist, _ = bfs(frontier, neighbors)
+    return {x: dist[x] + 1 if x in dist else math.inf for x in vertices}
+
+
 def _bfs_path(neighbors: Callable, x: Vertex, y: Vertex, radius: Optional[int] = None) -> Optional[List[Vertex]]:
     """Shortest path [x, ..., y] under ``neighbors``; None when y is not within radius."""
     _, parent = bfs([x], neighbors, radius, target=y)
@@ -182,11 +192,8 @@ class Kernel:
                 if w < 0:
                     raise StructuralError(f"negative weight q({x!r}, {y!r}) = {w}")
             self._rows[x] = clean
-        self.window = frozenset(self._rows)
-        self._row_sums: Dict[Vertex, Weight] = {}
         for x, row in self._rows.items():
             s = sum(row.values(), Fraction(0))
-            self._row_sums[x] = s
             if not (vanishes(s - 1) or substochastic and s < 1):
                 raise StructuralError(f"row at {x!r} sums to {s}, " + ("above 1" if substochastic else "not 1"))
         self._in: Dict[Vertex, Dict[Vertex, Weight]] = {x: {} for x in self._rows}
@@ -195,16 +202,16 @@ class Kernel:
                 if y in self._in:
                     self._in[y][x] = w
         if depth is None:
-            self._depth = self._frontier_depth()
+            # fallback: the visible distance to the frontier, exact when no in-edge comes from outside
+            frontier = [x for x, row in self._rows.items() if any(y not in self._rows for y in row)]
+            self._depth = _inward_depth(self._rows, frontier, self.undirected_neighbors)
         else:
             self._depth = {x: depth[x] for x in self._rows}
 
-    def _frontier_depth(self) -> Dict[Vertex, float]:
-        # Fallback convention: depth = visible undirected distance to the
-        # frontier, plus one; exact when no in-edges arrive from outside.
-        frontier = [x for x in self._rows if any(y not in self.window for y in self._rows[x])]
-        dist, _ = bfs(frontier, self.undirected_neighbors)
-        return {x: dist[x] + 1 if x in dist else math.inf for x in self._rows}
+    @property
+    def window(self) -> KeysView:
+        """The vertex set: a read-only view of the row keys, in label order."""
+        return self._rows.keys()
 
     # -- row access ------------------------------------------------------
 
@@ -233,27 +240,24 @@ class Kernel:
 
     def defect(self, x: Vertex) -> Weight:
         """Killing mass 1 - sum(row); zero for stochastic rows."""
-        return 1 - self._row_sums[x]
+        return 1 - sum(self._rows[x].values(), Fraction(0))
 
     def edges(self) -> Iterator[Tuple[Vertex, Vertex, Weight]]:
         for x in self._rows:
             for y, w in self._rows[x].items():
                 yield x, y, w
 
-    def sorted_vertices(self) -> List[Vertex]:
-        return list(self._rows)
-
     def undirected_neighbors(self, x: Vertex) -> List[Vertex]:
         """In-window vertices adjacent to x in the undirected support."""
         seen = set(self._rows.get(x, ())) | set(self._in.get(x, ()))
         seen.discard(x)
-        return sorted(y for y in seen if y in self.window)
+        return sorted(y for y in seen if y in self._rows)
 
     def depth(self, x: Vertex) -> float:
         return self._depth.get(x, 0)
 
     def interior_vertices(self, margin: float = 1) -> List[Vertex]:
-        return [x for x in self.sorted_vertices() if self.depth(x) >= margin]
+        return [x for x in self._rows if self.depth(x) >= margin]
 
     # -- derived kernels ---------------------------------------------------
 
@@ -263,7 +267,7 @@ class Kernel:
         The result is a complete substochastic kernel (depth is infinite:
         there is no unmaterialized state left).
         """
-        keep = set(keep) & self.window
+        keep = {x for x in keep if x in self._rows}
         rows = {x: {y: w for y, w in self._rows[x].items() if y in keep} for x in keep}
         return Kernel(rows, depth={x: math.inf for x in keep}, substochastic=True)
 
@@ -330,10 +334,8 @@ def _window_kernel(origin: Vertex, act: Callable, inverse: Callable, steps: Mapp
         depth = {x: radius - d + 1 for x, d in bfs([origin], neighbors, radius, max_support=max_support)[0].items()}
     else:
         vertices = set(window)
-        # inward BFS from the layer adjacent to the complement
         frontier = [x for x in vertices if any(y not in vertices for y in neighbors(x))]
-        dist = bfs(frontier, lambda x: [y for y in neighbors(x) if y in vertices])[0]
-        depth = {x: dist[x] + 1 if x in dist else math.inf for x in vertices}
+        depth = _inward_depth(vertices, frontier, lambda x: [y for y in neighbors(x) if y in vertices])
 
     rows = {x: {} for x in depth}
     for x, row in rows.items():
@@ -518,7 +520,7 @@ def reversible_decomposition(kernel: Kernel, m: Measure) -> CycleDecomposition:
         gap, e = max(bad, key=lambda ge: ge[0])
         raise PreconditionError(f"detailed balance fails at edge {e!r} by {gap}")
     entries: List[Tuple[Cycle, Weight]] = []
-    for x in kernel.sorted_vertices():
+    for x in kernel.window:
         for y in sorted(kernel.row(x)):
             if y not in kernel.window:
                 continue
@@ -596,8 +598,8 @@ def invariance_check(kernel: Kernel, m: Measure) -> InvarianceReport:
     """Residual sum_x m(x)q(x,y) - m(y) at every vertex whose in-flow is complete."""
     residuals: Dict[Vertex, Weight] = {}
     skipped: List[Vertex] = []
-    for y in kernel.sorted_vertices():
-        if kernel.depth(y) >= 2:
+    for y in kernel.window:
+        if kernel.depth(y) >= SUPPORT_MARGIN:
             residuals[y] = sum((m(x) * w for x, w in kernel.in_row(y).items()), Fraction(0)) - m(y)
         else:
             skipped.append(y)
@@ -678,14 +680,13 @@ def time_reversal(kernel: Kernel, m: Measure) -> Kernel:
 
 
 def adjoint_kernel(kernel: Kernel, m: Measure) -> Kernel:
-    """q*(x, y) = m(y) q(y, x) / m(x) without the invariance precondition.
+    """q*(x, y) = m(y) q(y, x) / m(x) without the invariance precondition, on the same window."""
+    return _same_window(kernel, {y: {x: m(x) * w / m(y) for x, w in kernel.in_row(y).items()}
+                                 for y in kernel.window})
 
-    Every certified depth drops by one, since a row of the adjoint is
-    complete only where the in-row of the kernel is.
-    """
-    rows: Dict[Vertex, Dict[Vertex, Weight]] = {}
-    for y in kernel.sorted_vertices():
-        rows[y] = {x: m(x) * w / m(y) for x, w in kernel.in_row(y).items()}
+
+def _same_window(kernel: Kernel, rows: Mapping[Vertex, Mapping[Vertex, Weight]]) -> Kernel:
+    """``rows``, read from ``kernel``'s in-rows, on its window: complete where those are, so depths drop by one."""
     depth = {x: kernel.depth(x) - 1 for x in kernel.window}
     return Kernel(rows, depth=depth, substochastic=lost_mass(kernel, rows))
 

@@ -61,7 +61,7 @@ def kernel_to_obj(kernel: Kernel) -> dict:
         {"src": encode_vertex(x), "dst": encode_vertex(y), "w": format_weight(w)}
         for x, y, w in kernel.edges()
     ]
-    vertices = [encode_vertex(v) for v in kernel.sorted_vertices()]
+    vertices = [encode_vertex(v) for v in kernel.window]
     obj = {"vertices": vertices, "edges": edges}
     if kernel.substochastic:
         obj["substochastic"] = True

@@ -50,7 +50,7 @@ def test_kernel_json_roundtrip(zwalk):
 def test_kernel_json_roundtrip_keeps_row_order():
     k = cw.step_kernel({1: Fraction(2, 3), -2: Fraction(1, 3)}, radius=12)
     back = ser.kernel_from_obj(ser.kernel_to_obj(k))
-    assert back.sorted_vertices() == k.sorted_vertices()
+    assert list(back.window) == list(k.window)
     for x in k.window:
         assert list(back.row(x)) == list(k.row(x)), x
 
@@ -522,6 +522,9 @@ def test_cli_input_errors_are_json(tmp_path, capsys):
         (["group", "dist", "--group", "z:2", "--gens", "[1,0],[-1,0],[0,1],[0,-1]", "--element", "[True,0]",
           "--radius", "3"], 2, "parse_error"),
         (["group", "dist", "--group", "z:2", "--gens", "[True,0],[-1,0]", "--element", "[0,1]",
+          "--radius", "3"], 2, "parse_error"),
+        (["group", "c2-check", "--group", "zmod:5", "--gens", "True,4"], 2, "parse_error"),
+        (["group", "dist", "--group", "zmod:5", "--gens", "1,4", "--element", "True",
           "--radius", "3"], 2, "parse_error"),
         # a lamp position that is not an int used to be truncated, or to end in internal_error
         (["group", "dist", "--group", "wreath", "--gens", "(1, {}),(0, {0: 1})", "--element", "(0, {'a': 1})",

@@ -161,7 +161,7 @@ def _ref_symmetrized(kernel, m):
     """Reference: (Q + Q*) / 2 through a full adjoint kernel, in the former summation order."""
     adj = adjoint_kernel(kernel, m)
     rows = {}
-    for x in kernel.sorted_vertices():
+    for x in kernel.window:
         row = {}
         for y, w in kernel.row(x).items():
             row[y] = row.get(y, 0) + w / 2

@@ -41,6 +41,12 @@ def test_abelian_c1():
     w5.validate(z5, (1, 1))
     with pytest.raises(cw.PreconditionError):
         cw.abelian_c1(H, H_GENS)
+    # generators are validated as c1_search validates them
+    with pytest.raises(cw.StructuralError):
+        cw.abelian_c1(Z2, [(1, 0, 5), (-1, 0, -5)])
+    for group in (Z2, z5):
+        with pytest.raises(cw.PreconditionError, match="empty generating sequence"):
+            cw.abelian_c1(group, [])
 
 
 def test_c1_search_finds_small_witnesses():
@@ -347,6 +353,16 @@ def test_f2_reduce_known_ordering():
     assert graph.n == 1 and not graph.has_double_edge() and graph.is_acyclic()
 
 
+def test_cancellation_graph_cycles():
+    def graph(n, edges):
+        return cw.CancellationGraph(n=n, edges=tuple(edges), reduced_word=())
+
+    assert graph(5, [(1, 2), (3, 4), (2, 3)]).is_acyclic()
+    assert not graph(3, [(1, 2), (2, 3), (3, 1)]).is_acyclic()
+    doubled = graph(3, [(1, 2), (1, 2)])
+    assert doubled.has_double_edge() and not doubled.is_acyclic()
+
+
 def test_f2_reduce_all_orderings_nonempty():
     for perm in itertools.permutations(range(1, 7)):
         graph = cw.f2_reduce(perm)
@@ -412,7 +428,7 @@ def test_native_label_order_matches_reference_on_word_balls(spec, gens, radius):
 
 def test_native_label_order_matches_reference_on_edges_and_strings():
     kernel = cw.cayley_kernel(H, H_GENS, 4)
-    assert kernel.sorted_vertices() == sorted(kernel.window, key=_reference_sort_key)
+    assert list(kernel.window) == sorted(kernel.window, key=_reference_sort_key)
     edges = [(x, y) for x, y, _ in kernel.edges()]
     assert sorted(edges) == sorted(edges, key=lambda e: tuple(map(_reference_sort_key, e)))
     words = ["v10", "v9", "v09", "a", "", "ab", "a b", "B", "é"]

@@ -352,6 +352,7 @@ def test_element_codecs_round_trip():
         (cw.FreeGroup(), "abc"),
         (cw.BaumslagSolitar(3), "ab-"),
         (z7, "1.5"),
+        (z7, "True"),
     ]
     for group, text in bad:
         with pytest.raises(cw.InputParseError):
@@ -359,9 +360,59 @@ def test_element_codecs_round_trip():
     for x in ((1, 4, 0), (-1, 1, 0), (2, 0, 1)):
         with pytest.raises(cw.StructuralError, match="non-canonical"):
             cw.BaumslagSolitar(2).validate(x)
-    for group, x in ((cw.IntegerLattice(2), (True, 0)), (cw.WreathZZ(), (0, ((1, True),)))):
+    for group, x in ((cw.IntegerLattice(2), (True, 0)), (cw.WreathZZ(), (0, ((1, True),))),
+                     (cw.FreeGroup(), (True,)), (z7, True)):
         with pytest.raises(cw.StructuralError):
             group.validate(x)
+    with pytest.raises(cw.StructuralError):
+        cw.step_measure(cw.FreeGroup(), [(True,), (-1,)])
+
+
+def _bs_reference(q):
+    # the normal-form formulas that build every power of q, zero terms included
+    def normalize(l, m, k):
+        if m == 0:
+            return (0, 0, k)
+        while l > 0 and m % q == 0:
+            m, l = m // q, l - 1
+        return (l, m, k)
+
+    def multiply(x, y):
+        (l1, m1, k1), (l2, m2, k2) = x, y
+        big_l = max(l1, l2 - k1, 0)
+        return normalize(big_l, m1 * q ** (big_l - l1) + m2 * q ** (big_l + k1 - l2), k1 + k2)
+
+    def inverse(x):
+        l, m, k = x
+        e = l + k
+        return normalize(e, -m, -k) if e >= 0 else normalize(0, -m * q ** (-e), -k)
+
+    return multiply, inverse
+
+
+def test_bs_zero_terms_build_no_power_of_q():
+    class SmallPowers(int):
+        # a q that refuses the huge powers that only a zero b-term would need
+        def __pow__(self, n, mod=None):
+            if n > 10 ** 4:
+                raise OverflowError(f"q ** {n}")
+            return int(self) ** n
+
+    big = 3 * 10 ** 7
+    for q in (2, 3):
+        bs = cw.BaumslagSolitar(SmallPowers(q))
+        assert bs.multiply((0, 0, big), (0, 0, big)) == (0, 0, 2 * big)
+        assert bs.multiply((0, 0, -big), (0, 0, big)) == bs.identity
+        assert bs.inverse((0, 0, -big)) == (0, 0, big)
+
+        multiply, inverse = _bs_reference(q)
+        rng = random.Random(f"bs{q}")
+        elements = [random_element(bs, rng, length=24) for _ in range(150)]
+        elements += [(0, 0, k) for k in range(-4, 5)]
+        for x in elements:
+            assert bs.validate(bs.inverse(x)) == inverse(x), x
+            for y in rng.sample(elements, 20):
+                assert bs.validate(bs.multiply(x, y)) == multiply(x, y), (x, y)
 
 
 def test_generator_literal_splitting():
