@@ -17,9 +17,9 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import PreconditionError, StructuralError
-from .markov_graph import (SUPPORT_MARGIN, CycleDecomposition, Kernel, Measure, Vertex, _inward_depth,
-                           _same_window, bfs)
-from .weights import Weight
+from .markov_graph import (SUPPORT_MARGIN, CycleDecomposition, Kernel, Measure, Vertex, _adjoint_rows,
+                           _inward_depth, _same_window, bfs)
+from .weights import Pair, Weight, add, scale
 
 TestFunction = Mapping[Vertex, Weight]
 
@@ -348,14 +348,17 @@ def weighted_form_ratios(
 
 def kernel_step(kernel: Kernel, dist: Mapping[Vertex, Weight]) -> Dict[Vertex, Weight]:
     """One transition of a vertex distribution; mass leaving the window is dropped."""
-    out: Dict[Vertex, Weight] = {}
+    ratio, value = scale(dist.values(), *(kernel.row(x).values() for x in dist))
+    out: Dict[Vertex, Pair] = {}
     for x, p in dist.items():
-        if p == 0:
+        a, b = ratio(p)
+        if a == 0:
             continue
         for y, w in kernel.row(x).items():
             if y in kernel.window:
-                out[y] = out.get(y, 0) + p * w
-    return out
+                c, d = ratio(w)
+                out[y] = add(out[y], (a * c, b * d)) if y in out else (a * c, b * d)
+    return {y: value(n, d) for y, (n, d) in out.items()}
 
 
 def green_partial(kernel: Kernel, x: Vertex, y: Vertex, horizon: int) -> Weight:
@@ -422,14 +425,17 @@ def green_absorbing(kernel: Kernel, x: Vertex) -> Dict[Vertex, float]:
 
 def symmetrized_kernel(kernel: Kernel, m: Measure) -> Kernel:
     """Q0 = (Q + Q*) / 2 with respect to m on the same window; Q*(x, y) = m(y) Q(y, x) / m(x)."""
+    adjoint = _adjoint_rows(kernel, m)
+    ratio, value = scale(kernel.weights(), *(row.values() for row in adjoint.values()))
+    h, k = ratio(Fraction(1, 2))  # halving multiplies: w * 0.5 rounds as w / 2 does
     rows: Dict[Vertex, Dict[Vertex, Weight]] = {}
     for x in kernel.window:
-        row: Dict[Vertex, Weight] = {}
-        for y, w in kernel.row(x).items():
-            row[y] = row.get(y, 0) + w / 2
-        for y, w in kernel.in_row(x).items():
-            row[y] = row.get(y, 0) + (m(y) * w / m(x)) / 2
-        rows[x] = row
+        row: Dict[Vertex, Pair] = {}
+        for part in (kernel.row(x), adjoint[x]):
+            for y, w in part.items():
+                n, d = ratio(w)
+                row[y] = add(row[y], (n * h, d * k)) if y in row else (n * h, d * k)
+        rows[x] = {y: value(n, d) for y, (n, d) in row.items()}
     return _same_window(kernel, rows)
 
 

@@ -28,10 +28,11 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, Dict, Iterable, Iterator, KeysView, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import PreconditionError, StructuralError, SupportOverflowError
-from .weights import Weight, vanishes
+from .weights import Pair, Weight, add, is_finite, scale, total, vanishes
 
 Vertex = object
 Edge = Tuple[Vertex, Vertex]
@@ -147,8 +148,8 @@ class Measure:
         self._values = dict(values) if values else {}
         self._default = default
         for x, v in self._values.items():
-            if v <= 0:
-                raise StructuralError(f"measure must be positive, got m({x!r}) = {v}")
+            if not (v > 0 and is_finite(v)):
+                raise StructuralError(f"measure must be positive and finite, got m({x!r}) = {v}")
 
     @classmethod
     def counting(cls) -> "Measure":
@@ -159,6 +160,10 @@ class Measure:
         if v is None:
             raise PreconditionError(f"measure not defined at vertex {x!r}")
         return v
+
+    def weights(self) -> Iterator[Weight]:
+        """Every value the measure takes: its given values, then its default unless that is None."""
+        return chain(self._values.values(), () if self._default is None else (self._default,))
 
     def __repr__(self) -> str:
         if not self._values:
@@ -186,16 +191,23 @@ class Kernel:
     ):
         self.substochastic = substochastic
         self._rows: Dict[Vertex, Dict[Vertex, Weight]] = {}
+        ratio, value = scale(*(row.values() for row in rows.values()))
+        sums: Dict[Vertex, Pair] = {}
         for x in sorted(rows):
-            clean = {y: w for y, w in dict(rows[x]).items() if w != 0}
-            for y, w in clean.items():
-                if w < 0:
-                    raise StructuralError(f"negative weight q({x!r}, {y!r}) = {w}")
-            self._rows[x] = clean
-        for x, row in self._rows.items():
-            s = sum(row.values(), Fraction(0))
-            if not (vanishes(s - 1) or substochastic and s < 1):
-                raise StructuralError(f"row at {x!r} sums to {s}, " + ("above 1" if substochastic else "not 1"))
+            clean = self._rows[x] = {}
+            num, den = 0, 1
+            for y, w in rows[x].items():
+                n, d = ratio(w)
+                if n != 0:
+                    if n < 0:
+                        raise StructuralError(f"negative weight q({x!r}, {y!r}) = {w}")
+                    clean[y] = w
+                    num, den = (num + n, den) if d == den else add((num, den), (n, d))
+            sums[x] = num, den
+        for x, (num, den) in sums.items():
+            if not (vanishes(num - den) or substochastic and num < den):
+                raise StructuralError(f"row at {x!r} sums to {value(num, den)}, "
+                                      + ("above 1" if substochastic else "not 1"))
         self._in: Dict[Vertex, Dict[Vertex, Weight]] = {x: {} for x in self._rows}
         for x, row in self._rows.items():
             for y, w in row.items():
@@ -240,7 +252,14 @@ class Kernel:
 
     def defect(self, x: Vertex) -> Weight:
         """Killing mass 1 - sum(row); zero for stochastic rows."""
-        return 1 - sum(self._rows[x].values(), Fraction(0))
+        row = self._rows[x].values()
+        ratio, value = scale(row)
+        num, den = total(map(ratio, row))
+        return value(den - num, den)
+
+    def weights(self) -> Iterator[Weight]:
+        """Every weight, row by row."""
+        return chain.from_iterable(map(dict.values, self._rows.values()))
 
     def edges(self) -> Iterator[Tuple[Vertex, Vertex, Weight]]:
         for x in self._rows:
@@ -341,7 +360,7 @@ def _window_kernel(origin: Vertex, act: Callable, inverse: Callable, steps: Mapp
     for x, row in rows.items():
         for s, w in steps.items():
             y = act(x, s)
-            row[y] = row.get(y, 0) + w
+            row[y] = row[y] + w if y in row else w
     return Kernel(rows, depth=depth)
 
 
@@ -389,8 +408,8 @@ class CycleDecomposition:
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple((c, w) for c, w in self.entries))
         for cycle, w in self.entries:
-            if w <= 0:
-                raise StructuralError(f"cycle weight must be positive, got {w}")
+            if not (w > 0 and is_finite(w)):
+                raise StructuralError(f"cycle weight must be positive and finite, got {w}")
 
     @property
     def max_length(self) -> int:
@@ -403,12 +422,21 @@ class CycleDecomposition:
     def __len__(self) -> int:
         return len(self.entries)
 
+    def weights(self) -> Iterator[Weight]:
+        """The cycle weights, in entry order."""
+        return (w for _, w in self.entries)
+
     def coverage(self) -> Dict[Edge, Weight]:
         """Edge -> sum of q_i times the edge's multiplicity in gamma_i."""
-        cov: Dict[Edge, Weight] = {}
+        ratio, value = scale(self.weights())
+        return {e: value(n, d) for e, (n, d) in self._coverage(ratio).items()}
+
+    def _coverage(self, ratio: Callable[[Weight], Pair]) -> Dict[Edge, Pair]:
+        cov: Dict[Edge, Pair] = {}
         for cycle, w in self.entries:
+            p = ratio(w)
             for e in cycle.edges():
-                cov[e] = cov.get(e, 0) + w
+                cov[e] = add(cov[e], p) if e in cov else p
         return cov
 
     def reversed(self) -> "CycleDecomposition":
@@ -478,28 +506,42 @@ def verify_centering(
     cycle force positive transition weight).  The witness is valid when every
     interior residual vanishes.
     """
-    cov = dec.coverage()
+    ratio, value = scale(kernel.weights(), m.weights(), dec.weights())
+    cov = dec._coverage(ratio)
+    window = kernel.window
     for (u, v) in cov:
-        if u not in kernel.window or v not in kernel.window:
+        if u not in window or v not in window:
             raise StructuralError(f"cycle edge ({u!r}, {v!r}) leaves the kernel window")
     c0 = dec.max_length
     residuals: Dict[Edge, Weight] = {}
     zero_covered: List[Edge] = []
-    edges = {(x, y) for x, y, _ in kernel.edges()} | set(cov)
-    for e in sorted(edges):
+    interior: List[Edge] = []
+    boundary: List[Edge] = []
+    valid, worst, source = True, None, None
+    # label order; the kernel's edges come sorted by source, so this sort is mostly one run
+    edges = [(x, y) for x in window for y in sorted(kernel.row(x))]
+    for e in sorted(edges + [e for e in cov if e[1] not in kernel.row(e[0])]):
         x, y = e
-        q = kernel.weight(x, y)
-        residuals[e] = m(x) * q - cov.get(e, 0)
-        if q == 0 and e in cov:
+        if x != source:  # edges come grouped by source
+            source, row, (a, b), deep = x, kernel.row(x), ratio(m(x)), kernel.depth(x) >= c0
+        c, d = ratio(row.get(y, 0))
+        n, k = cov.get(e, (0, 1))
+        num, den = a * c * k - n * b * d, b * d * k
+        residuals[e] = value(num, den)
+        covered_zero = c == 0 and e in cov
+        if covered_zero:
             zero_covered.append(e)
-    interior = [e for e in residuals if kernel.depth(e[0]) >= c0 and e[1] in kernel.window]
-    inside = set(interior)
-    boundary = [e for e in residuals if e not in inside]
-    valid = all(vanishes(residuals[e]) for e in interior) and not any(e in inside for e in zero_covered)
+        if deep and y in window:
+            interior.append(e)
+            valid = valid and (num == 0 or vanishes(num)) and not covered_zero
+            if worst is None or abs(num) * worst[1] > abs(worst[0]) * den:
+                worst = num, den
+        else:
+            boundary.append(e)
     return CenteringReport(
         valid=valid,
         residuals=residuals,
-        max_abs_residual=max((abs(residuals[e]) for e in interior), default=0),
+        max_abs_residual=0 if worst is None else abs(value(*worst)),
         boundary_edges_skipped=boundary,
         zero_weight_covered=zero_covered,
         interior_edges=interior,
@@ -513,9 +555,18 @@ def reversible_decomposition(kernel: Kernel, m: Measure) -> CycleDecomposition:
     with one endpoint outside the window are skipped (they sit on the
     boundary and cannot form an in-window cycle).
     """
-    gaps = ((abs(m(x) * w - m(y) * kernel.weight(y, x)), (x, y))
-            for x, y, w in kernel.edges() if y in kernel.window)
-    bad = [(gap, e) for gap, e in gaps if not vanishes(gap)]
+    ratio, value = scale(kernel.weights(), m.weights())
+
+    def flow(x, y):
+        (a, b), (c, d) = ratio(m(x)), ratio(kernel.weight(x, y))
+        return a * c, b * d
+
+    bad = []
+    for x, y, _ in kernel.edges():
+        if y in kernel.window:
+            (n, d), (k, e) = flow(x, y), flow(y, x)
+            if not vanishes(gap := n * e - k * d):
+                bad.append((abs(value(gap, d * e)), (x, y)))
     if bad:
         gap, e = max(bad, key=lambda ge: ge[0])
         raise PreconditionError(f"detailed balance fails at edge {e!r} by {gap}")
@@ -525,9 +576,9 @@ def reversible_decomposition(kernel: Kernel, m: Measure) -> CycleDecomposition:
             if y not in kernel.window:
                 continue
             if x == y:
-                entries.append((Cycle((x, x)), m(x) * kernel.weight(x, x)))
+                entries.append((Cycle((x, x)), value(*flow(x, x))))
             elif x < y or kernel.weight(y, x) == 0:
-                entries.append((Cycle((x, y, x)), m(x) * kernel.weight(x, y)))
+                entries.append((Cycle((x, y, x)), value(*flow(x, y))))
     return CycleDecomposition(tuple(entries))
 
 
@@ -596,11 +647,22 @@ def circulation_to_cycles(
 
 def invariance_check(kernel: Kernel, m: Measure) -> InvarianceReport:
     """Residual sum_x m(x)q(x,y) - m(y) at every vertex whose in-flow is complete."""
+    ratio, value = scale(kernel.weights(), m.weights())
+    mass: Dict[Vertex, Pair] = {}  # m(x) as a pair, read once per vertex
     residuals: Dict[Vertex, Weight] = {}
     skipped: List[Vertex] = []
-    for y in kernel.window:
-        if kernel.depth(y) >= SUPPORT_MARGIN:
-            residuals[y] = sum((m(x) * w for x, w in kernel.in_row(y).items()), Fraction(0)) - m(y)
+    for y, row in kernel._in.items():
+        if kernel._depth[y] >= SUPPORT_MARGIN:
+            num, den = 0, 1
+            for x, w in row.items():
+                a, b = mass[x] if x in mass else mass.setdefault(x, ratio(m(x)))
+                c, d = ratio(w)
+                if b * d == den:
+                    num += a * c
+                else:
+                    num, den = add((num, den), (a * c, b * d))
+            e, f = mass[y] if y in mass else mass.setdefault(y, ratio(m(y)))
+            residuals[y] = value(num * f - e * den, den * f)
         else:
             skipped.append(y)
     return InvarianceReport(residuals=residuals, boundary_skipped=skipped)
@@ -681,8 +743,20 @@ def time_reversal(kernel: Kernel, m: Measure) -> Kernel:
 
 def adjoint_kernel(kernel: Kernel, m: Measure) -> Kernel:
     """q*(x, y) = m(y) q(y, x) / m(x) without the invariance precondition, on the same window."""
-    return _same_window(kernel, {y: {x: m(x) * w / m(y) for x, w in kernel.in_row(y).items()}
-                                 for y in kernel.window})
+    return _same_window(kernel, _adjoint_rows(kernel, m))
+
+
+def _adjoint_rows(kernel: Kernel, m: Measure) -> Dict[Vertex, Dict[Vertex, Weight]]:
+    """{y: {x: m(x) q(x, y) / m(y)}}, read from the in-rows."""
+    ratio, value = scale(kernel.weights(), m.weights())
+    rows: Dict[Vertex, Dict[Vertex, Weight]] = {}
+    for y in kernel.window:
+        e, f = ratio(m(y))
+        row = rows[y] = {}
+        for x, w in kernel.in_row(y).items():
+            (a, b), (c, d) = ratio(m(x)), ratio(w)
+            row[x] = value(a * c * f, b * d * e)
+    return rows
 
 
 def _same_window(kernel: Kernel, rows: Mapping[Vertex, Mapping[Vertex, Weight]]) -> Kernel:
@@ -693,5 +767,6 @@ def _same_window(kernel: Kernel, rows: Mapping[Vertex, Mapping[Vertex, Weight]])
 
 def lost_mass(kernel: Kernel, rows: Mapping[Vertex, Mapping[Vertex, Weight]]) -> bool:
     """Rows derived from ``kernel`` are substochastic if it is or some row sums below 1."""
-    sums = (sum(row.values(), Fraction(0)) for row in rows.values())
-    return kernel.substochastic or any(s < 1 and not vanishes(s - 1) for s in sums)
+    ratio, _ = scale(*(row.values() for row in rows.values()))
+    sums = (total(map(ratio, row.values())) for row in rows.values())
+    return kernel.substochastic or any(num < den and not vanishes(num - den) for num, den in sums)

@@ -78,7 +78,8 @@ def kernel_from_obj(obj: Mapping) -> Kernel:
             w = parse_weight(e["w"])
             if src not in rows:
                 raise InputParseError(f"edge source {e['src']!r} not among the vertices")
-            rows[src][dst] = rows[src].get(dst, 0) + w
+            row = rows[src]
+            row[dst] = row[dst] + w if dst in row else w
         sorted(set(rows).union(*rows.values()))  # TypeError unless every label compares
     except (KeyError, TypeError, ValueError) as exc:
         raise InputParseError(f"malformed graph object: {exc!r}") from exc

@@ -1,6 +1,7 @@
 """Wire formats and the command-line surface."""
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -449,6 +450,8 @@ def test_cli_input_errors_are_json(tmp_path, capsys):
     half_weights = triangle_graph_obj()
     for edge in half_weights["edges"]:
         edge["w"] = "1/2"
+    nan_weight = triangle_graph_obj()
+    nan_weight["edges"][0]["w"] = math.nan
     (tmp_path / "latin1.json").write_bytes('{"vertices": ["\u00e9"], "edges": []}'.encode("latin-1"))
 
     def nest(label):
@@ -483,6 +486,12 @@ def test_cli_input_errors_are_json(tmp_path, capsys):
         "mixed_flow.json": two_cycle_obj(0, "a"),
         # every row sums to 1/2, so only a killed kernel is valid
         "half.json": {**half_weights, "substochastic": "no"},
+        # json writes and reads these as the literals NaN and Infinity
+        "nan_weight.json": nan_weight,
+        "nan_dec.json": {"cycles": [{"vertices": [0, 1, 2, 0], "weight": math.nan}]},
+        "inf_dec.json": {"cycles": [{"vertices": [0, 1, 2, 0], "weight": math.inf}]},
+        "nan_flow.json": {"edges": [{"src": 0, "dst": 1, "w": math.nan}, {"src": 1, "dst": 0, "w": "1"}]},
+        "inf_flow.json": {"edges": [{"src": 0, "dst": 1, "w": -math.inf}, {"src": 1, "dst": 0, "w": "1"}]},
     }
     for name, obj in files.items():
         (tmp_path / name).write_text(json.dumps(obj))
@@ -591,6 +600,13 @@ def test_cli_input_errors_are_json(tmp_path, capsys):
         # a negative radius used to be ignored by the closed-form metric
         (["walk", "speed", "--group", "z:1", "--gens", "[1],[-1]", "--t", "4", "--paths", "2",
           "--seed", "1", "--radius=-1"], 3, "validation_error"),
+        # non-finite weights used to pass: verify exited 0 with a residual of "nan" or "inf", and the
+        # NaN edge and flow ended in structural_error and validation_error
+        (["centering", "verify", "--graph", "tri.json", "--dec", "nan_dec.json"], 2, "parse_error"),
+        (["centering", "verify", "--graph", "tri.json", "--dec", "inf_dec.json"], 2, "parse_error"),
+        (["centering", "verify", "--graph", "nan_weight.json", "--dec", "tri_dec.json"], 2, "parse_error"),
+        (["centering", "from-flow", "--flow", "nan_flow.json", "--max-len", "2"], 2, "parse_error"),
+        (["centering", "from-flow", "--flow", "inf_flow.json", "--max-len", "2"], 2, "parse_error"),
         # a node budget below 1 used to end in budget_exhausted
         (["group", "c1-search", "--group", "f2", "--gens", "a,A", "--budget", "0"], 3, "validation_error"),
         (["group", "c1-search", "--group", "f2", "--gens", "a,A", "--budget=-5"], 3, "validation_error"),

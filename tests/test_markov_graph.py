@@ -5,6 +5,7 @@ import gc
 import math
 import operator
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -107,6 +108,16 @@ def test_measure_positive():
         cw.Measure({0: 0})
     m = cw.Measure({0: Fraction(2)})
     assert m(0) == 2 and m(99) == 1
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_measure_and_cycle_weights_are_finite(bad):
+    with pytest.raises(cw.StructuralError):
+        cw.Measure({0: bad})
+    with pytest.raises(cw.StructuralError):
+        cw.CycleDecomposition(((cw.Cycle((0, 1, 0)), bad),))
+    with pytest.raises(ValueError):
+        cw.weights.parse_weight(bad)
 
 
 def test_rotation_single_cycle_valid(rotation3, rotation3_dec, counting):
@@ -476,3 +487,231 @@ def test_collector_pause_nests_and_keeps_a_callers_choice():
         assert not gc.isenabled()  # a collector the caller turned off stays off
     finally:
         (gc.enable if enabled else gc.disable)()
+
+
+# -- the exact kernel checks against plain Fraction arithmetic ----------------
+# The oracles below are the checks written with Weight arithmetic, summed left
+# to right from Fraction(0).  On exact inputs the library must give the same
+# values as Fractions; wherever a float enters, the same bits.
+
+SMALL_DENS = (1, 2, 3, 4, 6, 12)
+BIG_PRIMES = (999_999_937, 1_000_000_007, 998_244_353)
+
+
+def _same(a, b):
+    return type(a) is type(b) and a == b
+
+
+def _same_rows(a, b):
+    return list(a) == list(b) and all(list(a[x]) == list(b[x]) and all(map(_same, a[x].values(), b[x].values()))
+                                      for x in a)
+
+
+def _oracle_sum(values):
+    s = Fraction(0)
+    for v in values:
+        s = s + v
+    return s
+
+
+def _oracle_invariance(kernel, m):
+    return {y: _oracle_sum(m(x) * w for x, w in kernel.in_row(y).items()) - m(y)
+            for y in kernel.window if kernel.depth(y) >= mg.SUPPORT_MARGIN}
+
+
+def _oracle_centering(kernel, m, dec):
+    cov = {}
+    for cycle, w in dec:
+        for e in cycle.edges():
+            cov[e] = cov.get(e, 0) + w
+    edges = sorted({(x, y) for x, y, _ in kernel.edges()} | set(cov))
+    residuals = {e: m(e[0]) * kernel.weight(*e) - cov.get(e, 0) for e in edges}
+    c0 = dec.max_length
+    interior = [e for e in edges if kernel.depth(e[0]) >= c0 and e[1] in kernel.window]
+    valid = all(cw.weights.vanishes(residuals[e]) and not (kernel.weight(*e) == 0 and e in cov) for e in interior)
+    return cov, residuals, valid, max((abs(residuals[e]) for e in interior), default=0)
+
+
+def _oracle_adjoint(kernel, m):
+    return {y: {x: m(x) * w / m(y) for x, w in kernel.in_row(y).items()} for y in kernel.window}
+
+
+def _oracle_symmetrized(kernel, m):
+    rows = {}
+    for x in kernel.window:
+        row = {}
+        for y, w in kernel.row(x).items():
+            row[y] = row.get(y, 0) + w / 2
+        for y, w in kernel.in_row(x).items():
+            row[y] = row.get(y, 0) + (m(y) * w / m(x)) / 2
+        rows[x] = row
+    return rows
+
+
+def _oracle_lost_mass(kernel, rows):
+    sums = [_oracle_sum(row.values()) for row in rows.values()]
+    return kernel.substochastic or any(s < 1 and not cw.weights.vanishes(s - 1) for s in sums)
+
+
+def _oracle_green_partial(kernel, x, y, horizon):
+    dist = {x: Fraction(1)}
+    total = dist.get(y, 0)
+    for _ in range(horizon):
+        out = {}
+        for u, p in dist.items():
+            if p != 0:
+                for v, w in kernel.row(u).items():
+                    if v in kernel.window:
+                        out[v] = out.get(v, 0) + p * w
+        dist = out
+        total += dist.get(y, 0)
+    return total
+
+
+def _random_weight(rng, exact):
+    if not exact:
+        return rng.uniform(0.05, 1.0)
+    den = rng.choice(BIG_PRIMES) if rng.random() < 0.2 else rng.choice(SMALL_DENS)
+    return Fraction(rng.randint(1, den), den)
+
+
+def _random_rows(rng, n, exact):
+    """Rows on 0..n-1 with a few targets outside the window; exact rows mix small and prime denominators."""
+    rows = {}
+    for x in range(n):
+        targets = rng.sample(range(n + 2), rng.randint(1, 4))
+        parts = [_random_weight(rng, exact) for _ in targets]
+        total = _oracle_sum(parts)
+        rows[x] = {y: w / total for y, w in zip(targets, parts)}
+        if exact and rng.random() < 0.3:
+            # the last part takes what the others leave, over its own denominator
+            first = dict(list(rows[x].items())[:-1])
+            rows[x] = {**first, targets[-1]: 1 - _oracle_sum(first.values())}
+    return rows
+
+
+def _random_measure(rng, n, kind):
+    if kind == "counting":
+        return cw.Measure.counting()
+    if kind == "exact":
+        return cw.Measure({x: Fraction(rng.randint(1, 9), rng.choice(SMALL_DENS + BIG_PRIMES[:1])) for x in range(n + 2)})
+    return cw.Measure({x: rng.uniform(0.5, 2.0) for x in range(n + 2)})
+
+
+def _random_cycles(rng, n, exact):
+    entries = []
+    for _ in range(rng.randint(0, 6)):
+        vs = rng.sample(range(n), rng.randint(1, min(n, 4)))
+        entries.append((cw.Cycle(tuple(vs) + (vs[0],)), _random_weight(rng, exact)))
+    return cw.CycleDecomposition(tuple(entries))
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_exact_kernel_checks_match_fraction_oracle(seed):
+    rng = random.Random(f"kernel-oracle/{seed}")
+    n = rng.randint(2, 9)
+    exact = seed % 3 != 2
+    rows = _random_rows(rng, n, exact)
+    substochastic = rng.random() < 0.3
+    if substochastic:
+        rows = {x: {y: w * Fraction(rng.randint(1, 4), 4) for y, w in row.items()} for x, row in rows.items()}
+    kernel = cw.Kernel(rows, substochastic=substochastic)
+    for kind in ("counting", "exact", "float"):
+        m = _random_measure(rng, n, kind)
+        residuals = cw.invariance_check(kernel, m).residuals
+        want = _oracle_invariance(kernel, m)
+        assert list(residuals) == list(want) and all(map(_same, residuals.values(), want.values()))
+
+        dec = _random_cycles(rng, n, exact)
+        cov, want, valid, worst = _oracle_centering(kernel, m, dec)
+        report = cw.verify_centering(kernel, m, dec)
+        assert list(report.residuals) == list(want) and all(map(_same, report.residuals.values(), want.values()))
+        assert report.valid == valid and _same(report.max_abs_residual, worst)
+        assert list(dec.coverage().items()) == list(cov.items())
+
+        for build, oracle in ((mg.adjoint_kernel, _oracle_adjoint), (cw.symmetrized_kernel, _oracle_symmetrized)):
+            want_rows = oracle(kernel, m)
+            assert lost_mass(kernel, want_rows) == _oracle_lost_mass(kernel, want_rows)
+            sums = [_oracle_sum(row.values()) for row in want_rows.values()]
+            if all(s <= 1 or cw.weights.vanishes(s - 1) for s in sums):
+                derived = build(kernel, m)
+                assert _same_rows({x: dict(derived.row(x)) for x in derived.window}, want_rows)
+                assert derived.substochastic == lost_mass(kernel, want_rows)
+            else:  # m is far from invariant: some derived row sums above 1
+                with pytest.raises(cw.StructuralError):
+                    build(kernel, m)
+
+    x, y = rng.sample(range(n), 2)
+    assert _same(cw.green_partial(kernel, x, y, 6), _oracle_green_partial(kernel, x, y, 6))
+    for x in kernel.window:
+        assert _same(kernel.defect(x), 1 - _oracle_sum(kernel.row(x).values()))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_row_sum_acceptance_matches_fraction_oracle(seed):
+    rng = random.Random(f"row-sums/{seed}")
+    exact = seed % 4 != 3
+    for _ in range(20):
+        parts = [_random_weight(rng, exact) for _ in range(rng.randint(1, 5))]
+        total = _oracle_sum(parts)
+        row = [w / total for w in parts]
+        if rng.random() < 0.5:
+            # off by a little: an exact slip, or a float one far above rounding
+            row[rng.randrange(len(row))] += rng.choice((1, -1)) * (Fraction(1, rng.choice(BIG_PRIMES)) if exact
+                                                                   else 1e-9)
+        for substochastic in (False, True):
+            s = _oracle_sum(row)
+            want = (min(row) >= 0 and (cw.weights.vanishes(s - 1) or substochastic and s < 1))
+            try:
+                cw.Kernel({0: dict(enumerate(row))}, substochastic=substochastic)
+                accepted = True
+            except cw.StructuralError:
+                accepted = False
+            assert accepted == want, (row, substochastic)
+
+
+def _primes_from(lo, count):
+    """The first ``count`` primes from ``lo`` on, by a sieve of the segment (gaps near 1e8 average 18)."""
+    hi = lo + 30 * count
+    sieve = bytearray([1]) * (hi - lo)
+    for p in range(2, math.isqrt(hi) + 1):
+        start = -lo % p
+        sieve[start::p] = bytes(len(range(start, hi - lo, p)))
+    return [lo + i for i, prime in enumerate(sieve) if prime][:count]
+
+
+def _traced_peak(f):
+    tracemalloc.start()
+    try:
+        result = f()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+#: tracemalloc peaks, in bytes, of ``invariance_check`` and ``verify_centering`` below when every sum
+#: was a Fraction sum (CPython 3.11.7, x86-64); the checks may take at most twice as much
+FRACTION_PEAKS = {"invariance": 2_750_712, "verify": 15_019_312}
+
+
+def test_checks_scale_per_row_not_per_window():
+    # 20 000 rows over distinct 9-digit primes: one window-wide common denominator would give
+    # every numerator about 180 000 digits
+    n = 20_000
+    primes = _primes_from(10**8, n)
+    kernel = cw.Kernel({x: {x: Fraction(1, p), (x + 1) % n: Fraction(p - 1, p)} for x, p in enumerate(primes)})
+    dec = cw.CycleDecomposition(((cw.Cycle(tuple(range(n)) + (0,)), HALF),))
+    m = cw.Measure.counting()
+    peak, inv = _traced_peak(lambda: cw.invariance_check(kernel, m))
+    assert peak <= 2 * FRACTION_PEAKS["invariance"]
+    # the in-flow at y is q(y - 1, y) + q(y, y)
+    same = inv.residuals == {y: Fraction(1, p) - Fraction(1, primes[y - 1]) for y, p in enumerate(primes)}
+    assert same  # a bool, so a failure does not diff 20 000 entries
+    peak, report = _traced_peak(lambda: cw.verify_centering(kernel, m, dec))
+    assert peak <= 2 * FRACTION_PEAKS["verify"]
+    want = {}
+    for x, p in enumerate(primes):
+        want[(x, x)] = Fraction(1, p)
+        want[(x, (x + 1) % n)] = Fraction(p - 1, p) - HALF
+    same = report.residuals == dict(sorted(want.items()))
+    assert same and not report.valid and report.max_abs_residual == Fraction(1, 2) - Fraction(1, primes[-1])
