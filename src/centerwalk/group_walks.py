@@ -139,6 +139,16 @@ def c1_search(
     in the radix n_max + 1; the radix is the same for every n, so a state
     that failed at n still matches at n + 1.  Each group is the set of its
     products, stored by ``group.key`` when the group has one.
+
+    When the group registers a ``Group.norm`` N, each state also carries its
+    room, the sum of N(g_i) over the letters still to be placed.  A child
+    x g_i is dead when N(x g_i) exceeds the room left after g_i: the rest of
+    the word must multiply to (x g_i)^-1, which has the same norm, and by
+    subadditivity its product has norm at most that room.  So no pruned
+    child leads to a witness, the visit order is unchanged, and the first
+    witness met is the one the memo alone would find.  The norm is tested
+    before the memo, so a dead child needs no ``key``.  ``nodes`` counts every
+    child made, whether the norm, the memo or neither rejects it.
     """
     if n_max < 1:
         raise PreconditionError("n_max must be >= 1")
@@ -150,8 +160,9 @@ def c1_search(
     if not report.holds:
         return C1SearchResult(status="not_found", n_checked=n_max, method="abelianization")
 
-    identity, multiply, key = group.identity, group.multiply, group.key
+    identity, multiply, key, norm = group.identity, group.multiply, group.key, group.norm
     place = [(n_max + 1) ** i for i in range(k)]
+    sizes = [0] * k if norm is None else [norm(g) for g in gens]
     failed: Dict[int, set] = {}
     nodes = 0
     for n in range(1, n_max + 1):
@@ -159,8 +170,10 @@ def c1_search(
             continue
         # depth-first state on parallel lists: path holds the 0-based choices,
         # prods and codes the partial product and remaining-counts code of
-        # each state on it; counts is the current state's counts, in place
+        # each state on it; counts and room are the current state's counts
+        # and norm room, in place
         counts = [n] * k
+        room = n * sum(sizes)
         path: List[int] = []
         prods = [identity]
         codes = [n * sum(place)]
@@ -173,10 +186,11 @@ def c1_search(
                     if nodes > node_budget:
                         return C1SearchResult(status="budget_exhausted", n_checked=n - 1, nodes=nodes)
                     child = multiply(prod, gens[i])
-                    nxt = code - place[i]
-                    dead = failed.get(nxt)
-                    if dead is None or (child if key is None else key(child)) not in dead:
-                        break
+                    if norm is None or norm(child) <= room - sizes[i]:
+                        nxt = code - place[i]
+                        dead = failed.get(nxt)
+                        if dead is None or (child if key is None else key(child)) not in dead:
+                            break
                 i += 1
             if i < k:
                 path.append(i)
@@ -186,6 +200,7 @@ def c1_search(
                     return C1SearchResult(status="witness", witness=witness,
                                           n_checked=n, nodes=nodes)
                 counts[i] -= 1
+                room -= sizes[i]
                 prods.append(child)
                 codes.append(nxt)
                 i = 0
@@ -197,6 +212,7 @@ def c1_search(
             failed.setdefault(codes.pop(), set()).add(prod if key is None else key(prod))
             i = path.pop()
             counts[i] += 1
+            room += sizes[i]
             i += 1
     return C1SearchResult(status="not_found", n_checked=n_max, nodes=nodes)
 

@@ -54,6 +54,14 @@ class Group:
     #: hash poorly; None indexes the elements themselves.
     key: Optional[Callable] = None
 
+    #: Optional norm hook for ``group_walks.c1_search``: ``norm(x)`` is an int
+    #: with N(e) = 0, N(x^-1) = N(x) and N(xy) <= N(x) + N(y).  The search
+    #: then drops a partial product whose norm exceeds what the letters still
+    #: to be placed can undo: they must multiply to its inverse, and by
+    #: subadditivity their product has norm at most the sum of theirs.  None
+    #: registers no norm, and the search prunes by its memo alone.
+    norm: Optional[Callable] = None
+
     @property
     def identity(self):
         raise NotImplementedError
@@ -372,10 +380,14 @@ class WreathZZ(Group):
         lamps = "{" + ", ".join(f"{p}: {v}" for p, v in x[1]) + "}"
         return f"({x[0]}, {lamps})"
 
-    def distance_lower_bound(self, x) -> int:
-        # lamp mass plus shift: every lamp unit needs one lamp generator,
-        # every shift unit one translation, in the standard generating set
+    @staticmethod
+    def norm(x) -> int:
+        """|shift| + lamp mass: the shift adds and the lamp masses add at most, so the norm is subadditive."""
         return abs(x[0]) + sum(abs(v) for _, v in x[1])
+
+    # every standard generator (a shift by one, a lamp at 0) has norm 1, so by
+    # subadditivity a word of length L has norm at most L
+    distance_lower_bound = norm
 
 
 #: ``struct`` packers of F2 words by length, filled on first use up to _PACKED_LETTERS
@@ -392,6 +404,9 @@ class FreeGroup(Group):
     name = "F2"
     spec_string = "f2"
     rank = 2
+
+    #: reduced length, the word metric of the free basis
+    norm = staticmethod(len)
 
     @staticmethod
     def key(x):

@@ -23,6 +23,7 @@ materialized finite graphs.
 from __future__ import annotations
 
 import gc
+import heapq
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -142,7 +143,11 @@ def _bfs_path(neighbors: Callable, x: Vertex, y: Vertex, radius: Optional[int] =
 
 
 class Measure:
-    """Positive vertex measure; defaults to the counting measure m(x) = 1."""
+    """Positive vertex measure; defaults to the counting measure m(x) = 1.
+
+    The default, the value off the given vertices, is checked like them: positive
+    and finite, or None for a measure defined only where it is given.
+    """
 
     def __init__(self, values: Optional[Mapping[Vertex, Weight]] = None, default: Optional[Weight] = Fraction(1)):
         self._values = dict(values) if values else {}
@@ -150,6 +155,8 @@ class Measure:
         for x, v in self._values.items():
             if not (v > 0 and is_finite(v)):
                 raise StructuralError(f"measure must be positive and finite, got m({x!r}) = {v}")
+        if default is not None and not (default > 0 and is_finite(default)):
+            raise StructuralError(f"measure default must be positive and finite or None, got {default}")
 
     @classmethod
     def counting(cls) -> "Measure":
@@ -588,11 +595,15 @@ def circulation_to_cycles(
 ) -> CycleDecomposition:
     """Greedy peel of a circulation into edge self-avoiding weighted cycles.
 
-    Repeatedly takes the heaviest remaining edge, closes it through a
-    shortest directed path (BFS, lexicographic tie-break), and peels the
-    minimum weight along that cycle.  Exact under rational arithmetic.  If
-    some extracted cycle is longer than ``max_len`` the result is flagged
-    ``exceeds_max_len`` rather than rejected.
+    Repeatedly takes the heaviest remaining edge, the largest edge among
+    equal weights, closes it through a shortest directed path (BFS,
+    lexicographic tie-break), and peels the minimum weight along that cycle.
+    Exact under rational arithmetic.  If some extracted cycle is longer than
+    ``max_len`` the result is flagged ``exceeds_max_len`` rather than rejected.
+
+    The heaviest edge comes from a lazy max-heap keyed by (weight, rank of
+    the edge in sorted order); a peel pushes each lowered edge again, and an
+    entry whose weight is no longer its edge's residual is skipped.
     """
     residual: Dict[Edge, Weight] = {}
     for e, w in flow.items():
@@ -618,10 +629,15 @@ def circulation_to_cycles(
         residual.pop(e)
         out_edges[e[0]].discard(e[1])
 
+    rank = {e: r for r, e in enumerate(sorted(residual))}
+    heap = [(-w, -rank[e], e) for e, w in residual.items()]
+    heapq.heapify(heap)
     entries: List[Tuple[Cycle, Weight]] = []
     exceeded = False
     while residual:
-        start = max(residual, key=lambda e: (residual[e], e))
+        neg, _, start = heapq.heappop(heap)
+        if residual.get(start) != -neg:
+            continue
         src, dst = start
         if src == dst:
             cycle_vertices: Tuple[Vertex, ...] = (src, src)
@@ -639,6 +655,8 @@ def circulation_to_cycles(
             residual[e] -= qmin
             if vanishes(residual[e]):
                 drop(e)
+            else:
+                heapq.heappush(heap, (-residual[e], -rank[e], e))
         if cycle.length > max_len:
             exceeded = True
         entries.append((cycle, qmin))

@@ -67,9 +67,54 @@ def test_c1_search_respects_c2_obstruction():
 def test_c1_search_f2_exhaustive_small():
     res = cw.c1_search(F2, cw.F2_SEQUENCE, n_max=1)
     assert res.status == "not_found" and res.n_checked == 1
-    assert res.nodes == 1042  # the memoized search visits a fixed set of states
+    assert res.nodes == 321  # the memoized, norm-pruned search visits a fixed set of states
     # independent oracle: every one of the 720 orderings misses the identity
     assert cw.brute_force_c1(F2, cw.F2_SEQUENCE, 1) is None
+
+
+class F2NoNorm(cw.FreeGroup):
+    norm = None
+
+
+class WreathNoNorm(cw.WreathZZ):
+    norm = None
+
+
+def _balanced_sequence(group, letters, rng):
+    """2-4 short random words, the last one making the abelianized sum vanish.
+
+    Half the time the last word inverts the product of the others in a random
+    order, so a witness exists at n = 1; otherwise it inverts their product
+    conjugated by a letter, which keeps the weak condition only.
+    """
+    words = [group.product(rng.choice(letters) for _ in range(rng.randint(1, 3)))
+             for _ in range(rng.randint(1, 3))]
+    order = rng.sample(words, len(words))
+    last = group.inverse(group.product(order))
+    if rng.random() < 0.5:
+        c = rng.choice(letters)
+        last = group.product((c, last, group.inverse(c)))
+    return tuple(words) + (last,)
+
+
+@pytest.mark.parametrize("pruned, plain, letters", [
+    (F2, F2NoNorm(), ((1,), (-1,), (2,), (-2,))),
+    (WR, WreathNoNorm(), ((1, ()), (-1, ()), (0, ((0, 1),)), (0, ((0, -1),)))),
+], ids=["f2", "wreath"])
+def test_c1_search_norm_prune_agrees_with_memo_alone(pruned, plain, letters):
+    # the norm drops only children that lead to no witness: same outcome, never more nodes
+    rng = random.Random(f"norm-prune/{pruned.spec_string}")
+    witnesses = fewer = 0
+    for _ in range(150):
+        gens = _balanced_sequence(pruned, letters, rng)
+        n_max = rng.randint(1, 2)
+        res = cw.c1_search(pruned, gens, n_max=n_max)
+        ref = cw.c1_search(plain, gens, n_max=n_max)
+        assert (res.status, res.witness, res.n_checked) == (ref.status, ref.witness, ref.n_checked)
+        assert res.nodes <= ref.nodes
+        witnesses += res.found
+        fewer += res.nodes < ref.nodes
+    assert 50 < witnesses < 130 and fewer > 30  # both outcomes occur, and the prune bites
 
 
 def test_c1_search_budget_status():
@@ -171,6 +216,9 @@ def test_c1_search_wreath_lamp_pair_refuted():
     # weak condition holds but no product of the pair returns to the identity
     res = cw.c1_search(WR, cw.WREATH_LAMP_PAIR, n_max=2)
     assert res.status == "not_found" and res.n_checked == 2
+    res = cw.c1_search(WR, cw.WREATH_LAMP_PAIR, n_max=8)
+    assert res.status == "not_found" and res.n_checked == 8
+    assert res.nodes == 4852  # 14 848 by the memo alone
     assert cw.brute_force_c1(WR, cw.WREATH_LAMP_PAIR, 1) is None
     assert cw.brute_force_c1(WR, cw.WREATH_LAMP_PAIR, 2) is None
 

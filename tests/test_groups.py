@@ -56,6 +56,34 @@ def test_group_axioms(spec):
         assert group.multiply(x, e) == x and group.multiply(e, x) == x
 
 
+@pytest.mark.parametrize("spec", sorted(s for s, g in GROUPS.items() if g.norm is not None))
+def test_norm_laws(spec):
+    # the laws c1_search's norm prune rests on: N(e) = 0, N(x^-1) = N(x), N(xy) <= N(x) + N(y)
+    group = GROUPS[spec]
+    norm = group.norm
+    rng = random.Random(f"norm/{spec}")
+    assert norm(group.identity) == 0
+    for _ in range(1000):
+        x = random_element(group, rng, length=20)
+        y = random_element(group, rng, length=20)
+        assert type(norm(x)) is int and norm(x) >= 0
+        assert norm(group.inverse(x)) == norm(x)
+        assert norm(group.multiply(x, y)) <= norm(x) + norm(y)
+
+
+def test_norm_registrations():
+    assert {s for s, g in GROUPS.items() if g.norm is not None} == {"f2", "wreath"}
+    for group in (cw.Heisenberg(), cw.BaumslagSolitar(2), cw.FiniteCyclic(5)):
+        assert group.norm is None
+    # the L1 norm of the integer triples is not subadditive on the Heisenberg group:
+    # (1, 0, 0)(0, 1, 0) is (1, 1, 1), of L1 3 > 1 + 1
+    h = cw.Heisenberg()
+    assert sum(map(abs, h.multiply((1, 0, 0), (0, 1, 0)))) == 3
+    wr = cw.WreathZZ()
+    assert wr.norm((2, ((1, 1), (4, -1)))) == wr.distance_lower_bound((2, ((1, 1), (4, -1)))) == 4
+    assert cw.FreeGroup().norm((1, 2, -1)) == 3
+
+
 @pytest.mark.parametrize("spec", sorted(GROUPS))
 def test_canonical_forms_validate(spec):
     group = GROUPS[spec]

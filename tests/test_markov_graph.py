@@ -110,6 +110,22 @@ def test_measure_positive():
     assert m(0) == 2 and m(99) == 1
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0, 0.0, Fraction(0), -1, Fraction(-1, 2), -0.5])
+def test_measure_default_is_positive_and_finite(bad):
+    with pytest.raises(cw.StructuralError, match="default"):
+        cw.Measure(default=bad)
+    with pytest.raises(cw.StructuralError, match="default"):
+        cw.Measure({0: Fraction(2)}, default=bad)
+
+
+def test_measure_default_none_or_positive():
+    assert cw.Measure(default=2)(5) == 2 and cw.Measure(default=0.5)(5) == 0.5
+    partial = cw.Measure({0: Fraction(3)}, default=None)
+    assert partial(0) == 3
+    with pytest.raises(cw.PreconditionError):
+        partial(1)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_measure_and_cycle_weights_are_finite(bad):
     with pytest.raises(cw.StructuralError):
@@ -230,6 +246,45 @@ def test_circulation_self_loop_and_cap():
     square = {e: Fraction(w) for e, w in square.items()}
     dec = cw.circulation_to_cycles(square, max_len=3)
     assert dec.exceeds_max_len and dec.coverage() == square
+
+
+def _max_scan_peel(flow):
+    """The peel with a full scan for the heaviest edge, largest edge on ties: (cycle, weight) pairs."""
+    residual = dict(flow)
+    out = []
+    while residual:
+        src, dst = max(residual, key=lambda e: (residual[e], e))
+        support = lambda u: sorted(y for x, y in residual if x == u)
+        vertices = (src, src) if src == dst else (src,) + tuple(mg._bfs_path(support, dst, src))
+        cycle = cw.Cycle(vertices)
+        qmin = min(residual[e] for e in cycle.edges())
+        for e in cycle.edges():
+            residual[e] -= qmin
+            if cw.weights.vanishes(residual[e]):
+                del residual[e]
+        out.append((cycle.vertices, qmin))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["fraction", "int", "float"])
+def test_circulation_peel_order_matches_max_scan(kind):
+    # few distinct weights, so many edges tie and the largest-edge rule decides
+    make = {"fraction": lambda k: Fraction(k, 4), "int": int, "float": lambda k: k / 4}[kind]
+    rng = random.Random(f"peel/{kind}")
+    ties = 0
+    for _ in range(40):
+        flow = {}
+        for _ in range(rng.randint(1, 12)):
+            vs = rng.sample(range(8), rng.randint(1, 5))
+            w = make(rng.randint(1, 3))
+            for e in zip(vs, vs[1:] + vs[:1]):
+                flow[e] = flow.get(e, 0) + w
+        want = _max_scan_peel(flow)
+        got = [(c.vertices, w) for c, w in cw.circulation_to_cycles(flow, max_len=8)]
+        assert got == want
+        assert [type(w) for _, w in got] == [type(w) for _, w in want]
+        ties += len(set(flow.values())) < len(flow)
+    assert ties > 30
 
 
 def test_circulation_rejects_divergence():
