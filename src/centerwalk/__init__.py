@@ -42,6 +42,7 @@ from .evolution import (
     step_measure,
     volume_growth,
     walk_distributions,
+    walk_laws,
     wreath_lamp_identity,
 )
 from .group_walks import (

@@ -86,6 +86,11 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _laws(args, group, gens, t_max: int):
+    """The stream of mu^0 .. mu^t_max within --prune-eps and --max-support."""
+    return ev.walk_laws(group, gens, t_max, prune_eps=args.prune_eps, max_support=args.max_support)
+
+
 def _word_metric(args, group, gens, radius: int):
     """Word metric over gens and inverses to ``radius``: the closed form, else a ball within --max-support."""
     exact = group.exact_metric(tuple(gw._directions(group, gens)))
@@ -178,28 +183,23 @@ def cmd_group_dist(args):
 
 def cmd_walk_evolve(args):
     group, gens = _group_gens(args)
-    dists = ev.walk_distributions(group, gens, args.tmax,
-                                  prune_eps=args.prune_eps,
-                                  max_support=args.max_support)
     trace = []
-    for d in dists:
+    for d in _laws(args, group, gens, args.tmax):
         trace.append({
             "t": d.t,
             "support": len(d),
             "mass": format_weight(d.total()),
             "p_id": format_weight(d.prob(group.identity)),
         })
-    final = {_label(group, x): format_weight(p) for x, p in dists[-1].items()}
-    results = {"trace": trace, "final": final, "approximate": dists[-1].approximate}
+    final = {_label(group, x): format_weight(p) for x, p in d.items()}
+    results = {"trace": trace, "final": final, "approximate": d.approximate}
     rows = [(r["t"], r["support"], r["mass"], r["p_id"]) for r in trace]
     return results, (("t", "support", "mass", "p_id"), rows)
 
 
 def cmd_walk_cv_fit(args):
     group, gens = _group_gens(args)
-    dists = ev.walk_distributions(group, gens, args.tmax,
-                                  prune_eps=args.prune_eps,
-                                  max_support=args.max_support)
+    dists = list(_laws(args, group, gens, args.tmax))
     report = ev.fit_cv_constant(dists, _word_metric(args, group, gens, args.tmax), d_exp=args.d_exp)
     rows = []
     for d in dists:
@@ -236,18 +236,16 @@ def cmd_walk_escape(args):
     times = _parse_times(args.times)
     if min(times) < 0:
         raise InputParseError(f"times must be >= 0, got {args.times!r}")
-    t_max = max(times)
-    dists = ev.walk_distributions(group, gens, t_max,
-                                  prune_eps=args.prune_eps,
-                                  max_support=args.max_support)
-    metric = _word_metric(args, group, gens, t_max)
     alpha = _fraction("--alpha", args.alpha)
-    rows = []
-    for t in times:
-        val = ev.escape_probability(dists[t], metric, alpha)
-        rows.append((t, format_weight(val)))
+    t_max = max(times)
+    metric = _word_metric(args, group, gens, t_max)
+    tails = {}
+    for d in _laws(args, group, gens, t_max):
+        if d.t in times:
+            tails[d.t] = format_weight(ev.escape_probability(d, metric, alpha))
+    rows = [(t, tails[t]) for t in times]
     results = {"alpha": format_weight(alpha), "trace": [{"t": t, "p": p} for t, p in rows],
-               "approximate": dists[-1].approximate}
+               "approximate": d.approximate}
     return results, (("t", "escape_probability"), rows)
 
 

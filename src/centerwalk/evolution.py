@@ -33,9 +33,10 @@ class SparseDistribution:
 
     The atoms are two aligned sequences: the elements and a numpy object
     array of their Python-int numerators over the int ``denominator``.
-    ``prob``, ``log_prob`` and ``in`` read a table built on the first such
-    call: a list by engine id while the law holds the evolution engine, else
-    an {element: numerator} dict.
+    ``prob``, ``log_prob`` and ``in`` find x's engine id by binary search in
+    the ascending ids of the support while the law holds the evolution
+    engine, and read an {element: numerator} dict built on the first such
+    call once it has released it.
     """
 
     #: True once pruning dropped an atom of this law or of a law it was evolved from
@@ -65,7 +66,7 @@ class SparseDistribution:
 
     def _release(self) -> None:
         """Drop the evolution engine; the law keeps its atoms."""
-        self._ids = self._engine = self._lookup = None
+        self._ids = self._engine = None
 
     @classmethod
     def point(cls, group: Group) -> "SparseDistribution":
@@ -83,18 +84,14 @@ class SparseDistribution:
         return len(self._elements)
 
     def _weight(self, x):
-        """x's numerator, None off the support, from a table built on the first call:
-        a list by engine id while the law holds the evolution engine, else a dict."""
+        """x's numerator, None off the support: by binary search for x's engine id in
+        the ascending ``_ids`` while the law holds the engine, else from a dict."""
+        if self._engine is not None:
+            i = self._engine.find(x)
+            k = self._ids.searchsorted(i)
+            return self._weights[k] if k < len(self._ids) and self._ids[k] == i else None
         if self._lookup is None:
-            if self._engine is None:
-                self._lookup = dict(zip(self._elements, self._weights.tolist())).get
-            else:
-                import numpy as np
-
-                by_id = np.full(len(self._engine.elements), None, dtype=object)
-                by_id[self._ids] = self._weights
-                find, n = self._engine.find, len(by_id)
-                self._lookup = lambda x: by_id[i] if (i := find(x)) < n else None
+            self._lookup = dict(zip(self._elements, self._weights.tolist())).get
         return self._lookup(x)
 
     def __contains__(self, x) -> bool:
@@ -280,6 +277,34 @@ def evolve(
     return law
 
 
+def walk_laws(
+    group: Group,
+    gens: Sequence,
+    t_max: int,
+    prune_eps: Optional[float] = None,
+    max_support: int = MAX_SUPPORT,
+) -> Iterator[SparseDistribution]:
+    """mu^0 .. mu^t_max, one law at a time, each within ``max_support``; see ``evolve`` for pruning.
+
+    Each law is yielded while it holds the evolution engine, so its keyed
+    lookups go through the engine, and released once the next law is
+    computed; the last one when the consumer resumes past it.  A consumer
+    that keeps only what it reads of each law holds one law at a time.  The
+    collector is never paused across a ``yield`` (``evolve`` pauses itself),
+    so an abandoned stream leaves it as it was.
+    """
+    if t_max < 0:
+        raise PreconditionError(f"t_max must be >= 0, got {t_max}")
+    step = step_measure(group, gens)
+    law = SparseDistribution.point(group)
+    yield law
+    for _ in range(t_max):
+        law, last = evolve(law, step, prune_eps=prune_eps, max_support=max_support), law
+        last._release()
+        yield law
+    law._release()
+
+
 def walk_distributions(
     group: Group,
     gens: Sequence,
@@ -287,17 +312,9 @@ def walk_distributions(
     prune_eps: Optional[float] = None,
     max_support: int = MAX_SUPPORT,
 ) -> List[SparseDistribution]:
-    """mu^0 .. mu^t_max as a list, each law within ``max_support``; see ``evolve`` for pruning."""
-    if t_max < 0:
-        raise PreconditionError(f"t_max must be >= 0, got {t_max}")
-    step = step_measure(group, gens)
-    out = [SparseDistribution.point(group)]
+    """mu^0 .. mu^t_max as a list: the whole of ``walk_laws``."""
     with _collector_paused():
-        for _ in range(t_max):
-            out.append(evolve(out[-1], step, prune_eps=prune_eps, max_support=max_support))
-            out[-2]._release()
-    out[-1]._release()
-    return out
+        return list(walk_laws(group, gens, t_max, prune_eps, max_support))
 
 
 # -- Gaussian bound fitting ---------------------------------------------------
@@ -597,11 +614,9 @@ def entropy_estimate(
     """Mean of -(1/t) log mu^t(X_t) over sampled paths, with exact mu^t."""
     if t < 1 or n_paths < 1:
         raise PreconditionError("t and n_paths must be >= 1")
-    step = step_measure(group, gens)
-    dist = SparseDistribution.point(group)
     with _collector_paused():
-        for _ in range(t):
-            dist = evolve(dist, step, max_support=max_support)
+        # the law keeps its engine: the stream is left before it releases mu^t
+        dist = next(itertools.islice(walk_laws(group, gens, t, max_support=max_support), t, None))
         endpoints = _mc_endpoints(group, gens, t, n_paths, seed)
         values = [-dist.log_prob(x) / t for x in endpoints]
         mean, err = _mean_stderr(values)

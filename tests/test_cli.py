@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -183,10 +184,14 @@ def test_cli_walk_commands(tmp_path):
                      "--gens", "[1],[-1],[1]", "--tmax", "8", "--d-exp=30")
     assert report["results"]["violated"] is False and report["results"]["min_margin"] >= 0
     assert isinstance(report["results"]["c_star"], float) and report["results"]["c_star"] > 1e12
+    # each tail is read as its law passes, in the given order and with repeats
     report = run_cli(tmp_path, "walk", "escape", "--group", "z:1",
-                     "--gens", "[1],[1],[-2]", "--alpha", "1/2", "--times", "4,8")
-    trace = report["results"]["trace"]
-    assert [row["t"] for row in trace] == [4, 8]
+                     "--gens", "[1],[1],[-2]", "--alpha", "1/3", "--times", "6,2,6")
+    laws = cw.walk_distributions(cw.IntegerLattice(1), ((1,), (1,), (-2,)), 6)
+    tails = [cw.escape_probability(laws[t], lambda x: abs(x[0]), Fraction(1, 3)) for t in (6, 2, 6)]
+    assert report["results"]["trace"] == [{"t": t, "p": weights.format_weight(p)}
+                                          for t, p in zip((6, 2, 6), tails)]
+    assert tails[0] != tails[1]
     report = run_cli(tmp_path, "walk", "speed", "--group", "z:1",
                      "--gens", "[1],[1],[-1]", "--t", "500", "--paths", "50", "--seed", "4")
     assert abs(report["results"]["speed"] - 1 / 3) < 0.05
@@ -357,6 +362,21 @@ def test_cli_fit_and_escape_use_the_closed_form_metric(tmp_path, monkeypatch, ca
         assert main(argv) == 5, argv
         assert json.loads(capsys.readouterr().err)["error"]["code"] == "support_overflow"
     assert main(["walk", "evolve", *heis, "--tmax", "12", "--out", str(tmp_path / "laws.json")]) == 0
+
+
+def test_cli_evolve_holds_one_law_at_a_time(tmp_path):
+    # the 61 laws held at once took a traced peak of about 6 MB; the stream holds about 1 MB
+    heis = ["walk", "evolve", "--group", "heisenberg", "--gens", "[1,0,0],[0,1,0],[-1,0,0],[0,-1,0]",
+            "--prune-eps", "1e-4", "--out", str(tmp_path / "laws.json")]
+    # a first small run imports numpy, which the engine loads on first use
+    assert main(heis + ["--tmax", "2"]) == 0
+    tracemalloc.start()
+    try:
+        assert main(heis + ["--tmax", "60"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 2 ** 20
 
 
 def test_cli_escape_flags_a_pruned_law_approximate(tmp_path):

@@ -107,8 +107,8 @@ def test_entropy_default_budget_is_the_shared_constant():
     funcs = [f for f in vars(cw).values() if inspect.isfunction(f)] + [mg.bfs]
     params = {f.__name__: inspect.signature(f).parameters for f in funcs}
     budgets = {name: ps["max_support"].default for name, ps in params.items() if "max_support" in ps}
-    assert set(budgets) == {"bfs", "word_ball", "volume_growth", "evolve", "walk_distributions",
-                            "entropy_estimate"}
+    assert set(budgets) == {"bfs", "word_ball", "volume_growth", "evolve", "walk_laws",
+                            "walk_distributions", "entropy_estimate"}
     assert all(default == MAX_SUPPORT for default in budgets.values())
 
 
@@ -264,7 +264,7 @@ def test_law_keyed_access_after_release():
     assert d.log_prob((6, 0)) == pytest.approx(-6 * math.log(4))
     with pytest.raises(cw.PreconditionError, match="outside the support"):
         d.log_prob((7, 0))
-    # while a law holds the engine, keyed access goes through the engine's index
+    # while a law holds the engine, keyed access finds the engine id in the law's ids
     step = cw.step_measure(Z2, WALKS["z2"][1])
     live = cw.evolve(cw.evolve(cw.SparseDistribution.point(Z2), step, prune_eps=0.1), step)
     ref = cw.evolve(cw.evolve(cw.SparseDistribution.point(Z2), step, prune_eps=0.1), step)
@@ -273,13 +273,13 @@ def test_law_keyed_access_after_release():
     for x in [(0, 0), (1, 1), (2, 0), (1, 0), (7, 0), (-2, 0)]:
         assert (x in live, live.prob(x)) == (x in ref, ref.prob(x))
         assert type(live.prob(x)) is Fraction
-    # a list by engine id, not a dict over the support
-    assert not isinstance(getattr(live._lookup, "__self__", None), dict)
+    # by binary search: no table, neither by engine id nor a dict over the support
+    assert live._lookup is None
     exact = cw.evolve(cw.evolve(cw.SparseDistribution.point(Z2), step), step)
     for x in [(0, 0), (1, 1), (2, 0), (1, 0), (7, 0)]:
         assert (x in exact, exact.prob(x)) == (x in dists[2], dists[2].prob(x))
     assert exact.log_prob((2, 0)) == dists[2].log_prob((2, 0))
-    assert not isinstance(getattr(exact._lookup, "__self__", None), dict)
+    assert exact._lookup is None
 
 
 #: SHA-256 of [(t, denominator, list(numerators()))] of walk_distributions, recorded
@@ -301,9 +301,9 @@ def test_engine_laws_are_pinned(walk):
     # the atoms and their order: translates filled from a step's inverse never
     # change which ids are new, nor the order in which they are interned
     group, gens, t_max, digest = PINNED_LAWS[walk]
-    laws = cw.walk_distributions(group, gens, t_max)
-    atoms = [(d.t, d.denominator, list(d.numerators())) for d in laws]
-    assert hashlib.sha256(repr(atoms).encode()).hexdigest() == digest
+    for laws in (cw.walk_distributions(group, gens, t_max), cw.walk_laws(group, gens, t_max)):
+        atoms = [(d.t, d.denominator, list(d.numerators())) for d in laws]
+        assert hashlib.sha256(repr(atoms).encode()).hexdigest() == digest
 
 
 def test_engine_fills_inverse_translates():
@@ -707,6 +707,7 @@ WREATH = cw.WreathZZ()
 #: one small call of each bulk pass that pauses the cyclic collector
 PAUSED_PASSES = {
     "walk_distributions": lambda: cw.walk_distributions(F2, F2_GENS, 6),
+    "abandoned walk_laws": lambda: list(itertools.islice(cw.walk_laws(F2, F2_GENS, 50), 3)),
     "word_ball": lambda: cw.word_ball(F2, F2_GENS, 5),
     "volume_growth": lambda: cw.volume_growth(Z2, ((1, 0), (0, 1)), 8),
     "cayley_kernel": lambda: cw.cayley_kernel(Z2, ((1, 0), (-1, 0), (0, 1), (0, -1)), radius=4),
@@ -721,6 +722,7 @@ PAUSED_PASSES = {
 OVERFLOWING_PASSES = {
     "word_ball": lambda: cw.word_ball(F2, F2_GENS, 9, max_support=50),
     "walk_distributions": lambda: cw.walk_distributions(F2, F2_GENS, 9, max_support=50),
+    "walk_laws": lambda: list(cw.walk_laws(F2, F2_GENS, 9, max_support=50)),
     "evolve": lambda: cw.evolve(cw.SparseDistribution.point(F2), cw.step_measure(F2, F2_GENS), max_support=2),
 }
 
