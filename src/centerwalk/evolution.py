@@ -9,6 +9,7 @@ lost an atom is flagged approximate.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import math
@@ -17,7 +18,7 @@ import random
 import statistics
 import struct
 import sys
-from collections import Counter, abc
+from collections import Counter, abc, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -140,10 +141,13 @@ class _Translates:
     """Interned group elements and their right translates by fixed steps.
 
     Every element met gets an integer id once, through ``group.key`` when the
-    group sets that hook.  ``x·g`` is computed once per (id, step) and kept in
-    one numpy ``int32`` table per step (half the memory of ``intp``; a support
-    of 2**31 elements cannot be held anyway), indexed by the id of x (-1 where
-    not yet computed).  When g's inverse is a step too, computing y = x·g also
+    group sets that hook, and ``elements[i]`` is the element of id i.  Ids are
+    handed out a batch at a time (``ids``), so a slot whose batch entry was
+    already interned is dead: its element is ``None`` and no id points at
+    it.  ``x·g`` is computed once per (id, step) and kept in one numpy
+    ``int32`` table per step (half the memory of ``intp``; a support of 2**31
+    elements cannot be held anyway), indexed by the id of x (-1 where not yet
+    computed or dead).  When g's inverse is a step too, computing y = x·g also
     fills the inverse's table at y with x, so translates back into a support
     cost no multiplication.
     """
@@ -160,16 +164,26 @@ class _Translates:
         #: the index of each step's inverse among the steps, None when it is not one
         self.inverses = [position.get(group.inverse(g)) for g in steps]
 
-    def ids(self, xs: List) -> Iterator[int]:
-        """Yield the id of each x of the list xs, giving a new x the next free id."""
-        elements, setdefault, key = self.elements, self.index.setdefault, self.group.key
-        n = len(elements)
-        for x, k in zip(xs, xs if key is None else map(key, xs)):
-            i = setdefault(k, n)
-            if i == n:
-                elements.append(x)
-                n += 1
-            yield i
+    def ids(self, xs: List):
+        """The ids of the elements of the list xs, as an ``intp`` array, in one C-level pass.
+
+        With n = len(elements), xs[j] is given the provisional id n + j, which
+        it keeps when it is new: the ids of new elements ascend in the order
+        they first occur.  An xs[j] already interned, before this batch or
+        earlier in it, gets its id and leaves slot n + j dead (``None``), so
+        the duplicate is not kept.
+        """
+        import numpy as np
+
+        elements, index, key = self.elements, self.index, self.group.key
+        n, m, known = len(elements), len(xs), len(index)
+        ids = np.fromiter(map(index.setdefault, xs if key is None else map(key, xs), itertools.count(n)),
+                          np.intp, m)
+        elements.extend(xs)
+        if len(index) - known < m:
+            dead = np.flatnonzero(ids != np.arange(n, n + m)) + n
+            deque(map(elements.__setitem__, dead.tolist(), itertools.repeat(None)), maxlen=0)
+        return ids
 
     def find(self, x) -> int:
         """The id of the interned element equal to x, as in a dict; ``len(elements)`` for any other value."""
@@ -198,16 +212,15 @@ class _Translates:
         interned, so new ids come in the same order as when every entry is
         computed.
         """
-        import numpy as np
-
-        mul, n = self.group.multiply, len(self.elements)
+        mul, elements = self.group.multiply, self.elements
+        n = len(elements)
         for k, (g, inv) in enumerate(zip(self.steps, self.inverses)):
             table = self._table(k, n)
             fresh = ids[table[ids] < 0]
-            ys = list(map(mul, map(self.elements.__getitem__, fresh), itertools.repeat(g)))
-            table[fresh] = y_ids = np.fromiter(self.ids(ys), np.int32, len(ys))
+            ys = list(map(mul, map(elements.__getitem__, fresh.tolist()), itertools.repeat(g)))
+            table[fresh] = y_ids = self.ids(ys)
             if inv is not None:
-                self._table(inv, len(self.elements))[y_ids] = fresh
+                self._table(inv, len(elements))[y_ids] = fresh
         return self.tables
 
 
@@ -226,12 +239,16 @@ def evolve(
     The result is ``approximate`` once an atom was dropped, here or in an
     input; a threshold that drops nothing changes nothing.
 
-    The step is one gather-add per step atom g with weight c:
-    ``new[table_g[ids]] += weights * c`` over the ids of dist's support in a
-    ``_Translates`` engine.  A right translation is injective, so no index
-    repeats within one gather.  The result carries the engine, so the next
-    step by the same atoms reuses every translate already computed.  A
-    result of more than ``max_support`` atoms raises ``SupportOverflowError``.
+    The ids of dist's support in a ``_Translates`` engine are translated by
+    every step atom; a boolean mark of the tables' targets gives the new
+    support as ascending ids.  The step is then one gather-add per step atom g
+    with weight c, ``new[position[table_g[ids]]] += weights * c``, into an
+    object array the length of that support, so dead slots and the elements
+    of the other parity cost no object work.  A right translation is
+    injective, so no index repeats within one gather.  The result carries the
+    engine, so the next step by the same atoms reuses every translate already
+    computed.  A result of more than ``max_support`` atoms raises
+    ``SupportOverflowError``.
     """
     if dist.group.spec_string != step.group.spec_string:
         raise PreconditionError(
@@ -246,16 +263,20 @@ def evolve(
         engine = dist._engine
         if engine is None or engine.steps != step._elements:
             engine = _Translates(dist.group, step._elements)
-            ids = np.fromiter(engine.ids(dist._elements), np.intp, len(dist))
+            ids = engine.ids(dist._elements)
         else:
             ids = dist._ids
         tables = engine.translate(ids)
+        mark = np.zeros(len(engine.elements), dtype=bool)
+        for table in tables:
+            mark[table[ids]] = True
+        support = np.flatnonzero(mark)
+        position = np.empty(len(mark), dtype=np.int32)
+        position[support] = np.arange(len(support), dtype=np.int32)
         weights = dist._weights
-        acc = np.zeros(len(engine.elements), dtype=object)
+        new = np.zeros(len(support), dtype=object)
         for table, c in zip(tables, step._weights.tolist()):
-            acc[table[ids]] += weights if c == 1 else weights * c
-    support = np.flatnonzero(acc)
-    new = acc[support]
+            new[position[table[ids]]] += weights if c == 1 else weights * c
     den = dist._den * step._den
     approximate = dist.approximate or step.approximate
     if prune_eps is not None:
@@ -270,6 +291,8 @@ def evolve(
     if len(support) > max_support:
         hint = " or enable pruning" if prune_eps is None else ""
         raise SupportOverflowError(f"support {len(support)} exceeds {max_support}; use a smaller t{hint}")
+    # support's numpy ints are read one at a time: a list of Python ints as long as the
+    # support, made while both laws are alive, raised the peak RSS of long walks
     law = SparseDistribution._atoms(
         dist.group, dist.t + step.t, list(map(engine.elements.__getitem__, support)), new,
         den, support, engine)
@@ -338,6 +361,10 @@ class CVReport:
         return self.min_margin < 0
 
 
+def _no_distance(x) -> PreconditionError:
+    return PreconditionError(f"no distance recorded for support point {x!r}")
+
+
 def _distance_fn(distance) -> Callable:
     if callable(distance):
         return distance
@@ -346,7 +373,7 @@ def _distance_fn(distance) -> Callable:
         try:
             return distance[x]
         except KeyError:
-            raise PreconditionError(f"no distance recorded for support point {x!r}") from None
+            raise _no_distance(x) from None
 
     return look
 
@@ -364,29 +391,50 @@ def fit_cv_constant(
     and a / W0(a/b) otherwise (Lambert W, principal branch; Corless et al.,
     1996).  C* is their maximum, stepped up with ``math.nextafter`` until
     every margin, rounded as reported, is >= 0.
+
+    The points are the (t, x) of the laws with t >= 1, in law order.  Their
+    columns are built by C-level maps: p = n / denominator, the distance (a
+    table's item or the callable's value) and the measure, which are
+    called point by point, distance first, as a loop over the points would.
+    A margin is c m(x) t^(-d_exp/2) exp(-d(x)^2 / (c t)) - p with the
+    operations of that loop: float64 array products, -d(x) * d(x) taken
+    exactly before it is rounded, t^(-d_exp/2) from ``pow`` once per t, and
+    ``math.exp`` at each point, so every margin has the bits of libm's exp.
     """
     import numpy as np
     from scipy.special import wrightomega
 
     if not math.isfinite(d_exp):
         raise PreconditionError(f"d_exp must be finite, got {d_exp!r}")
-    dist_fn = _distance_fn(distance)
-    mval = m if m is not None else (lambda x: 1.0)
-    points: List[Tuple[int, object, float, int, float]] = []
-    approximate = False
+    get = distance if callable(distance) else functools.partial(operator.getitem, distance)
+    laws = [d for d in dists if d.t >= 1]
+    keys: List[Tuple[int, object]] = []
+    ps: List[float] = []
+    columns: List = []  # d(x) and float(m(x)) of each point, interleaved
     with _collector_paused():
-        for d in dists:
-            if d.t < 1:
-                continue
-            approximate = approximate or d.approximate
-            for x, n in d.numerators():
-                points.append((d.t, x, n / d.denominator, dist_fn(x), float(mval(x))))
-        if not points:
+        for d in laws:
+            xs = d._elements
+            keys += zip(itertools.repeat(d.t), xs)
+            ps += map(operator.truediv, d._weights.tolist(), itertools.repeat(d._den))
+            at_d, at_m = iter(xs), iter(xs)
+            try:
+                columns += itertools.chain.from_iterable(
+                    zip(map(get, at_d), itertools.repeat(1.0) if m is None else map(float, map(m, at_m))))
+            except KeyError:
+                # the table raised when the distance has taken one point more than the measure
+                if get is distance or operator.length_hint(at_d) == operator.length_hint(at_m):
+                    raise
+                raise _no_distance(xs[len(xs) - operator.length_hint(at_d) - 1]) from None
+        if not keys:
             raise PreconditionError("no distributions with t >= 1 given")
-        if max(pt[0] for pt in points) ** (-abs(d_exp) / 2.0) < sys.float_info.min:
+        times = [d.t for d in laws]
+        sizes = [len(d._elements) for d in laws]
+        if max(itertools.compress(times, sizes)) ** (-abs(d_exp) / 2.0) < sys.float_info.min:
             raise PreconditionError(f"t^(d_exp/2) leaves the normal float range at d_exp={d_exp!r}")
 
-        t, p, dd, mv = (np.array([pt[i] for pt in points], dtype=float) for i in (0, 2, 3, 4))
+        distances = columns[0::2]
+        t = np.repeat(np.array(times, dtype=float), sizes)
+        p, dd, mv = (np.array(col, dtype=float) for col in (ps, distances, columns[1::2]))
         if not (mv.min() > 0 and mv.max() < math.inf):
             raise PreconditionError(f"measure must be finite and positive, got values in [{mv.min()}, {mv.max()}]")
         a = dd * dd / t
@@ -399,13 +447,17 @@ def fit_cv_constant(
         c_star = float(c.max())
         if not math.isfinite(c_star):
             raise PreconditionError(f"no finite constant: t^(d_exp/2) / m(x) overflows at d_exp={d_exp!r}")
+        exponent = np.array(list(map(operator.mul, map(operator.neg, distances), distances)), dtype=float)
+        scale = np.repeat([pow(s, -d_exp / 2.0) for s in times], sizes)
         # omega is good to a few tens of ulps: a margin still < 0 after 64 steps is a
         # bound that underflowed to a subnormal float, which ulps of C do not move
         for _ in range(64):
-            margins = {(t, x): c_star * mv * t ** (-d_exp / 2.0) * math.exp(-dd * dd / (c_star * t)) - p
-                       for t, x, p, dd, mv in points}
+            with np.errstate(all="ignore"):
+                decay = np.fromiter(map(math.exp, (exponent / (c_star * t)).tolist()), float, len(keys))
+                margins = dict(zip(keys, (c_star * mv * scale * decay - p).tolist()))
             if min(margins.values()) >= 0:
-                return CVReport(c_star=c_star, d_exponent=d_exp, margins=margins, approximate=approximate)
+                return CVReport(c_star=c_star, d_exponent=d_exp, margins=margins,
+                                approximate=any(d.approximate for d in laws))
             c_star = math.nextafter(c_star, math.inf)
         raise PreconditionError(f"C* = {c_star!r} cannot be certified: the Gaussian bound underflows at some point")
 

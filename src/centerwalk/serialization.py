@@ -56,6 +56,21 @@ def _decode_vertex(v, depth: int):
     raise ValueError(f"vertex label {v!r} is not an int, a string or a list of labels")
 
 
+def _weight_parser():
+    """``parse_weight`` for one file: each distinct weight string is parsed, and gated, once."""
+    parsed: Dict[str, object] = {}
+
+    def parse(raw):
+        if type(raw) is not str:
+            return parse_weight(raw)
+        w = parsed.get(raw)
+        if w is None:
+            w = parsed[raw] = parse_weight(raw)
+        return w
+
+    return parse
+
+
 def kernel_to_obj(kernel: Kernel) -> dict:
     edges = [
         {"src": encode_vertex(x), "dst": encode_vertex(y), "w": format_weight(w)}
@@ -69,13 +84,14 @@ def kernel_to_obj(kernel: Kernel) -> dict:
 
 
 def kernel_from_obj(obj: Mapping) -> Kernel:
+    parse = _weight_parser()
     try:
         vertices = [decode_vertex(v) for v in obj["vertices"]]
         rows: Dict[object, Dict[object, object]] = {v: {} for v in vertices}
         for e in obj["edges"]:
             src = decode_vertex(e["src"])
             dst = decode_vertex(e["dst"])
-            w = parse_weight(e["w"])
+            w = parse(e["w"])
             if src not in rows:
                 raise InputParseError(f"edge source {e['src']!r} not among the vertices")
             row = rows[src]
@@ -101,9 +117,10 @@ def decomposition_to_obj(dec: CycleDecomposition) -> dict:
 def decomposition_from_obj(obj: Mapping) -> CycleDecomposition:
     from .errors import StructuralError
 
+    parse = _weight_parser()
     try:
         entries = tuple(
-            (Cycle(tuple(decode_vertex(v) for v in c["vertices"])), parse_weight(c["weight"]))
+            (Cycle(tuple(decode_vertex(v) for v in c["vertices"])), parse(c["weight"]))
             for c in obj["cycles"]
         )
         return CycleDecomposition(entries)
@@ -112,9 +129,10 @@ def decomposition_from_obj(obj: Mapping) -> CycleDecomposition:
 
 
 def flow_from_obj(obj: Mapping) -> Dict[tuple, object]:
+    parse = _weight_parser()
     try:
         flow = {
-            (decode_vertex(e["src"]), decode_vertex(e["dst"])): parse_weight(e["w"])
+            (decode_vertex(e["src"]), decode_vertex(e["dst"])): parse(e["w"])
             for e in obj["edges"]
         }
         sorted(set().union(*flow))  # TypeError unless every label compares

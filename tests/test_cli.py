@@ -89,6 +89,33 @@ def test_malformed_objects_raise_parse_errors():
         ser.flow_from_obj(two_cycle_obj([0], ["a"]))
 
 
+def test_loads_parse_each_weight_string_once_and_gate_every_one(tmp_path, capsys):
+    ring = list(range(40))
+    edges = [{"src": x, "dst": (x + 1) % 40, "w": "1"} for x in ring]
+    # the string "1", the int 1 and the float 1.0 are equal dict keys, but only strings share a parse
+    edges[5]["w"], edges[6]["w"] = 1, 1.0
+    k = ser.kernel_from_obj({"vertices": ring, "edges": edges})
+    ws = [w for _, _, w in k.edges()]
+    assert ws.count(Fraction(1)) == 40 and [type(w) for w in ws].count(float) == 1
+    dec = ser.decomposition_from_obj({"cycles": [{"vertices": [0, 1, 2, 0], "weight": w}
+                                                 for w in ("1/3", "1/3", 0.5, "1/3")]})
+    assert [w for _, w in dec] == [Fraction(1, 3), Fraction(1, 3), 0.5, Fraction(1, 3)]
+    # one oversized literal among many repeated ordinary ones is still refused
+    big = "1" * (weights.MAX_DIGITS + 1)
+    edges[30]["w"] = big + "/3"
+    cycles = [{"vertices": [0, 1, 2, 0], "weight": "1/3"}] * 30 + [{"vertices": [0, 1, 2, 0], "weight": big}]
+    flow = {"edges": edges[:30] + [{"src": 0, "dst": 2, "w": big}]}
+    for load, obj in ((ser.kernel_from_obj, {"vertices": ring, "edges": edges}),
+                      (ser.decomposition_from_obj, {"cycles": cycles}),
+                      (ser.flow_from_obj, flow)):
+        with pytest.raises(cw.InputParseError, match=f"more than {weights.MAX_DIGITS} digits"):
+            load(obj)
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps({"vertices": ring, "edges": edges}))
+    assert main(["centering", "reversible", "--graph", str(path)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["code"] == "parse_error"
+
+
 def test_canonical_json_fractions_and_tuple_keys():
     blob = ser.canonical_json_bytes({"a": Fraction(2, 3), (1, (0,)): 5})
     assert b"2/3" in blob

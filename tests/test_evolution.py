@@ -6,6 +6,7 @@ import inspect
 import itertools
 import math
 import statistics
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -354,6 +355,47 @@ def test_engine_lookups_of_non_words_miss():
     assert (True, 2, True) in law  # equal to (1, 2, 1), as in a dict of tuples
 
 
+@pytest.mark.parametrize("group, batch", [
+    (Z1, ((1,), (2,), (3,), (-1,))),
+    (F2, ((1,), (2,), (1, 1), (-1,))),
+], ids=["no-key", "keyed"])
+def test_engine_batch_leaves_dead_slots(group, batch):
+    from centerwalk.evolution import _Translates
+
+    x = [group.validate(g) for g in batch]
+    engine = _Translates(group, [x[0]])
+    assert engine.ids([x[0], x[1]]).tolist() == [0, 1]
+    # ids 2..6 are provisional: x[1] and x[0] were interned before the batch, the
+    # second x[2] earlier in it; each of those leaves its slot dead
+    assert engine.ids([x[1], x[2], x[2], x[0], x[3]]).tolist() == [1, 3, 3, 0, 6]
+    assert engine.elements == [x[0], x[1], None, x[2], None, None, x[3]]
+    assert sorted(engine.index.values()) == [0, 1, 3, 6]
+    assert engine.ids([]).tolist() == [] and len(engine.elements) == 7
+
+
+@pytest.mark.parametrize("walk", ["z2", "heisenberg", "wreath", "f2"])
+def test_engine_ids_ascend_and_find_live_slots(walk):
+    group, gens, t_max = WALKS[walk]
+    step = cw.step_measure(group, gens)
+    law, dead = cw.SparseDistribution.point(group), 0
+    for _ in range(t_max):
+        law = cw.evolve(law, step)
+        engine, ids = law._engine, law._ids
+        assert (ids[1:] > ids[:-1]).all()
+        assert [engine.find(x) for x in law.support()] == ids.tolist()
+        # a slot is dead (None) exactly when no id points at it
+        live = [i for i, y in enumerate(engine.elements) if y is not None]
+        assert live == sorted(engine.index.values())
+        dead = len(engine.elements) - len(live)
+    # on the tree of F2 every fresh translate is a new word: no slot dies
+    assert (dead > 0) == (walk != "f2")
+    far = group.identity
+    for _ in range(t_max + 3):
+        far = group.multiply(far, gens[0])
+    for x in [far, None, "x", (1,) * 40]:
+        assert engine.find(x) == len(engine.elements)
+
+
 def _bisection_c_star(dists, distance, m=lambda x: 1.0, d_exp=0.0, bracket=(1e-6, 1e12), rel_tol=1e-6):
     """Reference: the former fit, geometric bisection of log C inside a fixed bracket."""
     points = [(d.t, float(p), distance(x), float(m(x))) for d in dists if d.t >= 1 for x, p in d.items()]
@@ -459,6 +501,129 @@ def test_fit_cv_rejects_bad_measure(value):
     dists = cw.walk_distributions(Z1, Z_GENS, 4)
     with pytest.raises(cw.PreconditionError, match="measure"):
         cw.fit_cv_constant(dists, lambda x: abs(x[0]), m=lambda x: value if x == (1,) else 1.0)
+
+
+def _fit_cv_loop(dists, distance, m=None, d_exp=0.0):
+    """Reference: the former fit, one tuple per point and one Python-float margin per point."""
+    import numpy as np
+    from scipy.special import wrightomega
+
+    if not math.isfinite(d_exp):
+        raise cw.PreconditionError(f"d_exp must be finite, got {d_exp!r}")
+    if callable(distance):
+        dist_fn = distance
+    else:
+        def dist_fn(x):
+            try:
+                return distance[x]
+            except KeyError:
+                raise cw.PreconditionError(f"no distance recorded for support point {x!r}") from None
+    mval = m if m is not None else (lambda x: 1.0)
+    points = []
+    approximate = False
+    for d in dists:
+        if d.t < 1:
+            continue
+        approximate = approximate or d.approximate
+        for x, n in d.numerators():
+            points.append((d.t, x, n / d.denominator, dist_fn(x), float(mval(x))))
+    if not points:
+        raise cw.PreconditionError("no distributions with t >= 1 given")
+    if max(pt[0] for pt in points) ** (-abs(d_exp) / 2.0) < sys.float_info.min:
+        raise cw.PreconditionError(f"t^(d_exp/2) leaves the normal float range at d_exp={d_exp!r}")
+    t, p, dd, mv = (np.array([pt[i] for pt in points], dtype=float) for i in (0, 2, 3, 4))
+    if not (mv.min() > 0 and mv.max() < math.inf):
+        raise cw.PreconditionError(f"measure must be finite and positive, got values in [{mv.min()}, {mv.max()}]")
+    a = dd * dd / t
+    moving = a > 0
+    with np.errstate(divide="ignore", over="ignore"):
+        c = p * t ** (d_exp / 2.0) / mv
+        c[moving] = a[moving] / wrightomega(np.log(a[moving]) - np.log(c[moving]))
+    c_star = float(c.max())
+    if not math.isfinite(c_star):
+        raise cw.PreconditionError(f"no finite constant: t^(d_exp/2) / m(x) overflows at d_exp={d_exp!r}")
+    for _ in range(64):
+        margins = {(t, x): c_star * mv * t ** (-d_exp / 2.0) * math.exp(-dd * dd / (c_star * t)) - p
+                   for t, x, p, dd, mv in points}
+        if min(margins.values()) >= 0:
+            return cw.CVReport(c_star=c_star, d_exponent=d_exp, margins=margins, approximate=approximate)
+        c_star = math.nextafter(c_star, math.inf)
+    raise cw.PreconditionError(f"C* = {c_star!r} cannot be certified: the Gaussian bound underflows at some point")
+
+
+def _fit_outcome(fit, *args, **kwargs):
+    """Everything a fit reports, margin bits included, or the type and message of what it raised."""
+    try:
+        r = fit(*args, **kwargs)
+    except Exception as exc:  # noqa: BLE001 - the exception itself is compared
+        return type(exc), str(exc)
+    return (r.c_star.hex(), r.d_exponent, r.approximate, list(r.margins),
+            [v.hex() for v in r.margins.values()])
+
+
+_HEIS_GENS = ((1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, -1, 0))
+_Z2_GENS = ((1, 0), (-1, 0), (0, 1), (0, -1))
+FIT_WALKS = {
+    "z": lambda: (cw.walk_distributions(Z1, Z_GENS, 24), cw.word_ball(Z1, Z_GENS, 24)),
+    "drifted-z": lambda: (cw.walk_distributions(Z1, DRIFT_GENS, 24), cw.word_ball(Z1, DRIFT_GENS, 24)),
+    "z2": lambda: (cw.walk_distributions(Z2, _Z2_GENS, 12), cw.word_ball(Z2, _Z2_GENS, 12)),
+    "heisenberg": lambda: (cw.walk_distributions(cw.Heisenberg(), _HEIS_GENS, 7),
+                           cw.word_ball(cw.Heisenberg(), _HEIS_GENS, 7)),
+    "heisenberg-pruned": lambda: (cw.walk_distributions(cw.Heisenberg(), _HEIS_GENS, 7, prune_eps=1e-3),
+                                  cw.word_ball(cw.Heisenberg(), _HEIS_GENS, 7)),
+}
+
+
+@pytest.mark.parametrize("walk", sorted(FIT_WALKS))
+def test_fit_cv_matches_the_point_loop_bit_for_bit(walk):
+    dists, table = FIT_WALKS[walk]()
+    weight = lambda x: 1 + abs(x[0]) / 3 + (x[-1] % 2) / 7  # noqa: E731
+    for d_exp in (0.0, 2.0, 3.5):
+        for distance in (table, table.__getitem__):
+            for m in (None, weight):
+                new = _fit_outcome(cw.fit_cv_constant, dists, distance, m=m, d_exp=d_exp)
+                assert new == _fit_outcome(_fit_cv_loop, dists, distance, m=m, d_exp=d_exp)
+                assert isinstance(new[0], str) and len(new[3]) == sum(len(d) for d in dists[1:])
+
+
+def test_fit_cv_raises_what_the_point_loop_raises():
+    # Z_GENS supports: t = 1 {1, -2}, t = 2 {2, -1, -4}, t = 3 {3, 0, -3, -6}, ...
+    dists = cw.walk_distributions(Z1, Z_GENS, 6)
+    table = cw.word_ball(Z1, Z_GENS, 12)
+
+    def lacking(*xs):
+        return {x: v for x, v in table.items() if x not in xs}
+
+    def raising(at, exc):
+        def m(x):
+            if x == at:
+                raise exc
+            return 1.0 + (x[0] % 3)
+        return m
+
+    cases = [
+        (lacking((3,)), None),
+        (lacking((2,)), raising((3,), ZeroDivisionError("at 3"))),  # the distance fails first
+        (lacking((3,)), raising((2,), ValueError("at 2"))),  # the measure fails first
+        (lacking((2,)), raising((2,), ValueError("at 2"))),  # one point: the distance comes first
+        (table, raising((-4,), ZeroDivisionError("at -4"))),
+        # a KeyError from the measure or from a callable distance is not a missing table entry
+        (table, raising((2,), KeyError((2,)))),
+        (lacking((3,)), raising((2,), KeyError((3,)))),
+        (lacking((3,)).__getitem__, None),
+        (lacking((3,)).__getitem__, raising((3,), ValueError("at 3"))),
+        ({**table, (2,): None}, None),
+        (table, lambda x: "heavy" if x == (2,) else 1.0),
+        (table, lambda x: None if x == (2,) else 1.0),
+    ]
+    for distance, m in cases:
+        new = _fit_outcome(cw.fit_cv_constant, dists, distance, m=m)
+        assert new == _fit_outcome(_fit_cv_loop, dists, distance, m=m)
+        assert isinstance(new[0], type) and issubclass(new[0], Exception)
+    missing = _fit_outcome(cw.fit_cv_constant, dists, lacking((2,)), m=raising((3,), ZeroDivisionError()))
+    assert missing == (cw.PreconditionError, "no distance recorded for support point (2,)")
+    assert _fit_outcome(cw.fit_cv_constant, dists, table, m=raising((2,), KeyError((2,))))[0] is KeyError
+    assert _fit_outcome(cw.fit_cv_constant, dists, lacking((3,)).__getitem__)[0] is KeyError
 
 
 def test_escape_probability_exact_and_monotone_alpha():
