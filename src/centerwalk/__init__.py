@@ -9,11 +9,13 @@ tail constants, escape, speed and entropy on concrete walks.
 from .dirichlet_forms import (
     GreenReport,
     antisymmetric_form_cycles,
+    certified_sector_bound,
     dirichlet_form,
     green_absorbing,
     green_comparison,
     green_partial,
     poincare_constant,
+    sector_bound,
     sector_ratio,
     symmetrized_form,
     symmetrized_kernel,

@@ -319,7 +319,11 @@ def cmd_dirichlet_sector(args):
         dec = ser.decomposition_from_obj(ser.load_json(args.dec))
     trials = df.SECTOR_TRIALS if args.trials is None else args.trials
     m_hat = df.sector_ratio(kernel, m, dec=dec, trials=trials, seed=args.seed)
-    return {"sector_ratio": m_hat, "trials": trials}, None
+    results = {"sector_ratio": m_hat, "trials": trials}
+    if dec is not None:
+        # the certified csc(pi / L), or null when the decomposition does not verify on the kernel
+        results["sector_bound"] = df.certified_sector_bound(kernel, m, dec)
+    return results, None
 
 
 def cmd_dirichlet_poincare(args):
@@ -355,9 +359,11 @@ def cmd_green_compare(args):
     )
     results = {
         "sector_ratio": report.sector_m,
+        "sector_bound": report.sector_bound,
         "mode": report.mode,
         "g_le_g0": report.holds_upper,
         "g0_le_m2_g": report.holds_lower,
+        "g0_le_search_m2_g": report.holds_lower_search,
         "interior_points": len(report.interior),
     }
     return results, (("x_label", "g_diag", "g0_diag"), rows)

@@ -18,7 +18,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import PreconditionError, StructuralError
 from .markov_graph import (SUPPORT_MARGIN, CycleDecomposition, Kernel, Measure, Vertex, _adjoint_rows,
-                           _inward_depth, _same_window, bfs)
+                           _inward_depth, _same_window, bfs, verify_centering)
 from .weights import Pair, Weight, add, scale
 
 TestFunction = Mapping[Vertex, Weight]
@@ -132,14 +132,59 @@ def poincare_constant(k: int) -> float:
     return 1.0 / (4.0 * math.sin(math.pi / k) ** 2)
 
 
+def sector_bound(dec: CycleDecomposition) -> float:
+    """Closed-form sector constant csc(pi / L) of a centered chain, L = dec.max_length; 1 when L <= 2.
+
+    Claim: when ``verify_centering`` accepts ``dec`` on the kernel, then
+    |E(f, g)| <= csc(pi / L) sqrt(E0(f, f) E0(g, g)) for every f, g supported
+    where the decomposition is verified (Mathieu, "Carne-Varopoulos bounds
+    for centered random walks", 2006).
+
+    Proof sketch.  On one k-cycle with shift S, S - S^T and 2I - S - S^T are
+    circulant, so Fourier modes diagonalize both (the argument behind
+    poincare_constant); on mode j their eigenvalues are 2i sin(2 pi j / k)
+    and 4 sin^2(pi j / k), whose ratio peaks at cot(pi / k), increasing in k.
+    The decomposition's edge coverage is m(x)Q(x, y), which verify_centering
+    checks, so E0 is the q-weighted sum of the cycles' symmetric forms (plus
+    the killing term, which only adds to E0), and E - E0 the q-weighted sum
+    of their antisymmetric forms; Cauchy-Schwarz over the cycle weights gives
+    |E(f, g) - E0(f, g)| <= cot(pi / L) sqrt(E0(f, f) E0(g, g)).  Whitening E0
+    turns E into I + K with K antisymmetric and ||K|| <= cot(pi / L), and
+    ||I + K|| = sqrt(1 + ||K||^2) = csc(pi / L).  Loops and two-cycles carry
+    no antisymmetric part, so L <= 2 gives 1.  On functions supported in a
+    ball, the ball-killed form equals the full form, so the bound verified on
+    the window also holds for the killed kernel of green_comparison.
+    """
+    length = dec.max_length
+    if length <= 2:
+        return 1.0
+    return 1.0 / math.sin(math.pi / length)
+
+
+def certified_sector_bound(kernel: Kernel, m: Measure, dec: CycleDecomposition) -> Optional[float]:
+    """sector_bound(dec) when verify_centering accepts dec on the kernel, else None.
+
+    A decomposition whose cycles leave the kernel window is rejected too.
+    """
+    try:
+        valid = verify_centering(kernel, m, dec).valid
+    except StructuralError:
+        return None
+    return sector_bound(dec) if valid else None
+
+
 def random_test_function(
     interior: Sequence[Vertex],
     rng: random.Random,
     exact: bool = False,
 ) -> Dict[Vertex, Weight]:
-    """Random finitely supported function: support <= TEST_SUPPORT, values in [-1, 1]."""
+    """Random finitely supported function: support <= TEST_SUPPORT, values in [-1, 1].
+
+    Samples ``interior`` as given, without a copy: a window's interior runs to
+    tens of thousands of vertices, and a search draws two functions per trial.
+    """
     size = rng.randint(1, min(TEST_SUPPORT, len(interior)))
-    points = rng.sample(list(interior), size)
+    points = rng.sample(interior, size)
     if exact:
         return {x: Fraction(rng.randint(-64, 64), 64) for x in points}
     return {x: rng.uniform(-1.0, 1.0) for x in points}
@@ -229,10 +274,15 @@ def _ratio(form: _Form, f, g) -> Optional[float]:
 
 
 def _best_response(form: _Form, coeffs, support):
-    # maximize <g, coeffs> / sqrt(g^T B g) over functions on the support
+    # maximize <g, coeffs> / sqrt(g^T B g) over functions on the support: the
+    # minimum-norm solution of B g = coeffs, by QR with column pivoting (LAPACK
+    # gelsy) at numpy's rank cut-off eps * n; B is singular where constants
+    # carry no energy (an unkilled finite chain)
     import numpy as np
+    from scipy.linalg import lstsq
 
-    sol, *_ = np.linalg.lstsq(form.sym_matrix(support), np.asarray(coeffs, dtype=float), rcond=None)
+    sol, *_ = lstsq(form.sym_matrix(support), np.asarray(coeffs, dtype=float),
+                    cond=np.finfo(float).eps * len(support), check_finite=False, lapack_driver="gelsy")
     return {x: float(v) for x, v in zip(support, sol)}
 
 
@@ -280,7 +330,8 @@ def sector_ratio(
     responses (with f fixed, the maximizing g on a support solves a small
     linear system) while supports grow into the relevant neighborhoods.
     Every reported value is the ratio of actual finitely supported
-    functions, hence a certified lower bound on the true constant;
+    functions, hence a certified lower bound on the true constant, which
+    sector_bound(dec) bounds from above when verify_centering accepts dec;
     deterministic given the seed.
     """
     if trials < 1:
@@ -441,14 +492,23 @@ def symmetrized_kernel(kernel: Kernel, m: Measure) -> Kernel:
 
 @dataclass
 class GreenReport:
-    """Diagonal Green values of a killed chain and of its symmetrization."""
+    """Diagonal Green values of a killed chain and of its symmetrization.
+
+    ``sector_m`` is the search's lower estimate of the sector constant and
+    ``sector_bound`` the certified csc(pi / L), or None when the decomposition
+    does not verify on the parent kernel.  ``holds_lower`` checks g0 <= M^2 g
+    with M = ``sector_bound`` when it is certified, else ``sector_m``;
+    ``holds_lower_search`` checks it with ``sector_m`` always.
+    """
 
     g_diag: Dict[Vertex, float]
     g0_diag: Dict[Vertex, float]
     sector_m: float
+    sector_bound: Optional[float]
     mode: str
     holds_upper: bool
     holds_lower: bool
+    holds_lower_search: bool
     interior: List[Vertex] = field(default_factory=list)
 
 
@@ -474,8 +534,11 @@ def green_comparison(
 
     Kills both Q and Q0 = (Q + Q*)/2 outside the ball, solves the two
     linear systems, and reports whether g <= g0 pointwise and whether
-    g0 <= M^2 g for the empirically estimated sector constant M, at
-    interior points at least C0 steps from the leaking layer.
+    g0 <= M^2 g, at interior points at least C0 steps from the leaking
+    layer.  M is the certified sector_bound(dec) when verify_centering
+    accepts dec on ``kernel`` (the window, not the killed ball), else the
+    search's estimate on the killed kernel; the check with the search's
+    estimate is reported on its own as well.
     """
     ball = set(ball)
     if not ball <= kernel.window:
@@ -498,15 +561,21 @@ def green_comparison(
     g_diag, g0_diag = diags
 
     sector_m = sector_ratio(killed, m, dec=None, trials=trials, seed=seed)
+    bound = certified_sector_bound(kernel, m, dec)
     slack = 1e-9
     holds_upper = all(g_diag[x] <= g0_diag[x] * (1 + slack) for x in interior)
-    holds_lower = all(g0_diag[x] <= sector_m ** 2 * g_diag[x] * (1 + slack) for x in interior)
+
+    def holds_lower(sector: float) -> bool:
+        return all(g0_diag[x] <= sector ** 2 * g_diag[x] * (1 + slack) for x in interior)
+
     return GreenReport(
         g_diag=g_diag,
         g0_diag=g0_diag,
         sector_m=sector_m,
+        sector_bound=bound,
         mode="absorbing_ball",
         holds_upper=holds_upper,
-        holds_lower=holds_lower,
+        holds_lower=holds_lower(sector_m if bound is None else bound),
+        holds_lower_search=holds_lower(sector_m),
         interior=interior,
     )

@@ -303,6 +303,25 @@ def test_cli_dirichlet_and_green(tmp_path):
                      "--trials", "200", "--seed", "2")
     assert report["results"]["g_le_g0"] is True
     assert report["results"]["g0_le_m2_g"] is True
+    # the unit-weight cycle over-covers the killed rows: no certified bound, the search's M is used
+    assert report["results"]["sector_bound"] is None
+    assert report["results"]["g0_le_search_m2_g"] is True
+
+
+def test_cli_sector_reports_the_certified_bound_with_a_decomposition(tmp_path):
+    graph, dec = tmp_path / "tri.json", tmp_path / "dec.json"
+    graph.write_text(json.dumps(triangle_graph_obj()))
+    dec.write_text(json.dumps(triangle_dec_obj()))
+    report = run_cli(tmp_path, "dirichlet", "sector", "--graph", str(graph), "--dec", str(dec),
+                     "--trials", "50", "--seed", "1")
+    bound = report["results"]["sector_bound"]
+    assert bound == 1 / math.sin(math.pi / 3)
+    assert abs(report["results"]["sector_ratio"] - bound) <= 1e-12 * bound
+    report = run_cli(tmp_path, "dirichlet", "sector", "--graph", str(graph), "--killing", "1/10",
+                     "--dec", str(dec), "--trials", "50", "--seed", "1")
+    assert report["results"]["sector_bound"] is None
+    report = run_cli(tmp_path, "dirichlet", "sector", "--graph", str(graph), "--trials", "50", "--seed", "1")
+    assert "sector_bound" not in report["results"]
 
 
 def test_cli_green_compare_on_a_group_window(tmp_path):
@@ -318,9 +337,13 @@ def test_cli_green_compare_on_a_group_window(tmp_path):
     expected = cw.green_comparison(cw.cayley_kernel(z1, gens, 12), mg.Measure.counting(), dec,
                                    cw.word_ball(z1, gens, 8), trials=50, seed=1)
     assert report["results"] == {
-        "sector_ratio": expected.sector_m, "mode": "absorbing_ball", "g_le_g0": expected.holds_upper,
-        "g0_le_m2_g": expected.holds_lower, "interior_points": len(expected.interior)}
+        "sector_ratio": expected.sector_m, "sector_bound": expected.sector_bound, "mode": "absorbing_ball",
+        "g_le_g0": expected.holds_upper, "g0_le_m2_g": expected.holds_lower,
+        "g0_le_search_m2_g": expected.holds_lower_search, "interior_points": len(expected.interior)}
     assert report["results"]["interior_points"] == 22
+    # the witness's 3-cycles verify on the window: the certified csc(pi / 3) brackets the search
+    assert report["results"]["sector_bound"] == cw.sector_bound(dec) == pytest.approx(2 / math.sqrt(3), rel=1e-15)
+    assert report["results"]["sector_ratio"] <= report["results"]["sector_bound"]
 
 
 def test_cli_sector_with_supplied_pair(tmp_path):

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import centerwalk as cw
 from centerwalk import dirichlet_forms as df
@@ -275,8 +276,10 @@ def _ref_sym_form_matrix(kernel, m, support):
 
 
 def _ref_best_response(kernel, m, coeffs, support):
+    # the library's solve: minimum norm by pivoted QR (gelsy) at numpy's cut-off eps * n
     b = _ref_sym_form_matrix(kernel, m, support)
-    sol, *_ = np.linalg.lstsq(b, np.asarray(coeffs, dtype=float), rcond=None)
+    sol, *_ = scipy.linalg.lstsq(b, np.asarray(coeffs, dtype=float), cond=np.finfo(float).eps * len(support),
+                                 lapack_driver="gelsy")
     return {x: float(v) for x, v in zip(support, sol)}
 
 
@@ -396,6 +399,138 @@ def test_float_form_matches_exact_reference(case, request, monkeypatch, counting
         for x in inner:
             assert form.g_coefficient(f, x) == _ref_g_coefficient(kernel, m, f, x)
             assert form.f_coefficient(g, x) == _ref_f_coefficient(kernel, m, g, x)
+
+
+# -- the certified bracket: search value <= csc(pi / L) ---------------------
+
+
+def _ring_dec(n):
+    return cw.CycleDecomposition(((cw.Cycle(tuple(range(n)) + (0,)), Fraction(1)),))
+
+
+def _lattice_case(d, gens, radius):
+    group = cw.IntegerLattice(d)
+    dec = cw.translated_cycle_decomposition(group, gens, cw.abelian_c1(group, gens), radius)
+    return cw.cayley_kernel(group, gens, radius), dec
+
+
+def _bracket_case(case):
+    """A kernel with a decomposition that verify_centering accepts on it."""
+    if case == "zwalk":
+        kernel = make_zwalk(30)
+        return kernel, make_zwalk_dec(kernel)
+    if case.startswith("rotation"):
+        n = int(case[len("rotation"):])
+        return cw.rotation_kernel(n), _ring_dec(n)
+    if case == "tripod":
+        return _lattice_case(2, [(1, 0), (0, 1), (-1, -1)], 8)
+    return _lattice_case(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)], 6)
+
+
+BRACKET_CASES = ["zwalk", "rotation3", "rotation4", "rotation5", "rotation8", "tripod", "z3-tetrahedral"]
+
+
+def test_sector_bound_closed_form():
+    assert cw.sector_bound(cw.CycleDecomposition(())) == 1.0
+    loop = cw.CycleDecomposition(((cw.Cycle((0, 0)), Fraction(1)),))
+    assert cw.sector_bound(loop) == 1.0
+    assert cw.sector_bound(_ring_dec(2)) == 1.0
+    assert cw.sector_bound(_ring_dec(3)) == pytest.approx(2 / math.sqrt(3), rel=1e-15)
+    assert cw.sector_bound(_ring_dec(4)) == pytest.approx(math.sqrt(2), rel=1e-15)
+    # the bound of a family is the bound of its longest cycle
+    mixed = cw.CycleDecomposition(_ring_dec(3).entries + _ring_dec(6).entries)
+    assert cw.sector_bound(mixed) == cw.sector_bound(_ring_dec(6)) == pytest.approx(2.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("case", BRACKET_CASES)
+def test_every_searched_ratio_stays_below_the_certified_bound(case, monkeypatch, counting):
+    kernel, dec = _bracket_case(case)
+    bound = cw.certified_sector_bound(kernel, counting, dec)
+    assert bound == cw.sector_bound(dec)
+    seen = []
+    original = df._ratio
+
+    def recorded(form, f, g):
+        r = original(form, f, g)
+        if r is not None:
+            seen.append(r)
+        return r
+
+    monkeypatch.setattr(df, "_ratio", recorded)
+    best = cw.sector_ratio(kernel, counting, dec=dec, trials=50, seed=1)
+    assert len(seen) > 50 and best == max(seen)
+    assert max(seen) <= bound * (1 + 1e-12)
+    if not case.startswith("rotation"):
+        # the killed-ball search of the Green comparison, bounded by the window's decomposition;
+        # the ball is the one `green compare` takes, the window at the support margin
+        seen.clear()
+        ball = kernel.interior_vertices(df.SUPPORT_MARGIN)
+        report = cw.green_comparison(kernel, counting, dec, ball, trials=50, seed=2)
+        assert report.sector_bound == bound
+        assert seen and max(seen) <= bound * (1 + 1e-12)
+        assert report.sector_m <= report.sector_bound
+        assert report.holds_lower and report.holds_lower_search
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8])
+def test_rotation_search_reaches_the_bound(n, counting):
+    # the deterministic rotation is the extreme case: the bound is sharp
+    bound = cw.sector_bound(_ring_dec(n))
+    assert bound == pytest.approx(1 / math.sin(math.pi / n), rel=1e-15)
+    m_hat = cw.sector_ratio(cw.rotation_kernel(n), counting, dec=_ring_dec(n), trials=50, seed=1)
+    assert abs(m_hat - bound) <= 1e-8
+
+
+def test_rejected_decomposition_reports_no_certified_bound(rotation3, rotation3_dec, counting):
+    assert cw.certified_sector_bound(rotation3, counting, rotation3_dec) == cw.sector_bound(rotation3_dec)
+    # weight 1 covers the killed rows' 9/10 too much
+    killed = rotation3.with_killing(Fraction(1, 10))
+    assert not cw.verify_centering(killed, counting, rotation3_dec).valid
+    assert cw.certified_sector_bound(killed, counting, rotation3_dec) is None
+    # the reversed cycle covers edges of zero weight
+    assert cw.certified_sector_bound(rotation3, counting, rotation3_dec.reversed()) is None
+    # a cycle that leaves the window
+    outside = cw.CycleDecomposition(((cw.Cycle((0, 1, 2, 3, 0)), Fraction(1)),))
+    assert cw.certified_sector_bound(rotation3, counting, outside) is None
+    report = cw.green_comparison(killed, counting, rotation3_dec, ball={0, 1, 2}, trials=50, seed=5)
+    assert report.sector_bound is None
+    # without a certified bound, the lower check is the search's
+    assert report.holds_lower == report.holds_lower_search
+
+
+# -- the refine solve: the minimum-norm solution -----------------------------
+
+
+@pytest.mark.parametrize("case", ["srw", "killed-ball", "loaded"] + BRACKET_CASES)
+def test_best_response_is_the_minimum_norm_solution(case, request, monkeypatch, counting):
+    m, dec = counting, None
+    if case == "srw":
+        kernel = request.getfixturevalue("srw")
+    elif case == "killed-ball":
+        kernel = request.getfixturevalue("zwalk").restrict(range(-10, 11))
+    elif case == "loaded":
+        kernel = _loaded_ring()
+        m = cw.Measure({x: Fraction(3 + x % 4, 2 + x % 3) for x in kernel.window})
+    else:
+        kernel, dec = _bracket_case(case)
+    solved = []
+    original = df._best_response
+
+    def compared(form, coeffs, support):
+        response = original(form, coeffs, support)
+        b = form.sym_matrix(support)
+        want, *_ = np.linalg.lstsq(b, np.asarray(coeffs, dtype=float), rcond=None)
+        got = np.array([response[x] for x in support])
+        assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+        solved.append(np.linalg.matrix_rank(b) < len(support))
+        return response
+
+    monkeypatch.setattr(df, "_best_response", compared)
+    cw.sector_ratio(kernel, m, dec=dec, trials=50, seed=1)
+    assert solved
+    if case == "rotation3":
+        # the unkilled 3-rotation's form matrix is singular on the whole ring
+        assert any(solved)
 
 
 def test_weighted_form_ratios_bounded(zwalk, counting):
