@@ -14,6 +14,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import PreconditionError, StructuralError
@@ -360,7 +361,7 @@ def sector_ratio(
 
 def distance_map(kernel: Kernel, origin: Vertex) -> Dict[Vertex, int]:
     """Undirected BFS distances from origin across the whole window."""
-    return bfs([origin], kernel.undirected_neighbors)[0]
+    return bfs([origin], partial(map, kernel.undirected_neighbors))[0]
 
 
 def weighted_form_ratios(

@@ -208,16 +208,16 @@ class _Translates:
     def translate(self, ids) -> List:
         """The tables, with the translates of every id in ``ids`` filled in.
 
-        Only entries still -1 are computed.  A skipped x·g is already
-        interned, so new ids come in the same order as when every entry is
-        computed.
+        Only entries still -1 are computed, one ``group.translates`` batch
+        per step.  A skipped x·g is already interned, so new ids come in the
+        same order as when every entry is computed.
         """
-        mul, elements = self.group.multiply, self.elements
+        translates, elements = self.group.translates, self.elements
         n = len(elements)
         for k, (g, inv) in enumerate(zip(self.steps, self.inverses)):
             table = self._table(k, n)
             fresh = ids[table[ids] < 0]
-            ys = list(map(mul, map(elements.__getitem__, fresh.tolist()), itertools.repeat(g)))
+            ys = translates(map(elements.__getitem__, fresh.tolist()), g)
             table[fresh] = y_ids = self.ids(ys)
             if inv is not None:
                 self._table(inv, len(elements))[y_ids] = fresh

@@ -16,6 +16,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import PreconditionError, StructuralError
@@ -240,15 +241,20 @@ def _directions(group: Group, gens: Sequence) -> List:
     return sorted(dirs)
 
 
-def _cayley_neighbors(group: Group, gens: Sequence):
-    dirs = _directions(group, gens)
-    return lambda x: (group.multiply(x, g) for g in dirs)
-
-
 def word_ball(group: Group, gens: Sequence, radius: int,
               max_support: int = MAX_SUPPORT) -> Dict[object, int]:
-    """BFS distances from the identity over gens and their inverses, at most ``max_support`` of them."""
-    return bfs([group.identity], _cayley_neighbors(group, gens), radius, max_support=max_support)[0]
+    """BFS distances from the identity over gens and their inverses, at most ``max_support`` of them.
+
+    Each layer is expanded by ``group.translates``, one batch per direction,
+    and zipped back vertex by vertex, so the ball and its order are those of
+    a per-vertex search over ``multiply``.
+    """
+    dirs = _directions(group, gens)
+
+    def expand(layer):
+        return zip(*[group.translates(layer, g) for g in dirs])
+
+    return bfs([group.identity], expand, radius, max_support=max_support)[0]
 
 
 def word_distance(group: Group, gens: Sequence, x, radius: int) -> Optional[int]:
@@ -256,10 +262,12 @@ def word_distance(group: Group, gens: Sequence, x, radius: int) -> Optional[int]
     if radius < 0:
         raise PreconditionError("radius must be >= 0")
     x = group.validate(x)
-    exact = group.exact_metric(tuple(_directions(group, gens)))
+    dirs = _directions(group, gens)
+    exact = group.exact_metric(tuple(dirs))
     if exact is not None:
         return exact(x) if exact(x) <= radius else None
-    dist, _ = bfs([group.identity], _cayley_neighbors(group, gens), radius, target=x)
+    neighbors = partial(map, lambda y: (group.multiply(y, g) for g in dirs))
+    dist, _ = bfs([group.identity], neighbors, radius, target=x)
     return dist.get(x)
 
 
@@ -267,12 +275,12 @@ def cayley_kernel(group: Group, gens: Sequence, radius: int) -> Kernel:
     """Uniform-step walk kernel materialized on the word-metric ball of at most ``MAX_WINDOW`` vertices."""
     gens = [group.validate(g) for g in gens]
     steps = {g: Fraction(c, len(gens)) for g, c in Counter(gens).items()}
-    return _window_kernel(group.identity, group.multiply, group.inverse, steps, radius=radius, max_support=MAX_WINDOW)
+    return _window_kernel(group.identity, group.translates, group.inverse, steps, radius=radius, max_support=MAX_WINDOW)
 
 
 def finite_group_kernel(group: Group, mu: Mapping) -> Kernel:
     """Kernel q(x, y) = mu(x^-1 y) on a finite group."""
-    return _window_kernel(group.identity, group.multiply, group.inverse, mu, window=group.elements())
+    return _window_kernel(group.identity, group.translates, group.inverse, mu, window=group.elements())
 
 
 def translated_cycle_decomposition(

@@ -33,6 +33,10 @@ from .weights import MAX_DIGITS
 _LETTER = re.compile(r"(\S)(?:\^([-+]?[0-9]+))?")
 
 
+#: steps that ``IntegerLattice.product`` folds per pass; a sampled path of up to this many steps folds in one
+_FOLD_CHUNK = 65_536
+
+
 @dataclass(frozen=True)
 class AbelianImage:
     """Image of an element in the abelianization, split into free and torsion parts."""
@@ -68,6 +72,14 @@ class Group:
 
     def multiply(self, x, y):
         raise NotImplementedError
+
+    def translates(self, xs: Iterable, g) -> List:
+        """The right translates ``[x·g for x in xs]``, in order.
+
+        The batch hook of word balls, Cayley windows and the exact evolution
+        engine; a group that overrides it returns exactly these values.
+        """
+        return list(map(self.multiply, xs, itertools.repeat(g)))
 
     def inverse(self, x):
         raise NotImplementedError
@@ -181,7 +193,13 @@ class IntegerLattice(_IntVector):
         return tuple(map(add, x, y))
 
     def product(self, elements: Iterable):
-        return tuple(map(sum, zip(self.identity, *elements)))
+        # coordinate sums over bounded chunks: unpacking a whole long path into zip() holds all of it at once
+        steps, acc = iter(elements), self.identity
+        while True:
+            chunk = tuple(itertools.islice(steps, _FOLD_CHUNK))
+            acc = tuple(map(sum, zip(acc, *chunk)))
+            if len(chunk) < _FOLD_CHUNK:
+                return acc
 
     def inverse(self, x):
         return tuple(-a for a in x)
@@ -319,6 +337,8 @@ class WreathZZ(Group):
         return tuple(sorted((p, v) for p, v in lamps.items() if v != 0))
 
     def multiply(self, x, y):
+        if not y[1]:
+            return (x[0] + y[0], x[1])
         # splice y's lamps into x's sorted tuple; untouched pairs are shared
         shift = x[0]
         lamps = list(x[1])
@@ -436,6 +456,13 @@ class FreeGroup(Group):
         while k < n and x[-1 - k] == -y[k]:
             k += 1
         return x[:len(x) - k] + y[k:]
+
+    def translates(self, xs: Iterable, g) -> List:
+        """One comprehension for a one-letter step: drop x's last letter when it cancels g, else append g."""
+        if len(g) != 1:
+            return super().translates(xs, g)
+        undo = -g[0]
+        return [x[:-1] if x and x[-1] == undo else x + g for x in xs]
 
     def product(self, elements: Iterable):
         # one cancellation stack for the whole word

@@ -25,11 +25,12 @@ from __future__ import annotations
 import gc
 import heapq
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice, repeat
 from typing import Callable, Dict, Iterable, Iterator, KeysView, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import PreconditionError, StructuralError, SupportOverflowError
@@ -51,6 +52,15 @@ MAX_WINDOW = 200_000
 #: certified depth at which a vertex's in-row is complete: its in-neighbors all have
 #: complete rows.  Invariance residuals, form supports and Green balls stay at this depth.
 SUPPORT_MARGIN = 2
+
+
+#: vertices of a layer that ``bfs`` expands at a time without a target, so that the neighbors an
+#: eager ``expand`` makes but the search does not keep are bounded, whatever the layer's size
+_EXPAND_BATCH = 4096
+
+#: layers of fewer vertices are walked vertex by vertex, as with a target: their neighbors are too
+#: few to pay for the fixed cost of a bulk pass
+_BULK_LAYER = 32
 
 
 def check_budget(max_support: int) -> None:
@@ -83,18 +93,29 @@ class _collector_paused:
             gc.enable()
 
 
-def bfs(sources: Iterable[Vertex], neighbors: Callable[[Vertex], Iterable[Vertex]],
+def bfs(sources: Iterable[Vertex], expand: Callable[[List[Vertex]], Iterable[Iterable[Vertex]]],
         radius: Optional[int] = None, target: Optional[Vertex] = None,
         *, max_support: int = MAX_SUPPORT) -> Tuple[Dict[Vertex, int], Dict[Vertex, Vertex]]:
     """Breadth-first distances from ``sources`` (all at distance 0), and parents when a target is given.
 
-    ``neighbors(x)`` lists x's neighbors in discovery order.  Vertices at
-    ``radius`` (at least 0) are not expanded.  With a ``target``, the search
-    stops once it is found and the second map holds each vertex's parent (a
-    source is its own parent); without one, that map is empty, since only a
-    path back to a target reads it.  Both maps are in discovery order.
-    Discovering a vertex beyond the first ``max_support`` raises
-    ``SupportOverflowError``.
+    The search advances one distance layer per pass.  ``expand(vertices)``
+    gets consecutive vertices of a layer as a list, in discovery order, and
+    returns each one's neighbors, aligned with it; ``partial(map,
+    neighbors)`` adapts a per-vertex function.  Vertices at ``radius`` (at
+    least 0) are not expanded.  Without a target, a layer of at least
+    ``_BULK_LAYER`` vertices is expanded ``_EXPAND_BATCH`` vertices at a time
+    and its neighbors go through ``dist.setdefault`` in one C-level pass, so
+    each is hashed once.  The pass is fed in chunks of one more neighbor
+    than the budget has room for, so discovering a vertex beyond the first
+    ``max_support`` raises ``SupportOverflowError`` at the same distance as a
+    per-vertex search, with at most one vertex over the budget held.  A
+    smaller layer, and every layer of a search with a ``target``, is
+    expanded whole and walked vertex by vertex; with a target, the search
+    stops once it is found, and the second map holds each vertex's parent
+    (a source is its own parent); without one, that map is empty, since only
+    a path back to a target reads it.  The next layer is the dist map's new
+    tail (insertion order is discovery order), and both maps are in the
+    discovery order of a vertex-by-vertex FIFO search.
     """
     if radius is not None and radius < 0:
         raise PreconditionError("radius must be >= 0")
@@ -105,35 +126,48 @@ def bfs(sources: Iterable[Vertex], neighbors: Callable[[Vertex], Iterable[Vertex
         parent = {x: x for x in dist} if track else {}
         if track and target in dist:
             return dist, parent
-        queue = deque((x, 0) for x in dist)
-        while queue:
-            x, d = queue.popleft()
-            if d == radius:
-                continue
+        layer, d = list(dist), 0
+        sink = deque(maxlen=0)  # extend() consumes an iterator in C and keeps nothing
+        while layer and d != radius:
             d += 1
-            for y in neighbors(x):
-                if y not in dist:
-                    if len(dist) >= max_support:
-                        within = "" if radius is None else f" to radius {radius}"
-                        raise SupportOverflowError(f"search{within} passed {max_support} vertices at distance {d}")
-                    dist[y] = d
-                    if track:
-                        parent[y] = x
-                        if y == target:
-                            return dist, parent
-                    queue.append((y, d))
+            known = len(dist)
+            if track or len(layer) < _BULK_LAYER:
+                for x, ys in zip(layer, expand(layer)):
+                    for y in ys:
+                        if y not in dist:
+                            if len(dist) >= max_support:
+                                _overflow(max_support, radius, d)
+                            dist[y] = d
+                            if track:
+                                parent[y] = x
+                                if y == target:
+                                    return dist, parent
+            else:
+                parts = (expand(layer[i:i + _EXPAND_BATCH]) for i in range(0, len(layer), _EXPAND_BATCH))
+                stream = chain.from_iterable(chain.from_iterable(parts))
+                for first in stream:
+                    chunk = chain((first,), islice(stream, max(max_support - len(dist), 0)))
+                    sink.extend(map(dist.setdefault, chunk, repeat(d)))
+                    if len(dist) > max_support:
+                        _overflow(max_support, radius, d)
+            layer = list(islice(reversed(dist), len(dist) - known))[::-1]
         return dist, parent
+
+
+def _overflow(max_support: int, radius: Optional[int], d: int):
+    within = "" if radius is None else f" to radius {radius}"
+    raise SupportOverflowError(f"search{within} passed {max_support} vertices at distance {d}")
 
 
 def _inward_depth(vertices: Iterable[Vertex], frontier: Iterable[Vertex], neighbors: Callable) -> Dict[Vertex, float]:
     """1 + the BFS distance to ``frontier`` under ``neighbors``; inf where no frontier vertex is reachable."""
-    dist, _ = bfs(frontier, neighbors)
+    dist, _ = bfs(frontier, partial(map, neighbors))
     return {x: dist[x] + 1 if x in dist else math.inf for x in vertices}
 
 
 def _bfs_path(neighbors: Callable, x: Vertex, y: Vertex, radius: Optional[int] = None) -> Optional[List[Vertex]]:
     """Shortest path [x, ..., y] under ``neighbors``; None when y is not within radius."""
-    _, parent = bfs([x], neighbors, radius, target=y)
+    _, parent = bfs([x], partial(map, neighbors), radius, target=y)
     if y not in parent:
         return None
     path = [y]
@@ -309,10 +343,11 @@ class Kernel:
         return f"Kernel({len(self._rows)} rows, {kind})"
 
 
-def _add(x, step):
-    if isinstance(x, tuple):
-        return tuple(a + b for a, b in zip(x, step))
-    return x + step
+def _shifts(xs: Iterable[Vertex], step) -> List[Vertex]:
+    """The translates ``[x + step for x in xs]`` of integer points, ints or int tuples."""
+    if isinstance(step, tuple):
+        return [tuple(map(operator.add, x, step)) for x in xs]
+    return [x + step for x in xs]
 
 
 def _neg(step):
@@ -337,36 +372,39 @@ def step_kernel(
         raise PreconditionError("empty step distribution")
     first = next(iter(steps))
     origin = tuple(0 for _ in first) if isinstance(first, tuple) else 0
-    return _window_kernel(origin, _add, _neg, steps, radius=radius, window=window, max_support=MAX_WINDOW)
+    return _window_kernel(origin, _shifts, _neg, steps, radius=radius, window=window, max_support=MAX_WINDOW)
 
 
-def _window_kernel(origin: Vertex, act: Callable, inverse: Callable, steps: Mapping[object, Weight], *,
+def _window_kernel(origin: Vertex, translates: Callable, inverse: Callable, steps: Mapping[object, Weight], *,
                    radius: Optional[int] = None, window: Optional[Iterable[Vertex]] = None,
                    max_support: int = MAX_SUPPORT) -> Kernel:
-    """Rows {x: {act(x, s): steps[s]}} on the ball of ``radius`` around ``origin`` or on ``window``.
+    """Rows {x: {x·s: steps[s]}} on the ball of ``radius`` around ``origin`` or on ``window``.
 
-    Neighbors are ``act(x, s)`` and ``act(x, inverse(s))`` over the steps; the
-    ball holds at most ``max_support`` vertices.  In both cases the certified
-    depth is the exact step-graph distance to the complement.
+    ``translates(xs, s)`` lists x·s for each x in xs, in order (``Group.translates``).
+    Neighbors are x·s and x·inverse(s) over the steps, found one direction
+    at a time for a whole layer; the ball holds at most ``max_support``
+    vertices.  In both cases the certified depth is the exact step-graph
+    distance to the complement.
     """
     if (radius is None) == (window is None):
         raise PreconditionError("specify exactly one of radius or window")
     directions = sorted(set(steps) | {inverse(s) for s in steps})
 
-    def neighbors(x):
-        return [act(x, s) for s in directions]
+    def expand(layer):
+        return zip(*[translates(layer, s) for s in directions])
 
     if radius is not None:
-        depth = {x: radius - d + 1 for x, d in bfs([origin], neighbors, radius, max_support=max_support)[0].items()}
+        ball, _ = bfs([origin], expand, radius, max_support=max_support)
+        depth = {x: radius - d + 1 for x, d in ball.items()}
     else:
         vertices = set(window)
-        frontier = [x for x in vertices if any(y not in vertices for y in neighbors(x))]
-        depth = _inward_depth(vertices, frontier, lambda x: [y for y in neighbors(x) if y in vertices])
+        neighbors = dict(zip(vertices, expand(list(vertices))))
+        frontier = [x for x in vertices if any(y not in vertices for y in neighbors[x])]
+        depth = _inward_depth(vertices, frontier, lambda x: [y for y in neighbors[x] if y in vertices])
 
     rows = {x: {} for x in depth}
-    for x, row in rows.items():
-        for s, w in steps.items():
-            y = act(x, s)
+    for s, w in steps.items():
+        for row, y in zip(rows.values(), translates(list(rows), s)):
             row[y] = row[y] + w if y in row else w
     return Kernel(rows, depth=depth)
 

@@ -311,9 +311,11 @@ def test_engine_fills_inverse_translates():
     calls = []
 
     class CountingF2(cw.FreeGroup):
-        def multiply(self, x, y):
-            calls.append(1)
-            return super().multiply(x, y)
+        # the engine computes translates in batches, one per step
+        def translates(self, xs, g):
+            ys = super().translates(xs, g)
+            calls.extend(ys)
+            return ys
 
     group = CountingF2()
     step = cw.step_measure(group, F2_GENS)

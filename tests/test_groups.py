@@ -3,6 +3,7 @@
 import functools
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -209,6 +210,50 @@ def test_product_matches_multiply_fold(spec):
     wr, f2 = cw.WreathZZ(), cw.FreeGroup()
     assert wr.product([(1, ((0, 1),)), (0, ((-1, -1),))]) == (1, ())
     assert f2.product([(1, 2), (-2,), (-1, 1)]) == (1,)
+
+
+@pytest.mark.parametrize("spec", sorted(GROUPS))
+def test_translates_match_multiply(spec):
+    group = GROUPS[spec]
+    rng = random.Random(f"translates/{spec}")
+    xs = [random_element(group, rng) for _ in range(300)]
+    gens = GENS[spec]
+    # the generators and their inverses (one F2 letter, a wreath shift without lamps), longer
+    # random steps, inverses of some xs (an F2 step that cancels all of x) and the identity
+    steps = [*gens, *map(group.inverse, gens), *(random_element(group, rng, length=4) for _ in range(20)),
+             *map(group.inverse, xs[:10]), group.identity]
+    for g in steps:
+        expected = [group.multiply(x, g) for x in xs]
+        assert group.translates(xs, g) == expected
+        assert group.translates(iter(xs), g) == expected
+    assert group.translates([], gens[0]) == []
+    if spec == "f2":
+        # one-letter and longer steps, each cancelling into some xs and not into others
+        for g in ((1,), (-2,), (1, 2), (-2, -1, -1)):
+            lengths = {len(y) - len(x) for x, y in zip(xs, group.translates(xs, g))}
+            assert len(g) in lengths and min(lengths) < len(g)
+    if spec == "wreath":
+        assert group.translates([(2, ((0, 3),))], (1, ())) == [(3, ((0, 3),))]
+        assert group.translates([(2, ((0, 3),))], (0, ((-2, -3),))) == [(2, ())]
+
+
+def test_lattice_product_folds_a_long_path_in_bounded_memory():
+    # a long sampled path folds chunk by chunk; unpacked whole into zip(), 10**6 steps held about 72 MB
+    z = cw.IntegerLattice(3)
+    steps = ((1, 0, 0), (0, -1, 0), (0, 0, 1), (-1, 0, 0))
+    tracemalloc.start()
+    try:
+        total = z.product(steps[i % 3] for i in range(10**6))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert total == (333_334, -333_333, 333_333)
+    assert peak < 8_000_000
+    # the chunk boundaries are seamless
+    chunk = cw.groups._FOLD_CHUNK
+    for n in (chunk - 1, chunk, chunk + 1, 2 * chunk + 5):
+        path = [steps[(i * 7) % 4] for i in range(n)]
+        assert z.product(iter(path)) == functools.reduce(z.multiply, path, z.identity)
 
 
 def test_free_group_reduction():

@@ -1,5 +1,6 @@
 """Kernels, cycles, centering verification and the graph metrics."""
 
+import collections
 import functools
 import gc
 import math
@@ -378,15 +379,91 @@ def test_bfs_paths_are_shortest_directed_paths():
                 if x != y:
                     assert mg._bfs_path(lambda u: sorted(out[u]), x, y, radius=dist[x, y] - 1) is None
     # parents are kept only for a search with a target
-    line = lambda x: [x - 1, x + 1]  # noqa: E731
+    line = functools.partial(map, lambda x: [x - 1, x + 1])
     assert mg.bfs([0], line, radius=3)[1] == {}
     dist, parent = mg.bfs([0], line, target=-2)
     assert dist == {0: 0, -1: 1, 1: 1, -2: 2} and parent == {0: 0, -1: 0, 1: 0, -2: -1}
 
 
+def fifo_bfs(sources, neighbors, radius=None, target=None, max_support=mg.MAX_SUPPORT):
+    """Reference: the vertex-by-vertex FIFO search that ``bfs`` must reproduce, order and errors included."""
+    dist = dict.fromkeys(sources, 0)
+    track = target is not None
+    parent = {x: x for x in dist} if track else {}
+    if track and target in dist:
+        return dist, parent
+    queue = collections.deque((x, 0) for x in dist)
+    while queue:
+        x, d = queue.popleft()
+        if d == radius:
+            continue
+        d += 1
+        for y in neighbors(x):
+            if y not in dist:
+                if len(dist) >= max_support:
+                    within = "" if radius is None else f" to radius {radius}"
+                    raise cw.SupportOverflowError(f"search{within} passed {max_support} vertices at distance {d}")
+                dist[y] = d
+                if track:
+                    parent[y] = x
+                    if y == target:
+                        return dist, parent
+                queue.append((y, d))
+    return dist, parent
+
+
+@pytest.mark.parametrize("batch, bulk", [(1, 0), (3, 0), (mg._EXPAND_BATCH, 0), (mg._EXPAND_BATCH, 3),
+                                         (mg._EXPAND_BATCH, mg._BULK_LAYER)])
+def test_layered_bfs_matches_a_fifo_search(batch, bulk, monkeypatch):
+    # a layer of at least ``_BULK_LAYER`` vertices takes the bulk pass, ``_EXPAND_BATCH`` vertices
+    # at a time: small values send every layer through it and split it
+    monkeypatch.setattr(mg, "_EXPAND_BATCH", batch)
+    monkeypatch.setattr(mg, "_BULK_LAYER", bulk)
+    rng = random.Random(11)
+    overflows = stops = 0
+    for _ in range(600):
+        n = rng.randrange(1, 40)
+        # neighbor lists with repeats and self-loops, in a fixed order per vertex
+        out = {u: [rng.randrange(n) for _ in range(rng.randrange(5))] for u in range(n)}
+        sources = [rng.randrange(n) for _ in range(rng.randrange(1, 4))]
+        radius = rng.choice([None, 0, 1, 2, 3, 5])
+        budget = rng.choice([mg.MAX_SUPPORT, n, rng.randrange(1, n + 2)])
+        target = rng.choice([None, None, rng.randrange(n), n])
+        calls = {"fifo": 0, "layered": 0}
+
+        def neighbors(who):
+            def fn(u):
+                calls[who] += 1
+                return iter(out[u])
+            return fn
+
+        expands = [functools.partial(map, neighbors("layered"))]
+        if target is None:
+            # a layer-wide expand: neighbor lists of the whole layer at once
+            expands.append(lambda layer: [out[u] for u in layer])
+        try:
+            expected = fifo_bfs(sources, neighbors("fifo"), radius, target, budget)
+        except cw.SupportOverflowError as exc:
+            overflows += 1
+            for expand in expands:
+                with pytest.raises(cw.SupportOverflowError) as info:
+                    mg.bfs(sources, expand, radius, target, max_support=budget)
+                assert str(info.value) == str(exc)
+            continue
+        for expand in expands:
+            dist, parent = mg.bfs(sources, expand, radius, target, max_support=budget)
+            assert list(dist.items()) == list(expected[0].items())
+            assert list(parent.items()) == list(expected[1].items())
+        if target is not None:
+            # the same stopping point: both searches expanded the same vertices
+            assert calls["layered"] == calls["fifo"]
+            stops += target in dist
+    assert overflows > 50 and stops > 50
+
+
 def test_negative_radius_is_rejected_by_bfs():
     srw = {1: Fraction(1, 2), -1: Fraction(1, 2)}
-    for search in (lambda: mg.bfs([0], lambda x: [x - 1, x + 1], radius=-1),
+    for search in (lambda: mg.bfs([0], functools.partial(map, lambda x: [x - 1, x + 1]), radius=-1),
                    lambda: cw.step_kernel(srw, radius=-1),
                    lambda: cw.graph_distance(cw.step_kernel(srw, radius=3), 0, 1, radius=-1),
                    lambda: cw.word_ball(cw.IntegerLattice(1), [(1,)], -1)):
