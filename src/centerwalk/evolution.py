@@ -493,40 +493,96 @@ def path_rng(seed: int, index: int) -> random.Random:
     runs and platforms; paths are independent and may be generated in any
     order.  The stream contract of the samplers: step j of path i takes
     generator ``gens[r]``, where r is the j-th ``randrange(K)`` of
-    ``path_rng(seed, i)`` and K = len(gens).  ``_path_indices`` replays
-    exactly these draws in bulk.
+    ``path_rng(seed, i)`` and K = len(gens).  ``_sample_steps`` replays
+    exactly these draws a block of paths at a time, and ``_path_indices``
+    one path in bounded chunks.
     """
     digest = hashlib.sha256(f"{seed}:{index}".encode()).digest()
     return random.Random(int.from_bytes(digest, "big"))
 
 
-#: MT19937 words drawn per ``getrandbits`` call: its bit count is a C int, so one
-#: call for a whole long path (2**26 words or more) raises OverflowError
+#: MT19937 words drawn per ``getrandbits`` call of ``_path_indices``: its bit count
+#: is a C int, so one call for a whole long path (2**26 words or more) raises
+#: OverflowError, and the chunks keep a long path's draws in bounded memory
 _DRAW_WORDS = 1 << 20
 
+#: MT19937 words in flight in one block pass of ``_sample_steps``; a path that
+#: needs more takes ``_path_indices``
+_BLOCK_WORDS = 1 << 14
 
-def _path_indices(seed: int, index: int, t: int, k: int) -> List[int]:
-    """The first t ``randrange(k)`` draws of ``path_rng(seed, index)`` (k >= 1), in bulk.
+#: standard deviations of slack in a path's block draw over its expected word count
+_SLACK_SDS = 6
+
+
+def _path_indices(seed: int, index: int, t: int, k: int) -> Iterator:
+    """The first t ``randrange(k)`` draws of ``path_rng(seed, index)`` (k >= 1), as numpy chunks.
 
     ``randrange(k)`` takes the top ``k.bit_length()`` bits of the next
     32-bit MT19937 word and rejects values >= k (k < 2**32 here), and
     ``getrandbits(32 * n)`` returns the next n words, least significant
     first, the same words as n successive 32-bit draws.  So C-level draws
-    of at most ``_DRAW_WORDS`` words, a shift and a mask replay the stream.
+    of at most ``_DRAW_WORDS`` words, a shift and a mask replay the stream;
+    each chunk holds at most ``_DRAW_WORDS`` draws.
     """
-    if k == 1:
-        return [0] * t
     import numpy as np
 
     rng = path_rng(seed, index)
     shift = 32 - k.bit_length()
-    out: List[int] = []
-    while len(out) < t:
+    while t > 0:
         # enough words for the missing draws at the expected rejection rate, plus slack
-        n = min((t - len(out)) * (1 << k.bit_length()) // k + 16, _DRAW_WORDS)
+        n = min(t * (1 << k.bit_length()) // k + 16, _DRAW_WORDS)
         words = np.frombuffer(rng.getrandbits(32 * n).to_bytes(4 * n, "little"), "<u4") >> shift
-        out += words[words < k].tolist()
-    return out[:t]
+        chunk = words[words < k][:t]
+        t -= len(chunk)
+        yield chunk
+
+
+def _sample_steps(gens: Tuple, t: int, seed: int, rows: range) -> Iterator:
+    """The t steps of each path in ``rows``, in order, as generator elements from ``gens``.
+
+    A block pass appends the first n words of each path's ``path_rng`` (n is
+    its expected word count plus ``_SLACK_SDS`` standard deviations) to one
+    buffer of at most ``_BLOCK_WORDS`` words, then shifts, rejects and keeps
+    the first t draws of every path in one numpy pass.  The kept draws
+    gather their steps from an object array of ``gens``, so a path comes out
+    as a list of generator elements with no Python frame per step.  A path
+    whose draw comes up short and a path whose words do not fit one block
+    take ``_path_indices`` instead: a chain of its bounded chunks.  Both
+    routes replay the same ``path_rng`` draws.
+    """
+    import numpy as np
+
+    k = len(gens)
+    table = np.empty(k, dtype=object)
+    for j, g in enumerate(gens):
+        table[j] = g
+
+    def chunked(i):
+        return itertools.chain.from_iterable(table[c].tolist() for c in _path_indices(seed, i, t, k))
+
+    # a draw is kept with probability p = k / m (m = 2**k.bit_length()), so t draws take
+    # t / p words on average, with standard deviation sqrt(t (1 - p)) / p
+    m = 1 << k.bit_length()
+    n = (t * m + _SLACK_SDS * math.isqrt(t * (m - k) * m)) // k + 1
+    per_block = _BLOCK_WORDS // n if t > 0 else 0
+    if not per_block:
+        yield from map(chunked, rows)
+        return
+    shift = 32 - k.bit_length()
+    for start in range(0, len(rows), per_block):
+        block = rows[start:start + per_block]
+        buf = bytearray()
+        for i in block:
+            buf += path_rng(seed, i).getrandbits(32 * n).to_bytes(4 * n, "little")
+        words = np.frombuffer(buf, "<u4").reshape(len(block), n) >> shift
+        keep = words < k
+        count = np.cumsum(keep, axis=1)
+        full = count[:, -1] >= t
+        # the first t kept draws of every path with at least t of them
+        keep &= (count <= t) & full[:, None]
+        steps = iter(table[words[keep]].reshape(-1, t).tolist())
+        for i, ok in zip(block, full.tolist()):
+            yield next(steps) if ok else chunked(i)
 
 
 def _sample_gens(group: Group, gens: Sequence, t: int, n_paths: int) -> Tuple:
@@ -543,10 +599,11 @@ class SampledPaths(abc.Sequence):
     """The trajectories of ``mc_sample``, each replayed from its index stream on access.
 
     Path i is the ``path_rng`` stream of (seed, i) folded by ``multiply`` from
-    the identity, a fresh list of t+1 elements on every access.  Nothing is
-    cached, so iterating holds one path at a time, and changes made to a
-    returned list are not kept.  ``rows`` are the path indices i it holds, so a
-    slice is a sample over the same streams; ``==`` compares paths with any
+    the identity, a fresh list of t+1 elements on every access: its steps
+    come from a one-row block pass of ``_sample_steps``.  Nothing is cached,
+    so iterating holds one path at a time, and changes made to a returned
+    list are not kept.  ``rows`` are the path indices i it holds, so a slice
+    is a sample over the same streams; ``==`` compares paths with any
     sequence of paths.
     """
 
@@ -559,8 +616,9 @@ class SampledPaths(abc.Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return SampledPaths(self.group, self.gens, self.t, self.seed, self._rows[i])
+        row = self._rows[i]
         with _collector_paused():
-            steps = map(self.gens.__getitem__, _path_indices(self.seed, self._rows[i], self.t, len(self.gens)))
+            steps = next(_sample_steps(self.gens, self.t, self.seed, range(row, row + 1)))
             return list(itertools.accumulate(steps, self.group.multiply, initial=self.group.identity))
 
     def __eq__(self, other) -> bool:
@@ -572,19 +630,19 @@ class SampledPaths(abc.Sequence):
 def mc_sample(group: Group, gens: Sequence, t: int, n_paths: int, seed: int) -> SampledPaths:
     """Sampled trajectories (length t+1 each, starting at the identity), replayed on access.
 
-    Every index access costs a full replay of that path: t draws and t
-    ``multiply`` calls.  A caller that reads the sample several times pays
-    that each time; one pass that collects everything it needs pays it once.
+    Every index access costs a full replay of that path: its t draws in a
+    one-row ``_sample_steps`` pass and t ``multiply`` calls.  A caller that
+    reads the sample several times pays that each time; one pass that
+    collects everything it needs pays it once.
     """
     return SampledPaths(group, _sample_gens(group, gens, t, n_paths), t, seed, range(n_paths))
 
 
 def _mc_endpoints(group: Group, gens: Sequence, t: int, n_paths: int, seed: int) -> List:
-    """X_t of each sampled path: its steps folded by ``product``."""
+    """X_t of each sampled path: the steps of ``_sample_steps`` folded by ``product``, a block at a time."""
     gens = _sample_gens(group, gens, t, n_paths)
-    k = len(gens)
     with _collector_paused():
-        return [group.product(gens[j] for j in _path_indices(seed, i, t, k)) for i in range(n_paths)]
+        return list(map(group.product, _sample_steps(gens, t, seed, range(n_paths))))
 
 
 @dataclass
@@ -692,6 +750,18 @@ def wreath_lamp_identity(paths: Sequence[Sequence]) -> bool:
     even lamps stay negative, (sum of odd lamps) - (sum of even lamps) = t
     exactly, total lamp mass equals t, and the walker's shift stays even.
     Paths made with any other generating pair are rejected.
+
+    Each step is checked against an incremental mirror of the lamps: it must
+    move the shift by +-2 and change exactly the one lamp that move names,
+    and the mirror must equal the final element.  Those checks imply the
+    identity, so it needs no test of its own: the shift starts at 0 and moves
+    by +-2, so it stays even; a +2 step from shift s adds +1 at the odd slot
+    s + 1 and a -2 step from s adds -1 at the even slot s, so an odd slot
+    only grows from 0 and an even slot only falls from 0.  Hence odd lamps
+    are positive, even lamps negative, and every step adds 1 both to (odd
+    sum) - (even sum) and to the total mass.  A path breaks the identity only
+    by breaking a check, which raises ``PreconditionError``; a path that
+    passes them all satisfies it, and the function returns True.
     """
     from bisect import bisect_left
 
@@ -699,51 +769,33 @@ def wreath_lamp_identity(paths: Sequence[Sequence]) -> bool:
         for path in paths:
             if not path or path[0] != _WREATH.identity:
                 raise PreconditionError("paths must start at the identity")
-            # incremental mirror of the lamp configuration: each step touches one
-            # slot, so the per-step invariants cost O(log #lamps) instead of a
-            # full rescan; the mirror is compared against the final element
-            # exactly at the end of the path
+            # each step touches one slot, so the per-step check costs O(log #lamps)
+            # instead of a full rescan
             mirror: Dict[int, int] = {}
-            odd_sum = even_sum = mass = 0
-            prev_shift = 0
-            for s, x in enumerate(path):
-                shift, lamps = x
-                if s > 0:
-                    delta = shift - prev_shift
-                    if delta == 2:
-                        pos, inc = prev_shift + 1, 1
-                    elif delta == -2:
-                        pos, inc = prev_shift, -1
-                    else:
-                        raise PreconditionError(
-                            f"step {s} changes the shift by {delta}; paths must come from the lamp pair"
-                        )
-                    mirror[pos] = mirror.get(pos, 0) + inc
-                    if pos % 2 != 0:
-                        odd_sum += inc
-                    else:
-                        even_sum += inc
-                    mass += 1 if mirror[pos] * inc > 0 else -1
-                    if len(lamps) != len(mirror):
-                        raise PreconditionError(
-                            f"step {s} changes more than one lamp; paths must come from the lamp pair"
-                        )
-                    i = bisect_left(lamps, (pos,))
-                    if i == len(lamps) or lamps[i][0] != pos or lamps[i][1] != mirror[pos]:
-                        raise PreconditionError(
-                            f"step {s} is not a single-lamp update; paths must come from the lamp pair"
-                        )
+            prev_shift = path[0][0]
+            for s, (shift, lamps) in enumerate(itertools.islice(path, 1, None), 1):
+                delta = shift - prev_shift
+                if delta == 2:
+                    pos, inc = prev_shift + 1, 1
+                elif delta == -2:
+                    pos, inc = prev_shift, -1
+                else:
+                    raise PreconditionError(
+                        f"step {s} changes the shift by {delta}; paths must come from the lamp pair"
+                    )
+                value = mirror[pos] = mirror.get(pos, 0) + inc
+                if len(lamps) != len(mirror):
+                    raise PreconditionError(
+                        f"step {s} changes more than one lamp; paths must come from the lamp pair"
+                    )
+                i = bisect_left(lamps, (pos,))
+                if i == len(lamps) or lamps[i][0] != pos or lamps[i][1] != value:
+                    raise PreconditionError(
+                        f"step {s} is not a single-lamp update; paths must come from the lamp pair"
+                    )
                 prev_shift = shift
-                if shift % 2 != 0:
-                    return False
-                if odd_sum - even_sum != s or mass != s:
-                    return False
             final = path[-1]
             _WREATH.validate(final)
             if tuple(sorted(mirror.items())) != final[1]:
                 raise PreconditionError("path is inconsistent with its own increments")
-            if any(v <= 0 for p, v in final[1] if p % 2 != 0):
-                return False
-            if any(v >= 0 for p, v in final[1] if p % 2 == 0):
-                return False
     return True

@@ -193,13 +193,17 @@ class IntegerLattice(_IntVector):
         return tuple(map(add, x, y))
 
     def product(self, elements: Iterable):
-        # coordinate sums over bounded chunks: unpacking a whole long path into zip() holds all of it at once
-        steps, acc = iter(elements), self.identity
-        while True:
-            chunk = tuple(itertools.islice(steps, _FOLD_CHUNK))
+        # coordinate sums over bounded chunks: unpacking a whole long path into zip() holds all of it at once;
+        # a list short enough is its own only chunk, with no copy
+        if isinstance(elements, list) and len(elements) <= _FOLD_CHUNK:
+            chunks = (elements,)
+        else:
+            steps = iter(elements)
+            chunks = iter(lambda: tuple(itertools.islice(steps, _FOLD_CHUNK)), ())
+        acc = self.identity
+        for chunk in chunks:
             acc = tuple(map(sum, zip(acc, *chunk)))
-            if len(chunk) < _FOLD_CHUNK:
-                return acc
+        return acc
 
     def inverse(self, x):
         return tuple(-a for a in x)

@@ -1,10 +1,12 @@
 """Exact evolution, Monte Carlo, bound fitting, escape, speed, entropy."""
 
+import functools
 import gc
 import hashlib
 import inspect
 import itertools
 import math
+import random
 import statistics
 import sys
 import tracemalloc
@@ -14,7 +16,7 @@ import pytest
 
 import centerwalk as cw
 from centerwalk import markov_graph as mg
-from centerwalk.evolution import _mc_endpoints, _path_indices, path_rng
+from centerwalk.evolution import _mc_endpoints, _path_indices, _sample_steps, path_rng
 from centerwalk.markov_graph import MAX_SUPPORT
 
 Z1 = cw.IntegerLattice(1)
@@ -664,17 +666,80 @@ def test_volume_growth_budget():
     assert len(cw.word_ball(Z2, ((1, 0), (0, 1)), 4, max_support=41)) == 41
 
 
+def _replayed(seed, index, t, gens):
+    """The steps of path ``index`` by the stream contract: one ``randrange`` call per step."""
+    rng = path_rng(seed, index)
+    return [gens[rng.randrange(len(gens))] for _ in range(t)]
+
+
 @pytest.mark.parametrize("k", [*range(1, 10), 1000])
 def test_path_indices_replay_randrange(k, monkeypatch):
     for t in (0, 1, 7, 500):
         for seed, index in ((0, 0), (5, 3), (2 ** 40, 17)):
             rng = path_rng(seed, index)
-            assert _path_indices(seed, index, t, k) == [rng.randrange(k) for _ in range(t)]
-    # a long path draws its words in several calls: one call of 2**31 bits or more overflows
+            got = list(itertools.chain.from_iterable(_path_indices(seed, index, t, k)))
+            assert got == [rng.randrange(k) for _ in range(t)]
+    # a long path draws its words in several calls, one chunk of at most _DRAW_WORDS
+    # draws each: one call of 2**31 bits or more overflows
     monkeypatch.setattr("centerwalk.evolution._DRAW_WORDS", 3)
     for t in (1, 7, 500):
         rng = path_rng(9, 4)
-        assert _path_indices(9, 4, t, k) == [rng.randrange(k) for _ in range(t)]
+        chunks = list(_path_indices(9, 4, t, k))
+        assert all(len(c) <= 3 for c in chunks)
+        assert list(itertools.chain.from_iterable(chunks)) == [rng.randrange(k) for _ in range(t)]
+
+
+def _gens(k):
+    return tuple((j,) for j in range(k))
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_sample_steps_replay_the_streams(k):
+    gens = _gens(k)
+    for t in (0, 1, 7, 300, 5000):
+        rows = range(5, 5 + (3 if t == 5000 else 40))
+        got = [list(steps) for steps in _sample_steps(gens, t, 17, rows)]
+        assert got == [_replayed(17, i, t, gens) for i in rows]
+    # a slice of a sample replays its own rows
+    paths = cw.mc_sample(Z1, gens, t=30, n_paths=12, seed=3)[7:1:-2]
+    assert [[b[0] - a[0] for a, b in zip(p, p[1:])] for p in paths] == \
+        [[g[0] for g in _replayed(3, i, 30, gens)] for i in (7, 5, 3)]
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 7])
+def test_sample_steps_fallbacks_replay_the_streams(k, monkeypatch):
+    gens, rows = _gens(k), range(2, 42)
+    want = {t: [_replayed(8, i, t, gens) for i in rows] for t in (1, 7, 300)}
+
+    def sample(t):
+        return [list(steps) for steps in _sample_steps(gens, t, 8, rows)]
+
+    # no slack: about half the block draws come up short and replay on their own
+    monkeypatch.setattr("centerwalk.evolution._SLACK_SDS", 0)
+    assert all(sample(t) == want[t] for t in want)
+    # a block too small for one path, and small draw chunks: every path is a chain of chunks
+    monkeypatch.setattr("centerwalk.evolution._BLOCK_WORDS", 8)
+    monkeypatch.setattr("centerwalk.evolution._DRAW_WORDS", 5)
+    assert all(sample(t) == want[t] for t in want)
+
+
+def _fold_endpoints(group, gens, t, n_paths, seed):
+    """Reference: each path's replayed steps folded by ``multiply``, one path at a time."""
+    return [functools.reduce(group.multiply, _replayed(seed, i, t, gens), group.identity) for i in range(n_paths)]
+
+
+@pytest.mark.parametrize("group, gens, t", [
+    (Z1, Z_GENS, 33),
+    (Z2, ((1, 0), (-1, 0), (0, 1), (0, -1), (2, -3)), 200),
+    (F2, F2_GENS, 60),
+    (cw.WreathZZ(), cw.WREATH_LAMP_PAIR, 80),
+])
+def test_mc_endpoints_match_a_per_path_fold(group, gens, t, monkeypatch):
+    want = _fold_endpoints(group, gens, t, 60, 12)
+    assert _mc_endpoints(group, gens, t, 60, 12) == want
+    monkeypatch.setattr("centerwalk.evolution._BLOCK_WORDS", 64)
+    monkeypatch.setattr("centerwalk.evolution._DRAW_WORDS", 16)
+    assert _mc_endpoints(group, gens, t, 60, 12) == want
 
 
 def test_mc_sample_determinism_and_shape():
@@ -732,7 +797,7 @@ def test_mc_sample_holds_one_path_at_a_time():
 @pytest.mark.parametrize("group, gens, t", [
     (Z1, ((10 ** 30,), (-1,), (3,)), 50),  # int64 cannot hold this generator
     (Z2, ((1, 0), (-1, 0), (0, 1), (0, -1), (2, -3)), 200),
-    (Z1, ((5,),), 17),  # K = 1 draws nothing from the stream
+    (Z1, ((5,),), 17),  # K = 1: every draw is 0
     (Z2, ((1, 0), (0, -1)), 0),
     (F2, F2_GENS, 60),
     (cw.WreathZZ(), cw.WREATH_LAMP_PAIR, 80),
@@ -853,6 +918,118 @@ def test_wreath_lamp_identity_rejects_other_generators():
     bad = cw.mc_sample(wr, other, t=4, n_paths=1, seed=0)
     with pytest.raises(cw.PreconditionError):
         cw.wreath_lamp_identity(bad)
+
+
+def _lamp_identity_loop(paths):
+    """Reference: the former lamp check, with its per-step parity, sum and mass tests and final sign scans."""
+    from bisect import bisect_left
+
+    wr = cw.WreathZZ()
+    for path in paths:
+        if not path or path[0] != wr.identity:
+            raise cw.PreconditionError("paths must start at the identity")
+        mirror = {}
+        odd_sum = even_sum = mass = 0
+        prev_shift = 0
+        for s, x in enumerate(path):
+            shift, lamps = x
+            if s > 0:
+                delta = shift - prev_shift
+                if delta == 2:
+                    pos, inc = prev_shift + 1, 1
+                elif delta == -2:
+                    pos, inc = prev_shift, -1
+                else:
+                    raise cw.PreconditionError(
+                        f"step {s} changes the shift by {delta}; paths must come from the lamp pair"
+                    )
+                mirror[pos] = mirror.get(pos, 0) + inc
+                if pos % 2 != 0:
+                    odd_sum += inc
+                else:
+                    even_sum += inc
+                mass += 1 if mirror[pos] * inc > 0 else -1
+                if len(lamps) != len(mirror):
+                    raise cw.PreconditionError(
+                        f"step {s} changes more than one lamp; paths must come from the lamp pair"
+                    )
+                i = bisect_left(lamps, (pos,))
+                if i == len(lamps) or lamps[i][0] != pos or lamps[i][1] != mirror[pos]:
+                    raise cw.PreconditionError(
+                        f"step {s} is not a single-lamp update; paths must come from the lamp pair"
+                    )
+            prev_shift = shift
+            if shift % 2 != 0:
+                return False
+            if odd_sum - even_sum != s or mass != s:
+                return False
+        final = path[-1]
+        wr.validate(final)
+        if tuple(sorted(mirror.items())) != final[1]:
+            raise cw.PreconditionError("path is inconsistent with its own increments")
+        if any(v <= 0 for p, v in final[1] if p % 2 != 0):
+            return False
+        if any(v >= 0 for p, v in final[1] if p % 2 == 0):
+            return False
+    return True
+
+
+def _lamp_outcome(check, paths):
+    try:
+        return check(paths)
+    except Exception as exc:  # noqa: BLE001 - the exception itself is compared
+        return type(exc), str(exc)
+
+
+#: one-element perturbations of a wreath path element (shift, lamps)
+LAMP_PERTURBATIONS = {
+    "extra lamp": lambda x, r: (x[0], tuple(sorted(x[1] + ((max((p for p, _ in x[1]), default=0) + 1 + r, 1),)))),
+    "shift off by 2": lambda x, r: (x[0] + (2 if r % 2 else -2), x[1]),
+    "changed lamp value": lambda x, r: (x[0], tuple((p, v + 1) if j == r % len(x[1]) else (p, v)
+                                                    for j, (p, v) in enumerate(x[1]))) if x[1] else x,
+    "3-tuple lamp entry": lambda x, r: (x[0], tuple((p, v, 0) if j == r % len(x[1]) else (p, v)
+                                                    for j, (p, v) in enumerate(x[1]))) if x[1] else x,
+}
+
+
+def _perturbed(path, kind, at, r):
+    return [LAMP_PERTURBATIONS[kind](x, r) if s == at else x for s, x in enumerate(path)]
+
+
+def test_wreath_lamp_identity_matches_the_former_loop():
+    wr = cw.WreathZZ()
+    cases = [[[wr.identity]], [[]], [[(2, ((1, 1),))]], [[(0, ()), (2, ((1, 1),)), (0, ((0, -1), (1, 1)))]]]
+    for t in (0, 1, 2, 5, 40, 400):
+        sample = cw.mc_sample(wr, cw.WREATH_LAMP_PAIR, t=t, n_paths=6, seed=t)
+        cases.append(list(sample))
+        for path in sample:
+            for kind in LAMP_PERTURBATIONS:
+                for at in {0, 1, t // 2, t}:
+                    cases.append([path, _perturbed(path, kind, at, t + at)])
+    cases += [list(cw.mc_sample(wr, ((1, ()), (-1, ())), t=t, n_paths=3, seed=1)) for t in (0, 1, 9)]
+    outcomes = set()
+    for paths in cases:
+        got = _lamp_outcome(cw.wreath_lamp_identity, paths)
+        assert got == _lamp_outcome(_lamp_identity_loop, paths)
+        outcomes.add(got if got is True else got[0])
+    # every kind of end is covered: the identity holds, a step is refused, a final element is invalid
+    assert outcomes == {True, cw.PreconditionError, cw.StructuralError}
+
+
+def test_the_former_lamp_loop_never_returns_false():
+    # its parity, sum, mass and sign tests are implied by the per-step checks and the final mirror
+    wr, rng = cw.WreathZZ(), random.Random(2027)
+    seen = set()
+    for n in range(2000):
+        t = rng.randrange(60)
+        path = cw.mc_sample(wr, cw.WREATH_LAMP_PAIR, t=t, n_paths=n + 1, seed=5)[n]
+        if rng.random() < 0.1:
+            path = _perturbed(path, rng.choice(sorted(LAMP_PERTURBATIONS)), rng.randrange(t + 1), rng.randrange(99))
+        got = _lamp_outcome(_lamp_identity_loop, [path])
+        assert got is not False
+        assert got == _lamp_outcome(cw.wreath_lamp_identity, [path])
+        seen.add(got if got is True else got[0])
+    assert True in seen and len(seen) > 1
 
 
 def test_diagonal_decay_refinement():

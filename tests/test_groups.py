@@ -256,6 +256,14 @@ def test_lattice_product_folds_a_long_path_in_bounded_memory():
         assert z.product(iter(path)) == functools.reduce(z.multiply, path, z.identity)
 
 
+def test_lattice_product_folds_lists_of_any_length():
+    # a list of at most _FOLD_CHUNK steps is folded as it is; a longer one in chunks like any iterable
+    z, chunk = cw.IntegerLattice(2), cw.groups._FOLD_CHUNK
+    for n in (0, 1, 33, chunk, chunk + 1):
+        path = [((i * 5) % 3 - 1, (i * 7) % 5 - 2) for i in range(n)]
+        assert z.product(path) == z.product(iter(path)) == functools.reduce(z.multiply, path, z.identity)
+
+
 def test_free_group_reduction():
     f2 = cw.FreeGroup()
     a, b = (1,), (2,)
