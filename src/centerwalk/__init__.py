@@ -25,6 +25,7 @@ from .errors import (
     BudgetExhaustedError,
     CenterwalkError,
     InputParseError,
+    OutOfMemoryError,
     PreconditionError,
     StructuralError,
     SupportOverflowError,

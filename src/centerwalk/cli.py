@@ -18,7 +18,8 @@ command that builds a word ball or a Cayley window ends with ``support_overflow`
 and volume commands) or, for the kernel commands, which take no such flag,
 ``MAX_WINDOW`` vertices.  ``cv-fit`` and ``escape`` use the closed-form word
 metric where the group has one.  Errors are structured JSON on stderr with a
-machine-readable code and a distinct exit status.
+machine-readable code and a distinct exit status; a command that runs out of
+memory ends in ``out_of_memory`` (exit 6).
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .errors import (
     BudgetExhaustedError,
     CenterwalkError,
     InputParseError,
+    OutOfMemoryError,
     PreconditionError,
 )
 from .groups import group_from_spec, parse_generators
@@ -588,12 +590,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             sys.stdout.buffer.write(blob)
     except CenterwalkError as exc:
         return _error(exc.code, str(exc), exc.exit_code)
+    except MemoryError as exc:
+        # reported once the handler has dropped the traceback, and with it the frames that hold the data
+        oom = OutOfMemoryError(f"out of memory {_where(exc)}")
     except Exception as exc:
         # the last resort: a defect, not bad input; report where it was raised
-        where = traceback.extract_tb(exc.__traceback__)[-1]
-        return _error("internal_error", f"{type(exc).__name__}: {exc} "
-                      f"({os.path.basename(where.filename)}:{where.lineno} in {where.name})", 1)
-    return 0
+        return _error("internal_error", f"{type(exc).__name__}: {exc} {_where(exc)}", 1)
+    else:
+        return 0
+    return _error(oom.code, str(oom), oom.exit_code)
+
+
+def _where(exc: BaseException) -> str:
+    """``(file:line in function)`` of the frame that raised exc."""
+    where = traceback.extract_tb(exc.__traceback__)[-1]
+    return f"({os.path.basename(where.filename)}:{where.lineno} in {where.name})"
 
 
 if __name__ == "__main__":

@@ -364,37 +364,6 @@ def distance_map(kernel: Kernel, origin: Vertex) -> Dict[Vertex, int]:
     return bfs([origin], partial(map, kernel.undirected_neighbors))[0]
 
 
-def weighted_form_ratios(
-    kernel: Kernel,
-    m: Measure,
-    origin: Vertex,
-    s_values: Sequence[float],
-    trials: int,
-    seed: int,
-) -> List[float]:
-    """Samples of -E(w_s f, w_-s f) / (s^2 m(f^2)) for w_s = exp(s d(origin, .)).
-
-    The form along conjugated exponential weights can only dip slightly
-    negative for a centered chain; the returned ratios stay bounded over
-    any sample when that holds.
-    """
-    dist = distance_map(kernel, origin)
-    form = _Form(kernel, m)
-    rng = random.Random(seed)
-    interior = kernel.interior_vertices(SUPPORT_MARGIN)
-    out: List[float] = []
-    for _ in range(trials):
-        f = random_test_function(interior, rng)
-        mass = sum((form.mass(x) * v * v for x, v in f.items()), Fraction(0))
-        if mass < 1e-14:
-            continue
-        for s in s_values:
-            ws_f = {x: math.exp(s * dist[x]) * v for x, v in f.items()}
-            wms_f = {x: math.exp(-s * dist[x]) * v for x, v in f.items()}
-            out.append(-form(ws_f, wms_f) / (s * s * mass))
-    return out
-
-
 # -- Green kernels -----------------------------------------------------------
 
 

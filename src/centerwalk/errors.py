@@ -37,3 +37,10 @@ class BudgetExhaustedError(CenterwalkError):
 class SupportOverflowError(CenterwalkError):
     code = "support_overflow"
     exit_code = 5
+
+
+class OutOfMemoryError(CenterwalkError):
+    """A command ran out of memory; the CLI reports it once the data the command held is released."""
+
+    code = "out_of_memory"
+    exit_code = 6

@@ -140,16 +140,21 @@ def step_measure(group: Group, gens: Sequence) -> SparseDistribution:
 class _Translates:
     """Interned group elements and their right translates by fixed steps.
 
-    Every element met gets an integer id once, through ``group.key`` when the
-    group sets that hook, and ``elements[i]`` is the element of id i.  Ids are
-    handed out a batch at a time (``ids``), so a slot whose batch entry was
-    already interned is dead: its element is ``None`` and no id points at
-    it.  ``x·g`` is computed once per (id, step) and kept in one numpy
-    ``int32`` table per step (half the memory of ``intp``; a support of 2**31
-    elements cannot be held anyway), indexed by the id of x (-1 where not yet
-    computed or dead).  When g's inverse is a step too, computing y = x·g also
-    fills the inverse's table at y with x, so translates back into a support
-    cost no multiplication.
+    Every element met gets an integer id once, and ``elements[i]`` is the
+    element of id i.  Ids are handed out a batch at a time (``ids``), so a
+    slot whose batch entry was already interned is dead: its element is
+    ``None`` and no id points at it.  ``x·g`` is computed once per (id, step)
+    and kept in one numpy ``int32`` table per step (half the memory of
+    ``intp``; a support of 2**31 elements cannot be held anyway), indexed by
+    the id of x (-1 where not yet computed or dead).  When g's inverse is a
+    step too, computing y = x·g also fills the inverse's table at y with x, so
+    translates back into a support cost no multiplication.
+
+    When the group sets the ``code`` hooks, the index holds the elements'
+    int codes instead of the elements, and ``_codes[i]`` is the code of slot
+    i, in an array grown by doubling its capacity: a batch of translates has
+    its codes from ``group.translate_codes`` in one array pass, and only the
+    elements of a first batch, or of a lookup, are coded one at a time.
     """
 
     def __init__(self, group: Group, steps: List):
@@ -160,25 +165,50 @@ class _Translates:
         self.elements: List = []
         self.index: Dict[object, int] = {}
         self.tables = [np.empty(0, dtype=np.int32) for _ in steps]
+        #: the codes of the slots, then spare capacity; None when the group sets no code hooks
+        self._codes = None if group.code is None else np.empty(0, dtype=np.int64)
         position = {g: k for k, g in enumerate(steps)}
         #: the index of each step's inverse among the steps, None when it is not one
         self.inverses = [position.get(group.inverse(g)) for g in steps]
 
-    def ids(self, xs: List):
+    def _store(self, n: int, codes) -> None:
+        """Write a batch's codes from slot n: the buffer is cast to object once, with the first
+        object batch, and grows to twice the slots it must hold, so a walk copies it O(log) times."""
+        import numpy as np
+
+        buf, end = self._codes, n + len(codes)
+        if codes.dtype == object and buf.dtype != object:
+            buf = buf.astype(object)
+        if len(buf) < end:
+            grown = np.empty(2 * end, dtype=buf.dtype)
+            grown[:n] = buf[:n]
+            buf = grown
+        self._codes = buf
+        buf[n:end] = codes
+
+    def ids(self, xs: List, codes=None):
         """The ids of the elements of the list xs, as an ``intp`` array, in one C-level pass.
 
         With n = len(elements), xs[j] is given the provisional id n + j, which
         it keeps when it is new: the ids of new elements ascend in the order
         they first occur.  An xs[j] already interned, before this batch or
         earlier in it, gets its id and leaves slot n + j dead (``None``), so
-        the duplicate is not kept.
+        the duplicate is not kept.  ``codes`` are the codes of xs, computed
+        here when the group has code hooks and none are given.
         """
         import numpy as np
 
-        elements, index, key = self.elements, self.index, self.group.key
+        elements, index = self.elements, self.index
         n, m, known = len(elements), len(xs), len(index)
-        ids = np.fromiter(map(index.setdefault, xs if key is None else map(key, xs), itertools.count(n)),
-                          np.intp, m)
+        keys = xs
+        if self._codes is not None:
+            if codes is None:
+                codes = np.array(list(map(self.group.code, xs)), dtype=object)
+                if codes.max(initial=0) < 2 ** 63:
+                    codes = codes.astype(np.int64)
+            self._store(n, codes)
+            keys = codes.tolist()
+        ids = np.fromiter(map(index.setdefault, keys, itertools.count(n)), np.intp, m)
         elements.extend(xs)
         if len(index) - known < m:
             dead = np.flatnonzero(ids != np.arange(n, n + m)) + n
@@ -187,13 +217,15 @@ class _Translates:
 
     def find(self, x) -> int:
         """The id of the interned element equal to x, as in a dict; ``len(elements)`` for any other value."""
-        n, key = len(self.elements), self.group.key
-        if key is None:
+        n, code = len(self.elements), self.group.code
+        if self._codes is None:
             return self.index.get(x, n)
         try:
-            i = self.index.get(key(x), n)
-        except (TypeError, struct.error):
+            # every code of an int64 buffer is below 2**63
+            c = code(x, None if self._codes.dtype == object else 2 ** 63)
+        except (TypeError, ValueError, struct.error):
             return n
+        i = self.index.get(c, n)
         return i if i < n and self.elements[i] == x else n
 
     def _table(self, k: int, n: int):
@@ -218,7 +250,8 @@ class _Translates:
             table = self._table(k, n)
             fresh = ids[table[ids] < 0]
             ys = translates(map(elements.__getitem__, fresh.tolist()), g)
-            table[fresh] = y_ids = self.ids(ys)
+            codes = None if self._codes is None else self.group.translate_codes(self._codes[fresh], g)
+            table[fresh] = y_ids = self.ids(ys, codes)
             if inv is not None:
                 self._table(inv, len(elements))[y_ids] = fresh
         return self.tables

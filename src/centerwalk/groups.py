@@ -52,11 +52,24 @@ class Group:
     name: str = "group"
     spec_string: str = ""
 
-    #: Optional interning hook: ``key(x)`` maps each canonical element to a
-    #: hashable value, equal for equal elements only, that the exact evolution
-    #: engine indexes in place of x.  A group sets it when its element values
-    #: hash poorly; None indexes the elements themselves.
+    #: Optional memo hook of ``group_walks.c1_search``: ``key(x)`` maps each
+    #: canonical element to a hashable value, equal for equal elements only,
+    #: that the search stores in place of x.  A group sets it when its element
+    #: values hash poorly; None stores the elements themselves.
     key: Optional[Callable] = None
+
+    #: Optional pair of interning hooks of the exact evolution engine, set
+    #: together or not at all: ``code(x)`` maps each canonical element to an
+    #: int, distinct for distinct elements, and ``translate_codes(codes, g)``
+    #: maps a numpy array of codes to the codes of the right translates x·g,
+    #: in one array pass: int64 while the results fit, else object.  The
+    #: engine then indexes ints, computed per element only for a law it did not
+    #: evolve itself (and for a lookup), instead of the elements.  ``code`` may
+    #: raise TypeError or ValueError on a value that is not an element, and
+    #: ``code(x, below)`` may return None instead of a code that is not below
+    #: the int ``below``.
+    code: Optional[Callable] = None
+    translate_codes: Optional[Callable] = None
 
     #: Optional norm hook for ``group_walks.c1_search``: ``norm(x)`` is an int
     #: with N(e) = 0, N(x^-1) = N(x) and N(xy) <= N(x) + N(y).  The search
@@ -418,11 +431,32 @@ class WreathZZ(Group):
 _WORD_PACKS: Dict[int, Callable] = {}
 _PACKED_LETTERS = 64
 
+#: F2 letters as the base-5 digits of their engine codes, a, A, b, B = 1, 2, 3, 4:
+#: from the signed bytes of ``FreeGroup.key`` to ASCII digits, and by letter value
+_CODE_DIGITS = bytes.maketrans(b"\x01\xff\x02\xfe", b"1234")
+_DIGIT = {1: 1, -1: 2, 2: 3, -2: 4}
+#: the largest int64 code that still has room for one more letter, 5c + 4 < 2**63
+_CODE_FITS = (2 ** 63 - 5) // 5
+#: base-5 digits that one ``int`` call reads, under any int/str length limit of the interpreter
+_CODE_CHUNK = 512
+
+
+def _base5(digits: bytes) -> int:
+    """The int of ASCII base-5 digits, halved until each ``int`` call reads at most ``_CODE_CHUNK``."""
+    if len(digits) <= _CODE_CHUNK:
+        return int(digits or b"0", 5)
+    half = len(digits) // 2
+    return _base5(digits[:half]) * 5 ** (len(digits) - half) + _base5(digits[half:])
+
 
 class FreeGroup(Group):
     """Free group of rank 2; elements are reduced tuples of letters.
 
-    Letters are +1/-1 for a/a^-1 and +2/-2 for b/b^-1.
+    Letters are +1/-1 for a/a^-1 and +2/-2 for b/b^-1.  The exact evolution
+    engine interns words by their base-5 codes (``code``, ``translate_codes``),
+    and ``c1_search``'s memo by their packed bytes (``key``): in CPython
+    ``hash(-1) == hash(-2)``, so letter tuples that differ only by A <-> B
+    share one hash, while ints and byte strings hash apart.
     """
 
     name = "F2"
@@ -436,9 +470,7 @@ class FreeGroup(Group):
     def key(x):
         """The word's letters as signed bytes; a word longer than ``_PACKED_LETTERS`` is its own key.
 
-        In CPython ``hash(-1) == hash(-2)``, so letter tuples that differ
-        only by A <-> B share one hash; their byte strings hash apart.  The
-        packer cache stays bounded: a longer word makes no packer.
+        The packer cache stays bounded: a longer word makes no packer.
         """
         try:
             return _WORD_PACKS[len(x)](*x)
@@ -447,6 +479,42 @@ class FreeGroup(Group):
                 return x
         pack = _WORD_PACKS[len(x)] = struct.Struct(f"{len(x)}b").pack
         return pack(*x)
+
+    @staticmethod
+    def code(x, below: Optional[int] = None) -> Optional[int]:
+        """The word's letters as base-5 digits, the first letter most significant; the empty word is 0.
+
+        Distinct words have distinct codes, and a value that is not a word
+        raises or has the code of no word equal to it.  A word of n letters
+        has a code of at least 5**(n-1) >= 2**(n-1), so it is None, unbuilt,
+        when n exceeds the bit length of ``below``.  A word longer than
+        ``_PACKED_LETTERS`` is packed once, by no cached packer.
+        """
+        if below is not None and len(x) > below.bit_length():
+            return None
+        packed = FreeGroup.key(x)
+        if packed is x:
+            packed = struct.pack(f"{len(x)}b", *x)
+        return _base5(packed.translate(_CODE_DIGITS))
+
+    @staticmethod
+    def translate_codes(codes, g):
+        """The codes of the words x·g, from those of the words x: one array pass per letter of g.
+
+        x·l for a letter l drops x's last letter when it is l's inverse, so
+        the code c goes to c // 5 when c % 5 is the inverse's digit, and to
+        5c + digit(l) otherwise; a word g of several letters folds this, as
+        x·(l1 l2) = (x·l1)·l2.  int64 codes are cast once to object before a
+        letter that might not fit.
+        """
+        for letter in g:
+            if codes.dtype != object and codes.max(initial=0) > _CODE_FITS:
+                codes = codes.astype(object)
+            out = codes * 5 + _DIGIT[letter]
+            back = codes % 5 == _DIGIT[-letter]
+            out[back] = codes[back] // 5
+            codes = out
+        return codes
 
     @property
     def identity(self):

@@ -46,10 +46,17 @@ def decode_vertex(v):
     return _decode_vertex(v, 0)
 
 
+#: the coordinate types of a flat label: plain ints (no bool), or strings
+_FLAT_TYPES = ({int}, {str})
+
+
 def _decode_vertex(v, depth: int):
     if isinstance(v, list):
         if depth == MAX_LABEL_DEPTH:
             raise InputParseError(f"vertex label nested deeper than {MAX_LABEL_DEPTH} lists")
+        # a flat label is its own tuple, with no frame per coordinate
+        if set(map(type, v)) in _FLAT_TYPES:
+            return tuple(v)
         return tuple(_decode_vertex(x, depth + 1) for x in v)
     if isinstance(v, (int, str)) and not isinstance(v, bool):
         return v

@@ -1,5 +1,6 @@
 """Wire formats and the command-line surface."""
 
+import functools
 import json
 import math
 import tracemalloc
@@ -67,6 +68,29 @@ def test_decomposition_roundtrip(zwalk_dec):
     back = ser.decomposition_from_obj(ser.decomposition_to_obj(zwalk_dec))
     assert back.coverage() == zwalk_dec.coverage()
     assert all(isinstance(w, Fraction) for _, w in back)
+
+
+def test_flat_and_nested_labels_decode_alike():
+    # a list of plain ints, or of strings, is its own tuple at once; every other list recurses.
+    # Both paths keep the rules: ints, strings or lists only (no bool), and the depth limit
+    def nest(label, lists):
+        for _ in range(lists):
+            label = [label]
+        return label
+
+    for label, want in [([1, 2], (1, 2)), (["a", "b"], ("a", "b")), ([], ()), ([1, "a"], (1, "a")),
+                        ([[1, 2], ["x"]], ((1, 2), ("x",))),
+                        (nest([3, 4], 99), functools.reduce(lambda x, _: (x,), range(99), (3, 4)))]:
+        assert ser.decode_vertex(label) == want
+    for label in ([True], [1, True], [False, 2], ["a", None], [1.0, 2], [[True]], [1, [2, False]], [{"a": 1}]):
+        with pytest.raises(ValueError):
+            ser.decode_vertex(label)
+    for label in (nest([1, 2], 100), nest(["a"], 100), nest([[1], "a"], 99)):
+        with pytest.raises(cw.InputParseError, match="nested deeper"):
+            ser.decode_vertex(label)
+    # labels of one graph must compare: int and string coordinates of flat labels do not
+    with pytest.raises(cw.InputParseError):
+        ser.kernel_from_obj({"vertices": [[0, 1]], "edges": [{"src": [0, 1], "dst": ["a", "b"], "w": "1"}]})
 
 
 def test_malformed_objects_raise_parse_errors():
@@ -720,6 +744,19 @@ def test_cli_internal_error_is_json(monkeypatch, capsys):
     err = json.loads(captured.err)
     assert err["error"]["code"] == "internal_error"
     assert "RuntimeError: unexpected state" in err["error"]["message"]
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_cli_out_of_memory_is_typed(monkeypatch, capsys):
+    def exhaust(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_walk_evolve", exhaust)
+    assert main(["walk", "evolve", "--group", "f2", "--gens", "a,A,b,B", "--tmax", "13"]) == 6
+    captured = capsys.readouterr()
+    err = json.loads(captured.err)["error"]
+    assert err["code"] == "out_of_memory" == cw.OutOfMemoryError.code
+    assert err["message"].startswith("out of memory (test_cli.py:") and "in exhaust)" in err["message"]
     assert "Traceback" not in captured.err and captured.out == ""
 
 

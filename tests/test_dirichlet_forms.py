@@ -14,7 +14,6 @@ from conftest import make_zwalk, make_zwalk_dec, under_hash_seeds
 from centerwalk.dirichlet_forms import (
     distance_map,
     random_test_function,
-    weighted_form_ratios,
 )
 from centerwalk.markov_graph import adjoint_kernel, lost_mass
 
@@ -531,16 +530,6 @@ def test_best_response_is_the_minimum_norm_solution(case, request, monkeypatch, 
     if case == "rotation3":
         # the unkilled 3-rotation's form matrix is singular on the whole ring
         assert any(solved)
-
-
-def test_weighted_form_ratios_bounded(zwalk, counting):
-    # the conjugated-weight form can only dip slightly negative: the fitted
-    # constant (max of the ratios) stays small at both s magnitudes; on this
-    # walk the form is in fact positive, so every ratio is <= 0
-    for s_values in ((0.01, -0.01), (0.05, -0.05)):
-        ratios = weighted_form_ratios(zwalk, counting, 0, s_values, trials=40, seed=7)
-        assert ratios
-        assert max(ratios) < 5.0
 
 
 def test_green_partial_basics(srw):

@@ -340,8 +340,63 @@ def test_f2_keys_hash_apart():
     assert len(words) == 88_573
     # in CPython hash(-1) == hash(-2): words that differ by A <-> B collide as tuples
     assert hash((-1,)) == hash((-2,)) and len(set(map(hash, words))) == 35_778
-    assert len(set(map(hash, map(F2.key, words)))) == len(words)
-    assert set(law._engine.index) >= set(map(F2.key, words))
+    # the engine indexes each word by its int code, and the codes hash apart
+    codes = list(map(F2.code, words))
+    assert len(set(codes)) == len(set(map(hash, codes))) == len(words)
+    index = law._engine.index
+    assert all(type(c) is int for c in index) and [index[c] for c in codes] == law._ids.tolist()
+
+
+class _TupleF2(cw.FreeGroup):
+    """F2 without the code hooks: the engine indexes the word tuples themselves."""
+
+    code = translate_codes = None
+
+
+def _random_f2_steps(rng, longest):
+    """2 or 3 random reduced words of 1 to ``longest`` letters, their inverses, and the first word again."""
+    def word():
+        w = [rng.choice(F2_GENS)[0]]
+        for _ in range(rng.randint(1, longest) - 1):
+            w.append(rng.choice([v for v in (1, -1, 2, -2) if v != -w[-1]]))
+        return tuple(w)
+
+    words = [word() for _ in range(rng.randint(2, 3))]
+    return tuple(words + [F2.inverse(w) for w in words] + words[:1])
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_engine_codes_match_a_tuple_index(seed):
+    # the same atoms in the same order, and the same lookups, from the int codes as from the tuples
+    rng = random.Random(f"codes/{seed}")
+    steps = _random_f2_steps(rng, longest=1 if seed % 3 == 0 else 3)
+    eps, t_max = (None, 6) if seed % 2 else (1e-4, 10)
+    coded = cw.walk_distributions(F2, steps, t_max, prune_eps=eps)
+    plain = cw.walk_distributions(_TupleF2(), steps, t_max, prune_eps=eps)
+    assert coded[-1].approximate == (eps is not None) == plain[-1].approximate
+    for law, ref in zip(coded, plain):
+        assert (law.denominator, list(law.numerators())) == (ref.denominator, list(ref.numerators()))
+        assert [law.prob(x) for x in ref.support()[:50]] == [ref.prob(x) for x in ref.support()[:50]]
+
+
+def test_engine_codes_cross_into_object_dtype():
+    # four-letter steps reach words of 28 letters at t = 7, past the 27 letters of every int64 code
+    steps = ((1, 1, 2, 2), (1, 2, 1, 2), (2, 2, 1, 1), (-1,))
+    laws = []
+    for group in (F2, _TupleF2()):
+        step, law = cw.step_measure(group, steps), cw.SparseDistribution.point(group)
+        for _ in range(7):
+            law = cw.evolve(law, step)
+        laws.append(law)
+    law, ref = laws
+    assert (law.denominator, list(law.numerators())) == (ref.denominator, list(ref.numerators()))
+    assert law._engine._codes.dtype == object and max(map(len, law.support())) == 28
+    assert [law._engine.find(x) for x in law.support()] == law._ids.tolist()
+    assert law.prob((1, 1, 2, 2) * 7) == Fraction(1, 4 ** 7) and (1,) * 40 not in law
+    # a law evolved afresh codes its first batch one word at a time, past int64 too
+    again = cw.evolve(law, cw.step_measure(F2, steps[:1]))
+    assert again._engine is not law._engine and again._engine._codes.dtype == object
+    assert list(again.numerators()) == list(cw.evolve(ref, cw.step_measure(ref.group, steps[:1])).numerators())
 
 
 def test_engine_lookups_of_non_words_miss():

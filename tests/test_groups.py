@@ -314,6 +314,32 @@ def test_free_group_key_is_injective_on_words():
     assert f2.key(long) is long and cw.Group.key is None
 
 
+def test_free_group_code_is_injective_and_follows_translates():
+    import numpy as np
+
+    f2 = cw.FreeGroup()
+    words = [w for n in range(7) for w in itertools.product((1, -1, 2, -2), repeat=n)
+             if all(w[i] != -w[i + 1] for i in range(n - 1))]
+    codes = [f2.code(w) for w in words]
+    assert len(words) == 1457 and len(set(codes)) == len(words) and all(type(c) is int for c in codes)
+    assert f2.code(()) == 0 and f2.code((1, -1, 2, -2)) == 1 * 125 + 2 * 25 + 3 * 5 + 4
+    # each word's code is the one-letter path from the empty word's 0, in int64 and in object codes
+    for dtype in (np.int64, object):
+        path = np.zeros(len(words), dtype=dtype)
+        for k in range(6):
+            for letter in (1, -1, 2, -2):
+                rows = [i for i, w in enumerate(words) if len(w) > k and w[k] == letter]
+                path[rows] = f2.translate_codes(path[rows], (letter,))
+        assert path.dtype == dtype and path.tolist() == codes
+    # a step of several letters cancels as multiply does
+    for g in [(-1,), (2, 1), (-2, -1, 2), (1, 2, -1, -2, 1)]:
+        assert f2.translate_codes(np.array(codes), g).tolist() == [f2.code(f2.multiply(w, g)) for w in words]
+    # a word of n letters has a code of at least 2**(n-1): past 64 letters none is below 2**63
+    assert f2.code((1,) * 65, below=2 ** 63) is None and f2.code((1,) * 64, below=2 ** 63) == (5 ** 64 - 1) // 4
+    long = (1, 2) * 3000  # past the digits that one int() call reads
+    assert f2.code(long) == functools.reduce(lambda c, d: 5 * c + d, (1, 3) * 3000, 0)
+
+
 def test_abelianization_images():
     f2 = cw.FreeGroup()
     comm = f2.parse_element("aabab AABAB".replace(" ", ""))
