@@ -14,12 +14,11 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import PreconditionError, StructuralError
 from .markov_graph import (SUPPORT_MARGIN, CycleDecomposition, Kernel, Measure, Vertex, _adjoint_rows,
-                           _inward_depth, _same_window, bfs, verify_centering)
+                           _inward_depth, _same_window, verify_centering)
 from .weights import Pair, Weight, add, scale
 
 TestFunction = Mapping[Vertex, Weight]
@@ -357,11 +356,6 @@ def sector_ratio(
     for r, _, f, g in scored[:REFINE_TOP]:
         best = max(best, _refine_pair(kernel, form, f, g, margin))
     return best
-
-
-def distance_map(kernel: Kernel, origin: Vertex) -> Dict[Vertex, int]:
-    """Undirected BFS distances from origin across the whole window."""
-    return bfs([origin], partial(map, kernel.undirected_neighbors))[0]
 
 
 # -- Green kernels -----------------------------------------------------------

@@ -25,8 +25,8 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import PreconditionError, StructuralError, SupportOverflowError
 from .groups import Group, WreathZZ
-from .group_walks import _directions, word_ball
-from .markov_graph import MAX_SUPPORT, _collector_paused, check_budget
+from .group_walks import _code_expand, _directions, word_ball
+from .markov_graph import MAX_SUPPORT, _collector_paused, bfs, check_budget
 
 
 class SparseDistribution:
@@ -508,11 +508,18 @@ def volume_growth(group: Group, gens: Sequence, t_max: int,
                   max_support: int = MAX_SUPPORT) -> List[int]:
     """V(0..t_max): cumulative word-metric ball sizes over gens and inverses.
 
-    Raises ``SupportOverflowError`` once the ball holds more than
-    ``max_support`` elements.
+    When the group sets the ``code`` hooks, the ball is searched over the
+    elements' int codes, and no element is built.  Raises
+    ``SupportOverflowError`` once the ball holds more than ``max_support``
+    elements.
     """
     with _collector_paused():
-        sizes = Counter(word_ball(group, gens, t_max, max_support).values())
+        if group.code is None:
+            ball = word_ball(group, gens, t_max, max_support)
+        else:
+            expand = _code_expand(group, _directions(group, gens))
+            ball = bfs([group.code(group.identity)], expand, t_max, max_support=max_support)[0]
+        sizes = Counter(ball.values())
     return list(itertools.accumulate(sizes[t] for t in range(t_max + 1)))
 
 
@@ -785,16 +792,19 @@ def wreath_lamp_identity(paths: Sequence[Sequence]) -> bool:
     Paths made with any other generating pair are rejected.
 
     Each step is checked against an incremental mirror of the lamps: it must
-    move the shift by +-2 and change exactly the one lamp that move names,
-    and the mirror must equal the final element.  Those checks imply the
-    identity, so it needs no test of its own: the shift starts at 0 and moves
-    by +-2, so it stays even; a +2 step from shift s adds +1 at the odd slot
-    s + 1 and a -2 step from s adds -1 at the even slot s, so an odd slot
-    only grows from 0 and an even slot only falls from 0.  Hence odd lamps
-    are positive, even lamps negative, and every step adds 1 both to (odd
-    sum) - (even sum) and to the total mass.  A path breaks the identity only
-    by breaking a check, which raises ``PreconditionError``; a path that
-    passes them all satisfies it, and the function returns True.
+    move the shift by +-2, the lamp that move names (the touched lamp) must
+    hold the mirror's new value, and the element must have as many lamps as
+    the mirror.  The final element must equal the mirror in full.  The other
+    lamps of an intermediate element are not read, so a path that corrupts
+    an untouched lamp of an intermediate element, keeping its lamp count,
+    passes.  The mirror satisfies the identity at every step, so the final
+    element does: the shift starts at 0 and moves by +-2, so it stays even;
+    a +2 step from shift s adds +1 at the odd slot s + 1 and a -2 step from
+    s adds -1 at the even slot s, so an odd slot only grows from 0 and an
+    even slot only falls from 0.  Hence odd lamps are positive, even lamps
+    negative, and every step adds 1 both to (odd sum) - (even sum) and to
+    the total mass.  A failed check raises ``PreconditionError``; otherwise
+    the function returns True.
     """
     from bisect import bisect_left
 

@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import PreconditionError, StructuralError
 from .groups import FiniteCyclic, FreeGroup, Group, IntegerLattice
@@ -257,8 +257,31 @@ def word_ball(group: Group, gens: Sequence, radius: int,
     return bfs([group.identity], expand, radius, max_support=max_support)[0]
 
 
+def _code_expand(group: Group, dirs: Sequence) -> Callable:
+    """The ``bfs`` expand of ``word_ball`` over the int codes of a group that sets the ``code`` hooks.
+
+    A layer's codes go into one numpy array, int64 when every code fits and
+    object otherwise, and take one ``group.translate_codes`` pass per
+    direction; the lists are zipped back vertex by vertex, so the search
+    meets the codes of the words ``word_ball`` meets, in the same order.
+    """
+    import numpy as np
+
+    def expand(layer):
+        try:
+            codes = np.fromiter(layer, np.int64, len(layer))
+        except OverflowError:
+            codes = np.array(layer, dtype=object)
+        return zip(*[group.translate_codes(codes, g).tolist() for g in dirs])
+
+    return expand
+
+
 def word_distance(group: Group, gens: Sequence, x, radius: int) -> Optional[int]:
-    """Word length of x over gens and inverses (the group's closed form, else ``bfs``); None beyond radius."""
+    """Word length of x over gens and inverses (the group's closed form, else ``bfs``); None beyond radius.
+
+    The search runs over int codes when the group sets the ``code`` hooks.
+    """
     if radius < 0:
         raise PreconditionError("radius must be >= 0")
     x = group.validate(x)
@@ -266,6 +289,10 @@ def word_distance(group: Group, gens: Sequence, x, radius: int) -> Optional[int]
     exact = group.exact_metric(tuple(dirs))
     if exact is not None:
         return exact(x) if exact(x) <= radius else None
+    if group.code is not None:
+        target = group.code(x)
+        dist, _ = bfs([group.code(group.identity)], _code_expand(group, dirs), radius, target=target)
+        return dist.get(target)
     neighbors = partial(map, lambda y: (group.multiply(y, g) for g in dirs))
     dist, _ = bfs([group.identity], neighbors, radius, target=x)
     return dist.get(x)

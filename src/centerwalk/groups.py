@@ -64,10 +64,11 @@ class Group:
     #: maps a numpy array of codes to the codes of the right translates x·g,
     #: in one array pass: int64 while the results fit, else object.  The
     #: engine then indexes ints, computed per element only for a law it did not
-    #: evolve itself (and for a lookup), instead of the elements.  ``code`` may
-    #: raise TypeError or ValueError on a value that is not an element, and
-    #: ``code(x, below)`` may return None instead of a code that is not below
-    #: the int ``below``.
+    #: evolve itself (and for a lookup), instead of the elements, and
+    #: ``volume_growth`` and ``word_distance`` search the codes alone.
+    #: ``code`` may raise TypeError or ValueError on a value that is not an
+    #: element, and ``code(x, below)`` may return None instead of a code that
+    #: is not below the int ``below``.
     code: Optional[Callable] = None
     translate_codes: Optional[Callable] = None
 
@@ -204,6 +205,10 @@ class IntegerLattice(_IntVector):
 
     def multiply(self, x, y):
         return tuple(map(add, x, y))
+
+    def translates(self, xs: Iterable, g) -> List:
+        """By columns: each coordinate of the batch is shifted in one ``map``, and the rows zipped back."""
+        return list(zip(*[map(add, col, itertools.repeat(s)) for col, s in zip(zip(*xs), g)]))
 
     def product(self, elements: Iterable):
         # coordinate sums over bounded chunks: unpacking a whole long path into zip() holds all of it at once;
@@ -454,9 +459,11 @@ class FreeGroup(Group):
 
     Letters are +1/-1 for a/a^-1 and +2/-2 for b/b^-1.  The exact evolution
     engine interns words by their base-5 codes (``code``, ``translate_codes``),
-    and ``c1_search``'s memo by their packed bytes (``key``): in CPython
-    ``hash(-1) == hash(-2)``, so letter tuples that differ only by A <-> B
-    share one hash, while ints and byte strings hash apart.
+    ``volume_growth`` and ``word_distance`` count and search balls of codes
+    without building a word, and ``c1_search``'s memo stores packed bytes
+    (``key``): in CPython ``hash(-1) == hash(-2)``, so letter tuples that
+    differ only by A <-> B share one hash, while ints and byte strings hash
+    apart.
     """
 
     name = "F2"

@@ -11,10 +11,7 @@ import scipy.linalg
 import centerwalk as cw
 from centerwalk import dirichlet_forms as df
 from conftest import make_zwalk, make_zwalk_dec, under_hash_seeds
-from centerwalk.dirichlet_forms import (
-    distance_map,
-    random_test_function,
-)
+from centerwalk.dirichlet_forms import random_test_function
 from centerwalk.markov_graph import adjoint_kernel, lost_mass
 
 
@@ -610,15 +607,6 @@ def test_green_comparison_reversible_equal(srw, counting):
     report = cw.green_comparison(srw, counting, dec, ball, trials=100, seed=2)
     for x in report.interior:
         assert abs(report.g_diag[x] - report.g0_diag[x]) < 1e-9
-
-
-def test_distance_map(zwalk):
-    d = distance_map(zwalk, 0)
-    assert d[0] == 0 and d[1] == 1 and d[-2] == 1 and d[4] == 2
-    # string labels: the directed 4-cycle a -> b -> c -> d -> a, undirected
-    labels = "abcd"
-    ring = cw.Kernel({v: {labels[(i + 1) % 4]: Fraction(1)} for i, v in enumerate(labels)})
-    assert distance_map(ring, "a") == {"a": 0, "b": 1, "d": 1, "c": 2}
 
 
 def test_symmetrized_weights_symmetric(zwalk, counting):

@@ -1,5 +1,6 @@
 """Exact evolution, Monte Carlo, bound fitting, escape, speed, entropy."""
 
+import collections
 import functools
 import gc
 import hashlib
@@ -353,15 +354,17 @@ class _TupleF2(cw.FreeGroup):
     code = translate_codes = None
 
 
+def _random_f2_word(rng, longest):
+    """A random reduced word of 1 to ``longest`` letters."""
+    w = [rng.choice(F2_GENS)[0]]
+    for _ in range(rng.randint(1, longest) - 1):
+        w.append(rng.choice([v for v in (1, -1, 2, -2) if v != -w[-1]]))
+    return tuple(w)
+
+
 def _random_f2_steps(rng, longest):
     """2 or 3 random reduced words of 1 to ``longest`` letters, their inverses, and the first word again."""
-    def word():
-        w = [rng.choice(F2_GENS)[0]]
-        for _ in range(rng.randint(1, longest) - 1):
-            w.append(rng.choice([v for v in (1, -1, 2, -2) if v != -w[-1]]))
-        return tuple(w)
-
-    words = [word() for _ in range(rng.randint(2, 3))]
+    words = [_random_f2_word(rng, longest) for _ in range(rng.randint(2, 3))]
     return tuple(words + [F2.inverse(w) for w in words] + words[:1])
 
 
@@ -719,6 +722,79 @@ def test_volume_growth_budget():
     with pytest.raises(cw.SupportOverflowError):
         cw.word_ball(F2, F2_GENS, 40, max_support=1000)
     assert len(cw.word_ball(Z2, ((1, 0), (0, 1)), 4, max_support=41)) == 41
+
+
+def _ball_volumes(ball, radius):
+    """V(0..radius) of a ``word_ball`` map of at least that radius."""
+    sizes = collections.Counter(ball.values())
+    return list(itertools.accumulate(sizes[t] for t in range(radius + 1)))
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_code_searches_match_the_element_ball(seed):
+    # 1 to 4 generators of 1 to 4 letters, now and then a repeat or an inverse of an earlier one
+    rng = random.Random(f"balls/{seed}")
+    gens = [_random_f2_word(rng, 4)]
+    for _ in range(rng.randint(0, 3)):
+        pick = rng.random()
+        gens.append(rng.choice(gens) if pick < 0.25 else F2.inverse(rng.choice(gens)) if pick < 0.5
+                    else _random_f2_word(rng, 4))
+    ball = cw.word_ball(F2, gens, 6)
+    for r in range(7):
+        assert cw.volume_growth(F2, gens, r) == _ball_volumes(ball, r)
+    layers = collections.defaultdict(list)
+    for x, d in ball.items():
+        layers[d].append(x)
+    for d, xs in layers.items():
+        for x in rng.sample(xs, min(3, len(xs))):
+            assert [cw.word_distance(F2, gens, x, r) for r in range(7)] == [d if d <= r else None for r in range(7)]
+
+
+def test_code_searches_cross_into_object_codes():
+    # a^28 and A^28 have codes past int64, so the layers beyond 27 letters go through object arrays
+    assert F2.code((1,) * 28) >= 2 ** 63 and F2.code((-1,) * 28) >= 2 ** 63 > F2.code((1,) * 27)
+    gens = ((1,),)
+    assert cw.volume_growth(F2, gens, 40) == [2 * r + 1 for r in range(41)] == _ball_volumes(cw.word_ball(F2, gens, 40), 40)
+    for x, d in [((1,) * 40, 40), ((-1,) * 33, 33), ((1,) * 41, None), ((2,), None), ((), 0)]:
+        assert cw.word_distance(F2, gens, x, 40) == d
+
+
+def test_code_searches_build_no_words(monkeypatch):
+    gens = cw.F2_SEQUENCE
+    ball = cw.word_ball(F2, gens, 3)
+    far = max(ball, key=ball.get)
+
+    def refuse(*args):
+        raise AssertionError("a word was built")
+
+    monkeypatch.setattr(cw.FreeGroup, "translates", refuse)
+    monkeypatch.setattr(cw.FreeGroup, "multiply", refuse)
+    assert cw.volume_growth(F2, gens, 3) == _ball_volumes(ball, 3)
+    assert cw.word_distance(F2, gens, far, 3) == 3 and cw.word_distance(F2, gens, far, 2) is None
+    with pytest.raises(AssertionError, match="a word was built"):
+        cw.word_ball(F2, gens, 3)
+
+
+@pytest.mark.parametrize("gens", [F2_GENS, cw.F2_SEQUENCE], ids=["basis", "sequence"])
+def test_code_searches_overflow_as_the_element_path(gens, monkeypatch):
+    # the same volumes or the same overflow message, budget by budget, as over the word tuples
+    def outcome(run):
+        try:
+            return run()
+        except cw.SupportOverflowError as exc:
+            return str(exc)
+
+    # one more generator keeps word_distance off the closed form of the free basis
+    steps, far = gens + ((1, 2),), (1, 2, 1, 2, -1, -1, 2, 2)
+    seen = set()
+    for budget in (1, 2, 4, 5, 9, 16, 17, 18, 52, 53, 54, 352, 353, 3000, 10000):
+        coded = outcome(lambda: cw.volume_growth(F2, gens, 3, max_support=budget))
+        assert coded == outcome(lambda: cw.volume_growth(_TupleF2(), gens, 3, max_support=budget))
+        monkeypatch.setitem(mg.bfs.__kwdefaults__, "max_support", budget)
+        found = outcome(lambda: cw.word_distance(F2, steps, far, 6))
+        assert found == outcome(lambda: cw.word_distance(_TupleF2(), steps, far, 6))
+        seen |= {type(coded), type(found)}
+    assert seen == {str, list, int}
 
 
 def _replayed(seed, index, t, gens):
@@ -1109,6 +1185,7 @@ PAUSED_PASSES = {
     "abandoned walk_laws": lambda: list(itertools.islice(cw.walk_laws(F2, F2_GENS, 50), 3)),
     "word_ball": lambda: cw.word_ball(F2, F2_GENS, 5),
     "volume_growth": lambda: cw.volume_growth(Z2, ((1, 0), (0, 1)), 8),
+    "F2 volume_growth": lambda: cw.volume_growth(F2, cw.F2_SEQUENCE, 4),
     "cayley_kernel": lambda: cw.cayley_kernel(Z2, ((1, 0), (-1, 0), (0, 1), (0, -1)), radius=4),
     "mc_sample replay": lambda: list(cw.mc_sample(WREATH, cw.WREATH_LAMP_PAIR, t=60, n_paths=4, seed=2)),
     "entropy_estimate": lambda: cw.entropy_estimate(F2, F2_GENS, t=5, n_paths=20, seed=1),
@@ -1120,6 +1197,7 @@ PAUSED_PASSES = {
 #: passes that stop at their support budget
 OVERFLOWING_PASSES = {
     "word_ball": lambda: cw.word_ball(F2, F2_GENS, 9, max_support=50),
+    "F2 volume_growth": lambda: cw.volume_growth(F2, F2_GENS, 9, max_support=50),
     "walk_distributions": lambda: cw.walk_distributions(F2, F2_GENS, 9, max_support=50),
     "walk_laws": lambda: list(cw.walk_laws(F2, F2_GENS, 9, max_support=50)),
     "evolve": lambda: cw.evolve(cw.SparseDistribution.point(F2), cw.step_measure(F2, F2_GENS), max_support=2),

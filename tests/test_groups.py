@@ -237,6 +237,21 @@ def test_translates_match_multiply(spec):
         assert group.translates([(2, ((0, 3),))], (0, ((-2, -3),))) == [(2, ())]
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_lattice_translates_by_columns_match_multiply(d):
+    # coordinates past 2**64, one- and two-row batches, empty batches and iterator input
+    z = cw.IntegerLattice(d)
+    rng = random.Random(f"columns/{d}")
+    big = 2 ** 64
+    xs = [tuple(rng.randint(-3 * big, 3 * big) for _ in range(d)) for _ in range(40)]
+    for g in [z.identity, (big + 1,) * d, tuple(rng.randint(-5, 5) for _ in range(d))]:
+        for batch in (xs, xs[:1], xs[:2]):
+            expected = list(map(z.multiply, batch, itertools.repeat(g)))
+            assert z.translates(batch, g) == expected == z.translates(iter(batch), g)
+            assert all(type(y) is tuple and len(y) == d for y in z.translates(batch, g))
+        assert z.translates([], g) == [] == z.translates(iter(()), g)
+
+
 def test_lattice_product_folds_a_long_path_in_bounded_memory():
     # a long sampled path folds chunk by chunk; unpacked whole into zip(), 10**6 steps held about 72 MB
     z = cw.IntegerLattice(3)

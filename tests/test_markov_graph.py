@@ -348,7 +348,7 @@ def test_every_traversal_stops_at_its_budget(monkeypatch):
     for search in (lambda: cw.Kernel({x: {x + 1: Fraction(1)} for x in range(30)}),
                    lambda: cw.graph_distance(path, 0, 29, radius=40),
                    lambda: cw.directed_detour(path, cw.CycleDecomposition(()), 0, 29, radius=40),
-                   lambda: cw.dirichlet_forms.distance_map(path, 0)):
+                   lambda: mg.bfs([0], functools.partial(map, path.undirected_neighbors))):
         with pytest.raises(cw.SupportOverflowError, match="passed 10 vertices"):
             search()
     assert cw.graph_distance(path, 0, 9, radius=40) == 9
