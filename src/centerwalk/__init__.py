@@ -43,7 +43,6 @@ from .evolution import (
     mc_sample,
     speed_estimate,
     step_measure,
-    volume_growth,
     walk_distributions,
     walk_laws,
     wreath_lamp_identity,
@@ -63,6 +62,7 @@ from .group_walks import (
     finite_group_kernel,
     torsion_decomposition,
     translated_cycle_decomposition,
+    volume_growth,
     word_ball,
     word_distance,
 )

@@ -93,12 +93,6 @@ def _laws(args, group, gens, t_max: int):
     return ev.walk_laws(group, gens, t_max, prune_eps=args.prune_eps, max_support=args.max_support)
 
 
-def _word_metric(args, group, gens, radius: int):
-    """Word metric over gens and inverses to ``radius``: the closed form, else a ball within --max-support."""
-    exact = group.exact_metric(tuple(gw._directions(group, gens)))
-    return exact if exact is not None else gw.word_ball(group, gens, radius, args.max_support)
-
-
 def _label(group, x) -> str:
     if group is not None:
         return group.format_element(x)
@@ -202,7 +196,7 @@ def cmd_walk_evolve(args):
 def cmd_walk_cv_fit(args):
     group, gens = _group_gens(args)
     dists = list(_laws(args, group, gens, args.tmax))
-    report = ev.fit_cv_constant(dists, _word_metric(args, group, gens, args.tmax), d_exp=args.d_exp)
+    report = ev.fit_cv_constant(dists, ev._word_metric(group, gens, args.tmax, args.max_support), d_exp=args.d_exp)
     rows = []
     for d in dists:
         if d.t < 1:
@@ -240,7 +234,7 @@ def cmd_walk_escape(args):
         raise InputParseError(f"times must be >= 0, got {args.times!r}")
     alpha = _fraction("--alpha", args.alpha)
     t_max = max(times)
-    metric = _word_metric(args, group, gens, t_max)
+    metric = ev._word_metric(group, gens, t_max, args.max_support)
     tails = {}
     for d in _laws(args, group, gens, t_max):
         if d.t in times:
@@ -269,7 +263,7 @@ def cmd_walk_entropy(args):
 
 def cmd_walk_volume(args):
     group, gens = _group_gens(args)
-    vols = ev.volume_growth(group, gens, args.tmax, args.max_support)
+    vols = gw.volume_growth(group, gens, args.tmax, args.max_support)
     rows = list(enumerate(vols))
     return {"volume": vols}, (("t", "V"), rows)
 

@@ -18,15 +18,15 @@ import random
 import statistics
 import struct
 import sys
-from collections import Counter, abc, deque
+from collections import abc, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import PreconditionError, StructuralError, SupportOverflowError
-from .groups import Group, WreathZZ
-from .group_walks import _code_expand, _directions, word_ball
-from .markov_graph import MAX_SUPPORT, _collector_paused, bfs, check_budget
+from .groups import Group, WreathZZ, _directions
+from .group_walks import word_ball
+from .markov_graph import MAX_SUPPORT, _collector_paused, check_budget
 
 
 class SparseDistribution:
@@ -411,6 +411,17 @@ def _distance_fn(distance) -> Callable:
     return look
 
 
+def _word_metric(group: Group, gens: Sequence, radius: Optional[int], max_support: int = MAX_SUPPORT):
+    """The word metric over gens and inverses: the group's closed form, else the ``word_ball`` table to ``radius``.
+
+    None when there is neither: no closed form and no radius.
+    """
+    exact = group.exact_metric(tuple(_directions(group, gens)))
+    if exact is not None or radius is None:
+        return exact
+    return word_ball(group, gens, radius, max_support)
+
+
 def fit_cv_constant(
     dists: Sequence[SparseDistribution],
     distance,
@@ -502,25 +513,6 @@ def escape_probability(dist: SparseDistribution, distance, alpha) -> Fraction:
     thr = Fraction(alpha) * dist.t
     dist_fn = _distance_fn(distance)
     return Fraction(sum(n for x, n in dist.numerators() if dist_fn(x) >= thr), dist.denominator)
-
-
-def volume_growth(group: Group, gens: Sequence, t_max: int,
-                  max_support: int = MAX_SUPPORT) -> List[int]:
-    """V(0..t_max): cumulative word-metric ball sizes over gens and inverses.
-
-    When the group sets the ``code`` hooks, the ball is searched over the
-    elements' int codes, and no element is built.  Raises
-    ``SupportOverflowError`` once the ball holds more than ``max_support``
-    elements.
-    """
-    with _collector_paused():
-        if group.code is None:
-            ball = word_ball(group, gens, t_max, max_support)
-        else:
-            expand = _code_expand(group, _directions(group, gens))
-            ball = bfs([group.code(group.identity)], expand, t_max, max_support=max_support)[0]
-        sizes = Counter(ball.values())
-    return list(itertools.accumulate(sizes[t] for t in range(t_max + 1)))
 
 
 # -- Monte Carlo --------------------------------------------------------------
@@ -722,28 +714,28 @@ def speed_estimate(
 ) -> SpeedEstimate:
     """Mean displacement rate d(id, X_t) / t over sampled paths.
 
-    Distance resolution order: a closed-form metric registered for the
-    generators and their inverses (the word metric of ``word_ball``), then a
-    BFS table up to ``radius``, then the group's certified lower-bound metric
-    (flagged, for groups whose balls are too big to enumerate).
+    Distance resolution order: the word metric of ``_word_metric`` (a closed
+    form registered for the generators and their inverses, else a
+    ``word_ball`` table up to ``radius``), then the group's certified
+    lower-bound metric (flagged, for groups whose balls are too big to
+    enumerate).
     """
     if t < 1 or n_paths < 1:
         raise PreconditionError("t and n_paths must be >= 1")
     if radius is not None and radius < 0:
         raise PreconditionError("radius must be >= 0")
     endpoints = _mc_endpoints(group, gens, t, n_paths, seed)
-    exact = group.exact_metric(tuple(_directions(group, gens)))
-    table = word_ball(group, gens, radius) if exact is None and radius is not None else {}
-    if exact is not None:
-        dists, kind = [exact(x) for x in endpoints], "exact"
-    elif radius is not None and all(x in table for x in endpoints):
-        dists, kind = [table[x] for x in endpoints], "bfs"
+    metric = _word_metric(group, gens, radius)
+    if callable(metric):
+        dists, kind = [metric(x) for x in endpoints], "exact"
+    elif metric is not None and all(x in metric for x in endpoints):
+        dists, kind = [metric[x] for x in endpoints], "bfs"
     elif group.distance_lower_bound(group.identity) is not None:
         dists, kind = [group.distance_lower_bound(x) for x in endpoints], "lower_bound"
-    elif radius is None:
+    elif metric is None:
         raise PreconditionError("no metric available: pass a BFS radius")
     else:
-        missing = next(x for x in endpoints if x not in table)
+        missing = next(x for x in endpoints if x not in metric)
         raise PreconditionError(
             f"endpoint {group.format_element(missing)} beyond BFS radius {radius} "
             "and no lower-bound metric is registered"

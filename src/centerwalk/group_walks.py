@@ -16,12 +16,12 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import PreconditionError, StructuralError
-from .groups import FiniteCyclic, FreeGroup, Group, IntegerLattice
-from .markov_graph import MAX_SUPPORT, MAX_WINDOW, Cycle, CycleDecomposition, Kernel, _window_kernel, bfs, split_edge_walk
+from .groups import FiniteCyclic, FreeGroup, Group, IntegerLattice, _directions
+from .markov_graph import (MAX_SUPPORT, MAX_WINDOW, Cycle, CycleDecomposition, Kernel, _collector_paused,
+                           _translate_expand, _window_kernel, bfs, split_edge_walk)
 from .weights import Weight, vanishes
 
 #: default node budget of ``c1_search``
@@ -235,12 +235,6 @@ def brute_force_c1(group: Group, gens: Sequence, n: int) -> Optional[C1Witness]:
 # -- word metric and Cayley windows -----------------------------------------
 
 
-def _directions(group: Group, gens: Sequence) -> List:
-    dirs = {group.validate(g) for g in gens}
-    dirs |= {group.inverse(g) for g in gens}
-    return sorted(dirs)
-
-
 def word_ball(group: Group, gens: Sequence, radius: int,
               max_support: int = MAX_SUPPORT) -> Dict[object, int]:
     """BFS distances from the identity over gens and their inverses, at most ``max_support`` of them.
@@ -249,53 +243,61 @@ def word_ball(group: Group, gens: Sequence, radius: int,
     and zipped back vertex by vertex, so the ball and its order are those of
     a per-vertex search over ``multiply``.
     """
-    dirs = _directions(group, gens)
-
-    def expand(layer):
-        return zip(*[group.translates(layer, g) for g in dirs])
-
+    expand = _translate_expand(group.translates, _directions(group, gens))
     return bfs([group.identity], expand, radius, max_support=max_support)[0]
 
 
-def _code_expand(group: Group, dirs: Sequence) -> Callable:
-    """The ``bfs`` expand of ``word_ball`` over the int codes of a group that sets the ``code`` hooks.
+def _word_search(group: Group, gens: Sequence) -> Tuple[Callable, Callable]:
+    """The vertex key and ``bfs`` expand of the word-ball search of ``volume_growth`` and ``word_distance``.
 
-    A layer's codes go into one numpy array, int64 when every code fits and
-    object otherwise, and take one ``group.translate_codes`` pass per
-    direction; the lists are zipped back vertex by vertex, so the search
-    meets the codes of the words ``word_ball`` meets, in the same order.
+    When the group sets the ``code`` hooks, the vertices are int codes and no
+    element is built: a batch's codes go into one numpy array, int64 when
+    every code fits and object otherwise, and take one ``translate_codes``
+    pass per direction, meeting the codes of ``word_ball``'s elements in its
+    order.  Otherwise the vertices are elements, searched as in ``word_ball``.
     """
+    dirs = _directions(group, gens)
+    if group.code is None:
+        return (lambda x: x), _translate_expand(group.translates, dirs)
     import numpy as np
+
+    step = _translate_expand(lambda codes, g: group.translate_codes(codes, g).tolist(), dirs)
 
     def expand(layer):
         try:
             codes = np.fromiter(layer, np.int64, len(layer))
         except OverflowError:
             codes = np.array(layer, dtype=object)
-        return zip(*[group.translate_codes(codes, g).tolist() for g in dirs])
+        return step(codes)
 
-    return expand
+    return group.code, expand
+
+
+def volume_growth(group: Group, gens: Sequence, t_max: int,
+                  max_support: int = MAX_SUPPORT) -> List[int]:
+    """V(0..t_max): cumulative word-metric ball sizes over gens and inverses.
+
+    Raises ``SupportOverflowError`` once the ball holds more than
+    ``max_support`` elements.
+    """
+    if t_max < 0:
+        raise PreconditionError(f"t_max must be >= 0, got {t_max}")
+    key, expand = _word_search(group, gens)
+    with _collector_paused():
+        sizes = Counter(bfs([key(group.identity)], expand, t_max, max_support=max_support)[0].values())
+    return list(itertools.accumulate(sizes[t] for t in range(t_max + 1)))
 
 
 def word_distance(group: Group, gens: Sequence, x, radius: int) -> Optional[int]:
-    """Word length of x over gens and inverses (the group's closed form, else ``bfs``); None beyond radius.
-
-    The search runs over int codes when the group sets the ``code`` hooks.
-    """
+    """Word length of x over gens and inverses (the group's closed form, else ``bfs``); None beyond radius."""
     if radius < 0:
         raise PreconditionError("radius must be >= 0")
     x = group.validate(x)
-    dirs = _directions(group, gens)
-    exact = group.exact_metric(tuple(dirs))
+    exact = group.exact_metric(tuple(_directions(group, gens)))
     if exact is not None:
         return exact(x) if exact(x) <= radius else None
-    if group.code is not None:
-        target = group.code(x)
-        dist, _ = bfs([group.code(group.identity)], _code_expand(group, dirs), radius, target=target)
-        return dist.get(target)
-    neighbors = partial(map, lambda y: (group.multiply(y, g) for g in dirs))
-    dist, _ = bfs([group.identity], neighbors, radius, target=x)
-    return dist.get(x)
+    key, expand = _word_search(group, gens)
+    return bfs([key(group.identity)], expand, radius, key(x))[0].get(key(x))
 
 
 def cayley_kernel(group: Group, gens: Sequence, radius: int) -> Kernel:

@@ -64,8 +64,8 @@ class Group:
     #: maps a numpy array of codes to the codes of the right translates x·g,
     #: in one array pass: int64 while the results fit, else object.  The
     #: engine then indexes ints, computed per element only for a law it did not
-    #: evolve itself (and for a lookup), instead of the elements, and
-    #: ``volume_growth`` and ``word_distance`` search the codes alone.
+    #: evolve itself (and for a lookup), instead of the elements, and the
+    #: word-ball searches of ``group_walks`` run over the codes alone.
     #: ``code`` may raise TypeError or ValueError on a value that is not an
     #: element, and ``code(x, below)`` may return None instead of a code that
     #: is not below the int ``below``.
@@ -459,11 +459,10 @@ class FreeGroup(Group):
 
     Letters are +1/-1 for a/a^-1 and +2/-2 for b/b^-1.  The exact evolution
     engine interns words by their base-5 codes (``code``, ``translate_codes``),
-    ``volume_growth`` and ``word_distance`` count and search balls of codes
-    without building a word, and ``c1_search``'s memo stores packed bytes
-    (``key``): in CPython ``hash(-1) == hash(-2)``, so letter tuples that
-    differ only by A <-> B share one hash, while ints and byte strings hash
-    apart.
+    the word-ball searches of ``group_walks`` run over codes without building
+    a word, and ``c1_search``'s memo stores packed bytes (``key``): in CPython
+    ``hash(-1) == hash(-2)``, so letter tuples that differ only by A <-> B
+    share one hash, while ints and byte strings hash apart.
     """
 
     name = "F2"
@@ -676,3 +675,10 @@ def split_generator_literals(text: str) -> List[str]:
 
 def parse_generators(group: Group, text: str) -> Tuple:
     return tuple(group.parse_element(part) for part in split_generator_literals(text))
+
+
+def _directions(group: Group, gens: Sequence) -> List:
+    """The generators and their inverses, sorted, each once: the steps of the word metric over gens."""
+    dirs = {group.validate(g) for g in gens}
+    dirs |= {group.inverse(g) for g in gens}
+    return sorted(dirs)

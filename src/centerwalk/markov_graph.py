@@ -54,13 +54,9 @@ MAX_WINDOW = 200_000
 SUPPORT_MARGIN = 2
 
 
-#: vertices of a layer that ``bfs`` expands at a time without a target, so that the neighbors an
-#: eager ``expand`` makes but the search does not keep are bounded, whatever the layer's size
+#: vertices of a layer that ``bfs`` hands ``expand`` at a time, so that the neighbors an eager
+#: ``expand`` makes but the search does not keep are bounded, whatever the layer's size
 _EXPAND_BATCH = 4096
-
-#: layers of fewer vertices are walked vertex by vertex, as with a target: their neighbors are too
-#: few to pay for the fixed cost of a bulk pass
-_BULK_LAYER = 32
 
 
 def check_budget(max_support: int) -> None:
@@ -99,23 +95,21 @@ def bfs(sources: Iterable[Vertex], expand: Callable[[List[Vertex]], Iterable[Ite
     """Breadth-first distances from ``sources`` (all at distance 0), and parents when a target is given.
 
     The search advances one distance layer per pass.  ``expand(vertices)``
-    gets consecutive vertices of a layer as a list, in discovery order, and
-    returns each one's neighbors, aligned with it; ``partial(map,
-    neighbors)`` adapts a per-vertex function.  Vertices at ``radius`` (at
-    least 0) are not expanded.  Without a target, a layer of at least
-    ``_BULK_LAYER`` vertices is expanded ``_EXPAND_BATCH`` vertices at a time
-    and its neighbors go through ``dist.setdefault`` in one C-level pass, so
-    each is hashed once.  The pass is fed in chunks of one more neighbor
-    than the budget has room for, so discovering a vertex beyond the first
-    ``max_support`` raises ``SupportOverflowError`` at the same distance as a
-    per-vertex search, with at most one vertex over the budget held.  A
-    smaller layer, and every layer of a search with a ``target``, is
-    expanded whole and walked vertex by vertex; with a target, the search
-    stops once it is found, and the second map holds each vertex's parent
-    (a source is its own parent); without one, that map is empty, since only
-    a path back to a target reads it.  The next layer is the dist map's new
-    tail (insertion order is discovery order), and both maps are in the
-    discovery order of a vertex-by-vertex FIFO search.
+    gets at most ``_EXPAND_BATCH`` consecutive vertices of a layer as a list,
+    in discovery order, and returns each one's neighbors, aligned with it;
+    ``partial(map, neighbors)`` adapts a per-vertex function.  Vertices at
+    ``radius`` (at least 0) are not expanded.  Without a target, the
+    neighbors go through ``dist.setdefault`` in one C-level pass, so each is
+    hashed once, fed in chunks of one more neighbor than the budget has room
+    for: discovering a vertex beyond the first ``max_support`` raises
+    ``SupportOverflowError`` at the same distance as a per-vertex search,
+    with at most one vertex over the budget held.  With a target, they are
+    walked vertex by vertex, the search stops once it is found, and the
+    second map holds each vertex's parent (a source is its own parent);
+    without one, that map is empty, since only a path back to a target
+    reads it.  The next layer is the dist map's new tail (insertion order is
+    discovery order), and both maps are in the discovery order of a
+    vertex-by-vertex FIFO search.
     """
     if radius is not None and radius < 0:
         raise PreconditionError("radius must be >= 0")
@@ -131,20 +125,20 @@ def bfs(sources: Iterable[Vertex], expand: Callable[[List[Vertex]], Iterable[Ite
         while layer and d != radius:
             d += 1
             known = len(dist)
-            if track or len(layer) < _BULK_LAYER:
-                for x, ys in zip(layer, expand(layer)):
-                    for y in ys:
-                        if y not in dist:
-                            if len(dist) >= max_support:
-                                _overflow(max_support, radius, d)
-                            dist[y] = d
-                            if track:
+            parts = (layer[i:i + _EXPAND_BATCH] for i in range(0, len(layer), _EXPAND_BATCH))
+            if track:
+                for part in parts:
+                    for x, ys in zip(part, expand(part)):
+                        for y in ys:
+                            if y not in dist:
+                                if len(dist) >= max_support:
+                                    _overflow(max_support, radius, d)
+                                dist[y] = d
                                 parent[y] = x
                                 if y == target:
                                     return dist, parent
             else:
-                parts = (expand(layer[i:i + _EXPAND_BATCH]) for i in range(0, len(layer), _EXPAND_BATCH))
-                stream = chain.from_iterable(chain.from_iterable(parts))
+                stream = chain.from_iterable(chain.from_iterable(map(expand, parts)))
                 for first in stream:
                     chunk = chain((first,), islice(stream, max(max_support - len(dist), 0)))
                     sink.extend(map(dist.setdefault, chunk, repeat(d)))
@@ -375,24 +369,24 @@ def step_kernel(
     return _window_kernel(origin, _shifts, _neg, steps, radius=radius, window=window, max_support=MAX_WINDOW)
 
 
+def _translate_expand(translates: Callable, directions: Sequence) -> Callable:
+    """The ``bfs`` expand of a Cayley graph: one ``translates(xs, s)`` batch per direction, zipped back per vertex."""
+    return lambda xs: zip(*[translates(xs, s) for s in directions])
+
+
 def _window_kernel(origin: Vertex, translates: Callable, inverse: Callable, steps: Mapping[object, Weight], *,
                    radius: Optional[int] = None, window: Optional[Iterable[Vertex]] = None,
                    max_support: int = MAX_SUPPORT) -> Kernel:
     """Rows {x: {x·s: steps[s]}} on the ball of ``radius`` around ``origin`` or on ``window``.
 
     ``translates(xs, s)`` lists x·s for each x in xs, in order (``Group.translates``).
-    Neighbors are x·s and x·inverse(s) over the steps, found one direction
-    at a time for a whole layer; the ball holds at most ``max_support``
-    vertices.  In both cases the certified depth is the exact step-graph
-    distance to the complement.
+    Neighbors are x·s and x·inverse(s) over the steps (``_translate_expand``);
+    the ball holds at most ``max_support`` vertices.  In both cases the
+    certified depth is the exact step-graph distance to the complement.
     """
     if (radius is None) == (window is None):
         raise PreconditionError("specify exactly one of radius or window")
-    directions = sorted(set(steps) | {inverse(s) for s in steps})
-
-    def expand(layer):
-        return zip(*[translates(layer, s) for s in directions])
-
+    expand = _translate_expand(translates, sorted(set(steps) | {inverse(s) for s in steps}))
     if radius is not None:
         ball, _ = bfs([origin], expand, radius, max_support=max_support)
         depth = {x: radius - d + 1 for x, d in ball.items()}

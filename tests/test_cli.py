@@ -264,6 +264,10 @@ def test_cli_walk_volume_budget(tmp_path, capsys):
         assert err["code"] == "support_overflow" and err["message"]
     assert main(volume[:2] + ["--help"]) == 0
     assert f"(default {MAX_SUPPORT})" in " ".join(capsys.readouterr().out.split())
+    # a negative horizon is named as one, not as a negative radius
+    assert main(volume + ["-1"]) == 3
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["code"] == "validation_error" and err["message"] == "t_max must be >= 0, got -1"
 
 
 def test_cli_law_commands_share_the_budget(capsys):
@@ -425,7 +429,7 @@ def test_cli_fit_and_escape_use_the_closed_form_metric(tmp_path, monkeypatch, ca
             "--prune-eps", "1e-3", "--max-support", "1000"]
     # the F2 ball of radius 13 has 3.2 M elements, past the default budget
     with monkeypatch.context() as patch:
-        patch.setattr(cli.gw, "word_ball", None)
+        patch.setattr(cli.ev, "word_ball", None)
         report = run_cli(tmp_path, "walk", "cv-fit", *f2, "--tmax", "13")
         assert report["results"]["approximate"] is True and report["results"]["violated"] is False
         report = run_cli(tmp_path, "walk", "escape", *f2, "--alpha", "1/4", "--times", "6,13")

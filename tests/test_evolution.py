@@ -101,6 +101,8 @@ def test_budgets_and_horizons_below_range_are_rejected():
             cw.volume_growth(Z1, SRW_GENS, 2, max_support=budget)
     with pytest.raises(cw.PreconditionError, match="t_max must be >= 0"):
         cw.walk_distributions(Z1, SRW_GENS, -3)
+    with pytest.raises(cw.PreconditionError, match="t_max must be >= 0, got -1"):
+        cw.volume_growth(Z1, SRW_GENS, -1)
     assert len(cw.walk_distributions(Z1, SRW_GENS, 0)) == 1
 
 

@@ -1,6 +1,7 @@
 """Centering conditions, witnesses, Cayley windows, and the cancellation scan."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import pytest
 import centerwalk as cw
 from centerwalk import group_walks as gw
 from centerwalk import markov_graph as mg
+from centerwalk.groups import _directions
 
 
 Z1 = cw.IntegerLattice(1)
@@ -284,6 +286,47 @@ def test_heisenberg_distance_against_enumeration():
     ball = cw.word_ball(H, H_GENS, 6)
     assert ball == oracle
     assert cw.word_distance(H, H_GENS, (0, 0, 1), radius=6) == oracle[(0, 0, 1)] == 4
+
+
+#: built-in groups with generators that have no closed-form word metric
+NO_CLOSED_FORM = {
+    "z2-tripod": (Z2, ((1, 0), (0, 1), (-1, -1))),
+    "heisenberg": (H, ((1, 0, 0), (0, 1, 0))),
+    "bs12": (cw.BaumslagSolitar(2), ((0, 0, 1), (0, 1, 0))),
+    "wreath": (WR, ((1, ()), (0, ((0, 1),)))),
+    "z7": (cw.FiniteCyclic(7), (1,)),
+    "f2-a-b-ab": (F2, ((1,), (2,), (1, 2))),
+}
+
+
+@pytest.mark.parametrize("name", NO_CLOSED_FORM)
+def test_word_searches_agree_with_the_ball(name):
+    group, gens = NO_CLOSED_FORM[name]
+    assert group.exact_metric(tuple(_directions(group, gens))) is None
+    ball = cw.word_ball(group, gens, 6)
+    rng = random.Random(name)
+    for r in range(6):
+        sizes = [sum(1 for d in ball.values() if d <= s) for s in range(r + 1)]
+        assert cw.volume_growth(group, gens, r) == sizes
+        # an element exactly at the radius is found; one beyond it is not
+        at = [x for x, d in ball.items() if d == r]
+        beyond = [x for x, d in ball.items() if d == r + 1]
+        for x in rng.sample(at, min(4, len(at))):
+            assert cw.word_distance(group, gens, x, r) == r
+        for x in rng.sample(beyond, min(4, len(beyond))):
+            assert cw.word_distance(group, gens, x, r) is None
+
+
+def test_heisenberg_center_distances():
+    # the word length of the central element (0, 0, n) over the standard generators is
+    # 2 * ceil(2 sqrt(n)) (Blachere, Colloq. Math. 95, 2003)
+    group, gens = NO_CLOSED_FORM["heisenberg"]
+    ball = cw.word_ball(group, gens, 20)
+    expected = {n: 2 * math.ceil(2 * math.sqrt(n)) for n in range(1, 26)}
+    assert {n: ball[(0, 0, n)] for n in expected} == expected
+    for n in (1, 2, 3, 5, 10, 25):
+        assert cw.word_distance(group, gens, (0, 0, n), expected[n]) == expected[n]
+        assert cw.word_distance(group, gens, (0, 0, n), expected[n] - 1) is None
 
 
 def test_cayley_windows_stop_at_the_window_budget(monkeypatch):

@@ -412,13 +412,10 @@ def fifo_bfs(sources, neighbors, radius=None, target=None, max_support=mg.MAX_SU
     return dist, parent
 
 
-@pytest.mark.parametrize("batch, bulk", [(1, 0), (3, 0), (mg._EXPAND_BATCH, 0), (mg._EXPAND_BATCH, 3),
-                                         (mg._EXPAND_BATCH, mg._BULK_LAYER)])
-def test_layered_bfs_matches_a_fifo_search(batch, bulk, monkeypatch):
-    # a layer of at least ``_BULK_LAYER`` vertices takes the bulk pass, ``_EXPAND_BATCH`` vertices
-    # at a time: small values send every layer through it and split it
+@pytest.mark.parametrize("batch", [1, 3, mg._EXPAND_BATCH])
+def test_layered_bfs_matches_a_fifo_search(batch, monkeypatch):
+    # every layer is expanded ``_EXPAND_BATCH`` vertices at a time: small values split it
     monkeypatch.setattr(mg, "_EXPAND_BATCH", batch)
-    monkeypatch.setattr(mg, "_BULK_LAYER", bulk)
     rng = random.Random(11)
     overflows = stops = 0
     for _ in range(600):
@@ -459,6 +456,21 @@ def test_layered_bfs_matches_a_fifo_search(batch, bulk, monkeypatch):
             assert calls["layered"] == calls["fifo"]
             stops += target in dist
     assert overflows > 50 and stops > 50
+
+
+def test_target_search_expands_a_batch_at_a_time(monkeypatch):
+    # a star: the source's 10 leaves make one wide layer, and the target hangs off the last leaf
+    monkeypatch.setattr(mg, "_EXPAND_BATCH", 3)
+    out = {0: list(range(1, 11)), 10: [11]}
+    seen = []
+
+    def expand(layer):
+        seen.append(list(layer))
+        return [out.get(x, []) for x in layer]
+
+    dist, parent = mg.bfs([0], expand, target=11)
+    assert dist[11] == 2 and parent[11] == 10
+    assert seen == [[0], [1, 2, 3], [4, 5, 6], [7, 8, 9], [10]]
 
 
 def test_negative_radius_is_rejected_by_bfs():
