@@ -47,7 +47,7 @@ from .errors import (
     PreconditionError,
 )
 from .groups import group_from_spec, parse_generators
-from .weights import format_weight, parse_rational
+from .weights import format_ratio, format_weight, parse_rational
 
 
 def _group_gens(args):
@@ -187,7 +187,8 @@ def cmd_walk_evolve(args):
             "mass": format_weight(d.total()),
             "p_id": format_weight(d.prob(group.identity)),
         })
-    final = {_label(group, x): format_weight(p) for x, p in d.items()}
+    den = d.denominator
+    final = {_label(group, x): format_ratio(n, den) for x, n in d.numerators()}
     results = {"trace": trace, "final": final, "approximate": d.approximate}
     rows = [(r["t"], r["support"], r["mass"], r["p_id"]) for r in trace]
     return results, (("t", "support", "mass", "p_id"), rows)

@@ -24,24 +24,34 @@ from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import PreconditionError, StructuralError, SupportOverflowError
-from .groups import Group, WreathZZ, _directions
+from .groups import FieldOverflow, Group, WreathZZ, _directions
 from .group_walks import word_ball
 from .markov_graph import MAX_SUPPORT, _collector_paused, check_budget
+
+
+#: atoms of a law that keeps its decoded elements
+_KEEP_DECODED = 64
 
 
 class SparseDistribution:
     """Finitely supported probability measure on group elements at time t.
 
-    The atoms are two aligned sequences: the elements and a numpy object
-    array of their Python-int numerators over the int ``denominator``.
-    ``prob``, ``log_prob`` and ``in`` find x's engine id by binary search in
-    the ascending ids of the support while the law holds the evolution
-    engine, and read an {element: numerator} dict built on the first such
-    call once it has released it.
+    The atoms are two aligned numpy arrays: ascending int keys, and the
+    Python-int numerators (object dtype) over the int ``denominator``.  The
+    keys are the elements' codes under the law's coder: the group's own
+    code hooks, a ``Packing`` of its coordinates (see ``Group.coder``), or,
+    for a group with neither, the ids of an interning ``_Translates``.  The
+    elements are decoded when ``support``, ``numerators`` or ``items`` are
+    called, in key order; ``prob``, ``log_prob`` and ``in`` binary-search
+    x's code among the keys, and a code that is not below the largest key
+    plus one is not built.
     """
 
     #: True once pruning dropped an atom of this law or of a law it was evolved from
     approximate = False
+    #: the decoded elements of a law of at most ``_KEEP_DECODED`` atoms, and the largest key + 1, once read
+    _decoded: Optional[List] = None
+    _below: Optional[int] = None
 
     def __init__(self, group: Group, t: int, numerators: Dict[object, int], denominator: int = 1):
         import numpy as np
@@ -50,24 +60,34 @@ class SparseDistribution:
             raise StructuralError("numerators must be positive")
         if sum(numerators.values()) != denominator:
             raise StructuralError("probabilities must sum to 1 exactly")
+        elements = list(map(group.validate, numerators))
+        weights = np.array(list(numerators.values()), dtype=object)
+        coder = group.coder()
+        if coder is None:
+            coder = _Translates(group, [], elements)
+            keys = np.arange(len(elements))
+        else:
+            coder, keys = _encode(coder, elements)
+            order = np.argsort(keys, kind="stable")
+            keys, weights = keys[order], weights[order]
         self.group, self.t = group, t
-        self._elements, self._den = list(numerators), denominator
-        self._weights = np.array(list(numerators.values()), dtype=object)
-        self._lookup = self._ids = self._engine = None
+        self._keys, self._weights, self._den, self._coder = keys, weights, denominator, coder
 
     @classmethod
-    def _atoms(cls, group: Group, t: int, elements: List, weights, den: int,
-               ids=None, engine: Optional["_Translates"] = None) -> "SparseDistribution":
-        """A law from aligned atoms, unchecked; ``ids`` index them in ``engine``."""
+    def _atoms(cls, group: Group, t: int, keys, weights, den: int, coder) -> "SparseDistribution":
+        """A law from aligned ascending keys and numerators under ``coder``, unchecked."""
         law = cls.__new__(cls)
         law.group, law.t = group, t
-        law._elements, law._weights, law._den = elements, weights, den
-        law._lookup, law._ids, law._engine = None, ids, engine
+        law._keys, law._weights, law._den, law._coder = keys, weights, den, coder
         return law
 
     def _release(self) -> None:
-        """Drop the evolution engine; the law keeps its atoms."""
-        self._ids = self._engine = None
+        """Trade an interning engine for a coder of the law's own elements, ids 0..n-1: the engine's tables go."""
+        import numpy as np
+
+        if isinstance(self._coder, _Translates) and self._coder.steps:
+            self._coder = _Translates(self.group, [], self._coder.decode(self._keys))
+            self._keys, self._below = np.arange(len(self._keys)), None
 
     @classmethod
     def point(cls, group: Group) -> "SparseDistribution":
@@ -78,22 +98,35 @@ class SparseDistribution:
     def denominator(self) -> int:
         return self._den
 
+    def _elements(self) -> List:
+        """The elements of the atoms, decoded in key order; a law of at most ``_KEEP_DECODED`` atoms,
+        such as a step law, keeps them."""
+        xs = self._decoded
+        if xs is None:
+            xs = self._coder.decode(self._keys)
+            if len(xs) <= _KEEP_DECODED:
+                self._decoded = xs
+        return xs
+
     def support(self) -> Tuple:
-        return tuple(self._elements)
+        return tuple(self._elements())
 
     def __len__(self) -> int:
-        return len(self._elements)
+        return len(self._keys)
 
     def _weight(self, x):
-        """x's numerator, None off the support: by binary search for x's engine id in
-        the ascending ``_ids`` while the law holds the engine, else from a dict."""
-        if self._engine is not None:
-            i = self._engine.find(x)
-            k = self._ids.searchsorted(i)
-            return self._weights[k] if k < len(self._ids) and self._ids[k] == i else None
-        if self._lookup is None:
-            self._lookup = dict(zip(self._elements, self._weights.tolist())).get
-        return self._lookup(x)
+        """x's numerator, None off the support: x's code, if it is below the largest key + 1, searched in the keys."""
+        keys = self._keys
+        if self._below is None:
+            self._below = int(keys[-1]) + 1
+        try:
+            c = self._coder.code(x, self._below)
+        except (TypeError, ValueError, struct.error):
+            return None
+        if c is None or c >= self._below:
+            return None
+        k = keys.searchsorted(c)
+        return self._weights[k] if keys[k] == c else None
 
     def __contains__(self, x) -> bool:
         return self._weight(x) is not None
@@ -111,7 +144,7 @@ class SparseDistribution:
 
     def numerators(self):
         """(x, integer numerator over ``denominator``) pairs."""
-        return zip(self._elements, self._weights.tolist())
+        return zip(self._elements(), self._weights.tolist())
 
     def items(self):
         den = self._den
@@ -137,96 +170,83 @@ def step_measure(group: Group, gens: Sequence) -> SparseDistribution:
     return SparseDistribution(group, t=1, numerators=counts, denominator=len(gens))
 
 
+def _int_array(codes: List):
+    """A numpy array of int codes: int64 when every code fits, else object."""
+    import numpy as np
+
+    arr = np.array(codes, dtype=object)
+    return arr.astype(np.int64) if arr.max(initial=0) < 2 ** 63 else arr
+
+
+def _encode(coder, xs: List):
+    """(coder, codes) of the elements xs: a packing too narrow for one of them is widened until all fit."""
+    while True:
+        codes = list(map(coder.code, xs))
+        if None not in codes:
+            return coder, _int_array(codes)
+        coder = coder.wider()
+
+
 class _Translates:
-    """Interned group elements and their right translates by fixed steps.
+    """Interned group elements and their right translates by fixed steps: the coder of a group without one.
 
     Every element met gets an integer id once, and ``elements[i]`` is the
-    element of id i.  Ids are handed out a batch at a time (``ids``), so a
-    slot whose batch entry was already interned is dead: its element is
-    ``None`` and no id points at it.  ``x·g`` is computed once per (id, step)
-    and kept in one numpy ``int32`` table per step (half the memory of
-    ``intp``; a support of 2**31 elements cannot be held anyway), indexed by
-    the id of x (-1 where not yet computed or dead).  When g's inverse is a
-    step too, computing y = x·g also fills the inverse's table at y with x, so
-    translates back into a support cost no multiplication.
-
-    When the group sets the ``code`` hooks, the index holds the elements'
-    int codes instead of the elements, and ``_codes[i]`` is the code of slot
-    i, in an array grown by doubling its capacity: a batch of translates has
-    its codes from ``group.translate_codes`` in one array pass, and only the
-    elements of a first batch, or of a lookup, are coded one at a time.
+    element of id i; ids are the keys of the laws, and ``decode`` reads them.
+    Ids are handed out a batch at a time (``ids``), so a slot whose batch
+    entry was already interned is dead: its element is ``None`` and no id
+    points at it.  ``x·g`` is computed once per (id, step) and kept in one
+    numpy ``int32`` table per step (half the memory of ``intp``; a support
+    of 2**31 elements cannot be held anyway), indexed by the id of x (-1
+    where not yet computed or dead).  When g's inverse is a step too,
+    computing y = x·g also fills the inverse's table at y with x, so
+    translates back into a support cost no multiplication.  A coder made
+    from a law's elements, with no steps, builds its index on first use.
     """
 
-    def __init__(self, group: Group, steps: List):
+    def __init__(self, group: Group, steps: List, elements: Optional[List] = None):
         import numpy as np
 
         self.group = group
         self.steps = steps
-        self.elements: List = []
-        self.index: Dict[object, int] = {}
+        self.elements: List = [] if elements is None else elements
+        self._index: Optional[Dict[object, int]] = None if elements else {}
         self.tables = [np.empty(0, dtype=np.int32) for _ in steps]
-        #: the codes of the slots, then spare capacity; None when the group sets no code hooks
-        self._codes = None if group.code is None else np.empty(0, dtype=np.int64)
-        position = {g: k for k, g in enumerate(steps)}
+        self.position = {g: k for k, g in enumerate(steps)}
         #: the index of each step's inverse among the steps, None when it is not one
-        self.inverses = [position.get(group.inverse(g)) for g in steps]
+        self.inverses = [self.position.get(group.inverse(g)) for g in steps]
 
-    def _store(self, n: int, codes) -> None:
-        """Write a batch's codes from slot n: the buffer is cast to object once, with the first
-        object batch, and grows to twice the slots it must hold, so a walk copies it O(log) times."""
-        import numpy as np
+    @property
+    def index(self) -> Dict[object, int]:
+        if self._index is None:
+            self._index = dict(zip(self.elements, itertools.count()))
+        return self._index
 
-        buf, end = self._codes, n + len(codes)
-        if codes.dtype == object and buf.dtype != object:
-            buf = buf.astype(object)
-        if len(buf) < end:
-            grown = np.empty(2 * end, dtype=buf.dtype)
-            grown[:n] = buf[:n]
-            buf = grown
-        self._codes = buf
-        buf[n:end] = codes
-
-    def ids(self, xs: List, codes=None):
+    def ids(self, xs: List):
         """The ids of the elements of the list xs, as an ``intp`` array, in one C-level pass.
 
         With n = len(elements), xs[j] is given the provisional id n + j, which
         it keeps when it is new: the ids of new elements ascend in the order
         they first occur.  An xs[j] already interned, before this batch or
         earlier in it, gets its id and leaves slot n + j dead (``None``), so
-        the duplicate is not kept.  ``codes`` are the codes of xs, computed
-        here when the group has code hooks and none are given.
+        the duplicate is not kept.
         """
         import numpy as np
 
         elements, index = self.elements, self.index
         n, m, known = len(elements), len(xs), len(index)
-        keys = xs
-        if self._codes is not None:
-            if codes is None:
-                codes = np.array(list(map(self.group.code, xs)), dtype=object)
-                if codes.max(initial=0) < 2 ** 63:
-                    codes = codes.astype(np.int64)
-            self._store(n, codes)
-            keys = codes.tolist()
-        ids = np.fromiter(map(index.setdefault, keys, itertools.count(n)), np.intp, m)
+        ids = np.fromiter(map(index.setdefault, xs, itertools.count(n)), np.intp, m)
         elements.extend(xs)
         if len(index) - known < m:
             dead = np.flatnonzero(ids != np.arange(n, n + m)) + n
             deque(map(elements.__setitem__, dead.tolist(), itertools.repeat(None)), maxlen=0)
         return ids
 
-    def find(self, x) -> int:
-        """The id of the interned element equal to x, as in a dict; ``len(elements)`` for any other value."""
-        n, code = len(self.elements), self.group.code
-        if self._codes is None:
-            return self.index.get(x, n)
-        try:
-            # every code of an int64 buffer is below 2**63
-            c = code(x, None if self._codes.dtype == object else 2 ** 63)
-        except (TypeError, ValueError, struct.error):
-            return n
-        i = self.index.get(c, n)
-        return i if i < n and self.elements[i] == x else n
+    def code(self, x, below: Optional[int] = None) -> Optional[int]:
+        """The id of the interned element equal to x, as in a dict; None for any other value."""
+        return self.index.get(x)
+
+    def decode(self, ids) -> List:
+        return list(map(self.elements.__getitem__, ids.tolist()))
 
     def _table(self, k: int, n: int):
         """Step k's table, grown to at least n entries, new entries -1."""
@@ -237,24 +257,54 @@ class _Translates:
             table = self.tables[k] = np.concatenate((table, np.full(n - len(table), -1, dtype=np.int32)))
         return table
 
-    def translate(self, ids) -> List:
-        """The tables, with the translates of every id in ``ids`` filled in.
+    def translate_codes(self, ids, g):
+        """The ids of the translates x·g of the ids' elements, by step g's table.
 
-        Only entries still -1 are computed, one ``group.translates`` batch
-        per step.  A skipped x·g is already interned, so new ids come in the
+        Only entries still -1 are computed, in one ``group.translates``
+        batch.  A skipped x·g is already interned, so new ids come in the
         same order as when every entry is computed.
         """
-        translates, elements = self.group.translates, self.elements
-        n = len(elements)
-        for k, (g, inv) in enumerate(zip(self.steps, self.inverses)):
-            table = self._table(k, n)
-            fresh = ids[table[ids] < 0]
-            ys = translates(map(elements.__getitem__, fresh.tolist()), g)
-            codes = None if self._codes is None else self.group.translate_codes(self._codes[fresh], g)
-            table[fresh] = y_ids = self.ids(ys, codes)
-            if inv is not None:
-                self._table(inv, len(elements))[y_ids] = fresh
-        return self.tables
+        k = self.position[g]
+        inv = self.inverses[k]
+        table = self._table(k, len(self.elements))
+        fresh = ids[table[ids] < 0]
+        ys = self.group.translates(map(self.elements.__getitem__, fresh.tolist()), g)
+        table[fresh] = y_ids = self.ids(ys)
+        if inv is not None:
+            self._table(inv, len(self.elements))[y_ids] = fresh
+        return table[ids]
+
+
+#: a key range at most this many times the keys' count is merged by a bitmap
+_DENSE = 4
+
+
+def _merge(parts):
+    """The ascending distinct keys of the parts, and each part's positions among them.
+
+    Keys whose range is at most ``_DENSE`` times their count, such as the
+    dense ids of an interning engine, are marked in a bitmap over the range;
+    others are sorted by ``np.unique``.
+    """
+    import numpy as np
+
+    keys = np.concatenate(parts)
+    if keys.dtype != object:
+        lo = int(keys.min())
+        span = int(keys.max()) - lo + 1
+    if keys.dtype == object or span > _DENSE * len(keys):
+        support, inverse = np.unique(keys, return_inverse=True)
+    else:
+        keys -= lo
+        mark = np.zeros(span, dtype=bool)
+        mark[keys] = True
+        support = np.flatnonzero(mark)
+        position = np.empty(span, dtype=np.intp)
+        position[support] = np.arange(len(support))
+        inverse = position[keys]
+        support += lo
+    n = len(parts[0])
+    return support, [inverse[i:i + n] for i in range(0, len(inverse), n)]
 
 
 def evolve(
@@ -272,16 +322,18 @@ def evolve(
     The result is ``approximate`` once an atom was dropped, here or in an
     input; a threshold that drops nothing changes nothing.
 
-    The ids of dist's support in a ``_Translates`` engine are translated by
-    every step atom; a boolean mark of the tables' targets gives the new
-    support as ascending ids.  The step is then one gather-add per step atom g
-    with weight c, ``new[position[table_g[ids]]] += weights * c``, into an
-    object array the length of that support, so dead slots and the elements
-    of the other parity cost no object work.  A right translation is
-    injective, so no index repeats within one gather.  The result carries the
-    engine, so the next step by the same atoms reuses every translate already
-    computed.  A result of more than ``max_support`` atoms raises
-    ``SupportOverflowError``.
+    dist's keys are translated by every step atom g with the coder's
+    ``translate_codes``: the group's code hooks, its packing (re-packed by
+    the wider one, and retried, when a coordinate would leave its field),
+    or the tables of an interning ``_Translates``, which the result keeps,
+    so the next step by the same atoms reuses every translate computed.  One
+    merge gives the new ascending keys and each translate's positions among
+    them; the sum is one gather-add per step atom of weight c,
+    ``new[positions_g] += weights * c``, into an object array as long as the
+    new support.  A right translation is injective, so no position repeats
+    within one gather.  A result of more than ``max_support`` atoms raises
+    ``SupportOverflowError``: before any sum is built when nothing is
+    pruned, after pruning otherwise.
     """
     if dist.group.spec_string != step.group.spec_string:
         raise PreconditionError(
@@ -292,45 +344,45 @@ def evolve(
     check_budget(max_support)
     import numpy as np
 
+    t = dist.t + step.t
     with _collector_paused():
-        engine = dist._engine
-        if engine is None or engine.steps != step._elements:
-            engine = _Translates(dist.group, step._elements)
-            ids = engine.ids(dist._elements)
-        else:
-            ids = dist._ids
-        tables = engine.translate(ids)
-        mark = np.zeros(len(engine.elements), dtype=bool)
-        for table in tables:
-            mark[table[ids]] = True
-        support = np.flatnonzero(mark)
-        position = np.empty(len(mark), dtype=np.int32)
-        position[support] = np.arange(len(support), dtype=np.int32)
+        coder, keys, steps = dist._coder, dist._keys, step._elements()
+        if isinstance(coder, _Translates) and coder.steps != steps:
+            coder = _Translates(dist.group, steps)
+            keys = coder.ids(dist._elements())
+        while True:
+            try:
+                parts = [coder.translate_codes(keys, g) for g in steps]
+                break
+            except FieldOverflow:
+                coder, keys = _encode(coder.wider(), coder.decode(keys))
+        support, where = _merge(parts)
+        del parts  # the translated keys go before the sums are built
+        if prune_eps is None:
+            _check_support(len(support), max_support, prune_eps)
         weights = dist._weights
         new = np.zeros(len(support), dtype=object)
-        for table, c in zip(tables, step._weights.tolist()):
-            new[position[table[ids]]] += weights if c == 1 else weights * c
+        for positions, c in zip(where, step._weights.tolist()):
+            new[positions] += weights if c == 1 else weights * c
     den = dist._den * step._den
     approximate = dist.approximate or step.approximate
     if prune_eps is not None:
         keep = new >= math.ceil(Fraction(prune_eps) * den)
         if not keep.any():
-            raise PreconditionError(
-                f"pruning at prune_eps={prune_eps!r} removes every atom at t={dist.t + step.t}"
-            )
+            raise PreconditionError(f"pruning at prune_eps={prune_eps!r} removes every atom at t={t}")
         if not keep.all():
             support, new = support[keep], new[keep]
             den, approximate = sum(new.tolist()), True
-    if len(support) > max_support:
-        hint = " or enable pruning" if prune_eps is None else ""
-        raise SupportOverflowError(f"support {len(support)} exceeds {max_support}; use a smaller t{hint}")
-    # support's numpy ints are read one at a time: a list of Python ints as long as the
-    # support, made while both laws are alive, raised the peak RSS of long walks
-    law = SparseDistribution._atoms(
-        dist.group, dist.t + step.t, list(map(engine.elements.__getitem__, support)), new,
-        den, support, engine)
+        _check_support(len(support), max_support, prune_eps)
+    law = SparseDistribution._atoms(dist.group, t, support, new, den, coder)
     law.approximate = approximate
     return law
+
+
+def _check_support(size: int, max_support: int, prune_eps: Optional[float]) -> None:
+    if size > max_support:
+        hint = " or enable pruning" if prune_eps is None else ""
+        raise SupportOverflowError(f"support {size} exceeds {max_support}; use a smaller t{hint}")
 
 
 def walk_laws(
@@ -342,12 +394,13 @@ def walk_laws(
 ) -> Iterator[SparseDistribution]:
     """mu^0 .. mu^t_max, one law at a time, each within ``max_support``; see ``evolve`` for pruning.
 
-    Each law is yielded while it holds the evolution engine, so its keyed
-    lookups go through the engine, and released once the next law is
-    computed; the last one when the consumer resumes past it.  A consumer
-    that keeps only what it reads of each law holds one law at a time.  The
-    collector is never paused across a ``yield`` (``evolve`` pauses itself),
-    so an abandoned stream leaves it as it was.
+    Each law comes from the module-level ``evolve``.  A law of an interning
+    group is yielded while it holds the engine, so its keyed lookups go
+    through the engine, and released once the next law is computed; the last
+    one when the consumer resumes past it.  A consumer that keeps only what
+    it reads of each law holds one law at a time.  The collector is never
+    paused across a ``yield`` (``evolve`` pauses itself), so an abandoned
+    stream leaves it as it was.
     """
     if t_max < 0:
         raise PreconditionError(f"t_max must be >= 0, got {t_max}")
@@ -457,7 +510,7 @@ def fit_cv_constant(
     columns: List = []  # d(x) and float(m(x)) of each point, interleaved
     with _collector_paused():
         for d in laws:
-            xs = d._elements
+            xs = d._elements()
             keys += zip(itertools.repeat(d.t), xs)
             ps += map(operator.truediv, d._weights.tolist(), itertools.repeat(d._den))
             at_d, at_m = iter(xs), iter(xs)
@@ -472,7 +525,7 @@ def fit_cv_constant(
         if not keys:
             raise PreconditionError("no distributions with t >= 1 given")
         times = [d.t for d in laws]
-        sizes = [len(d._elements) for d in laws]
+        sizes = [len(d) for d in laws]
         if max(itertools.compress(times, sizes)) ** (-abs(d_exp) / 2.0) < sys.float_info.min:
             raise PreconditionError(f"t^(d_exp/2) leaves the normal float range at d_exp={d_exp!r}")
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import ast
 import itertools
 import math
+import operator
 import re
 import struct
 from bisect import bisect_left
@@ -58,19 +59,25 @@ class Group:
     #: values hash poorly; None stores the elements themselves.
     key: Optional[Callable] = None
 
-    #: Optional pair of interning hooks of the exact evolution engine, set
-    #: together or not at all: ``code(x)`` maps each canonical element to an
-    #: int, distinct for distinct elements, and ``translate_codes(codes, g)``
-    #: maps a numpy array of codes to the codes of the right translates x·g,
-    #: in one array pass: int64 while the results fit, else object.  The
-    #: engine then indexes ints, computed per element only for a law it did not
-    #: evolve itself (and for a lookup), instead of the elements, and the
-    #: word-ball searches of ``group_walks`` run over the codes alone.
-    #: ``code`` may raise TypeError or ValueError on a value that is not an
-    #: element, and ``code(x, below)`` may return None instead of a code that
-    #: is not below the int ``below``.
+    #: Optional int-code hooks, set together or not at all: ``code(x)`` maps
+    #: each canonical element to a non-negative int, distinct for distinct
+    #: elements; ``translate_codes(codes, g)`` maps a numpy array of codes to
+    #: the codes of the right translates x·g in one array pass, int64 while
+    #: the results fit, else object; ``decode(codes)`` is the list of the
+    #: elements of an array of codes, in order.  ``code`` may raise TypeError
+    #: or ValueError on a value that is not an element, and ``code(x, below)``
+    #: may return None instead of a code that is not below the int ``below``.
+    #: A group that sets them (F2, Z_p) is its own ``coder``: the exact laws
+    #: hold its codes, and the word-ball searches of ``group_walks`` run over
+    #: them.  Z^d and the Heisenberg group have no fixed code, since their
+    #: coordinates are unbounded: their ``coder`` is a ``Packing`` of the
+    #: coordinates into int fields, whose ``translate_codes`` raises
+    #: ``FieldOverflow`` rather than let a coordinate leave its field; the law
+    #: is then re-packed by the ``wider`` packing, object ints past 63 bits.
+    #: The other groups have no coder, and their laws intern the elements.
     code: Optional[Callable] = None
     translate_codes: Optional[Callable] = None
+    decode: Optional[Callable] = None
 
     #: Optional norm hook for ``group_walks.c1_search``: ``norm(x)`` is an int
     #: with N(e) = 0, N(x^-1) = N(x) and N(xy) <= N(x) + N(y).  The search
@@ -153,6 +160,10 @@ class Group:
         """Certified lower bound on the standard-generator word length, if registered."""
         return None
 
+    def coder(self):
+        """The int coder of the exact laws: an object with the code hooks, None to intern elements."""
+        return self if self.code is not None else None
+
     def __repr__(self) -> str:
         return f"<{self.name}>"
 
@@ -167,6 +178,92 @@ def _literal(text: str):
 def _ints(values) -> bool:
     """Whether every value is exactly an int: a bool, an int subclass, is not."""
     return all(type(v) is int for v in values)
+
+
+class FieldOverflow(ArithmeticError):
+    """A packed coordinate would leave its field: the codes must be re-packed by ``Packing.wider``."""
+
+
+class Packing:
+    """Integer coordinates packed into fixed-width fields of one int: the coder of Z^d and Heisenberg laws.
+
+    Coordinate i, offset by 2**(w-1) into a field of w = ``widths[i]`` bits,
+    sits above the fields of the later coordinates, with one zero guard bit
+    above it, so codes ascend in the lexicographic order of the elements.  A
+    translate adds a constant to every code (the Heisenberg ``shear`` also
+    adds a·y to c, with a read from the code).  A field whose value leaves
+    [0, 2**w) by at most 2**w sets its guard bit, by a carry or a borrow,
+    and the lowest such field is not disturbed by the fields below it; so
+    one ``&`` of the results with the guard bits detects every field that
+    overflows, once each increment is checked to be that small.  Either
+    check raises ``FieldOverflow``: no coordinate ever wraps.  Codes of at
+    most 63 bits, guards included, are int64; ``wider`` doubles every width,
+    into object ints past that.
+    """
+
+    def __init__(self, widths: Tuple[int, ...], shear: bool = False):
+        self.widths, self.shear = widths, shear
+        self.offsets = tuple(1 << (w - 1) for w in widths)
+        bits, shifts = 0, []
+        for w in reversed(widths):
+            shifts.insert(0, bits)
+            bits += w + 1
+        self.shifts = tuple(shifts)
+        #: whether the codes are object ints, past the 63 bits of an int64
+        self.wide = bits > 63
+        self.guards = sum(1 << (s + w) for s, w in zip(self.shifts, widths))
+        self._deltas: Dict[object, int] = {}
+
+    def wider(self) -> "Packing":
+        return Packing(tuple(2 * w for w in self.widths), self.shear)
+
+    def code(self, x, below: Optional[int] = None) -> Optional[int]:
+        """x's code, None when a coordinate leaves its field; a value that is not a tuple of d ints raises."""
+        if not isinstance(x, tuple) or len(x) != len(self.widths):
+            raise TypeError(f"not a vector of {len(self.widths)} coordinates: {x!r}")
+        c = 0
+        for v, o, s in zip(map(operator.index, x), self.offsets, self.shifts):
+            if not -o <= v < o:
+                return None
+            c += (v + o) << s
+        return c
+
+    def _delta(self, g) -> int:
+        """What a translate by g adds to every code, but the shear's a·y; ``FieldOverflow`` when an
+        increment may pass 2**w.  Kept per step."""
+        delta = self._deltas.get(g)
+        if delta is None:
+            incs = [abs(v) for v in g]
+            if self.shear:
+                # c gains z + a·y, and |a| <= 2**(w_a - 1)
+                incs[2] += self.offsets[0] * incs[1]
+            if any(inc > 1 << w for inc, w in zip(incs, self.widths)):
+                raise FieldOverflow(f"step {g!r} leaves the fields of {self.widths}")
+            delta = sum(v << s for v, s in zip(g, self.shifts))
+            if self.shear:
+                delta -= self.offsets[0] * g[1]
+            self._deltas[g] = delta
+        return delta
+
+    def translate_codes(self, codes, g):
+        """The codes of the translates x·g, in one add (and one shear) pass; ``FieldOverflow`` if one leaves its field."""
+        import numpy as np
+
+        delta = self._delta(g)
+        if self.wide and codes.dtype != object:
+            codes = codes.astype(object)
+        out = codes + delta
+        if self.shear and g[1]:
+            out += (codes >> self.shifts[0]) * g[1]
+        if np.count_nonzero(out & self.guards):
+            raise FieldOverflow(f"a translate by {g!r} leaves the fields of {self.widths}")
+        return out
+
+    def decode(self, codes) -> List[tuple]:
+        """The elements of the codes, read field by field: one shift, mask and offset pass per coordinate."""
+        cols = [(((codes >> s) & ((1 << w) - 1)) - o).tolist()
+                for w, o, s in zip(self.widths, self.offsets, self.shifts)]
+        return list(zip(*cols))
 
 
 class _IntVector(Group):
@@ -226,6 +323,10 @@ class IntegerLattice(_IntVector):
     def inverse(self, x):
         return tuple(-a for a in x)
 
+    def coder(self) -> Packing:
+        """d fields of equal width in 63 bits, guards included; at least one bit each."""
+        return Packing((max(1, 63 // self.d - 1),) * self.d)
+
     def abelianization(self, x) -> AbelianImage:
         return AbelianImage(free=tuple(x))
 
@@ -251,6 +352,10 @@ class Heisenberg(_IntVector):
 
     def inverse(self, x):
         return (-x[0], -x[1], -x[2] + x[0] * x[1])
+
+    def coder(self) -> Packing:
+        """a and b in 15 bits, c (quadratic in the walk's length) in 30: 63 bits with the guards."""
+        return Packing((15, 15, 30), shear=True)
 
     def abelianization(self, x) -> AbelianImage:
         return AbelianImage(free=(x[0], x[1]))
@@ -440,8 +545,13 @@ _PACKED_LETTERS = 64
 #: from the signed bytes of ``FreeGroup.key`` to ASCII digits, and by letter value
 _CODE_DIGITS = bytes.maketrans(b"\x01\xff\x02\xfe", b"1234")
 _DIGIT = {1: 1, -1: 2, 2: 3, -2: 4}
+#: the letter of each digit, 0 for none
+_LETTERS = (0, 1, -1, 2, -2)
 #: the largest int64 code that still has room for one more letter, 5c + 4 < 2**63
 _CODE_FITS = (2 ** 63 - 5) // 5
+#: base-5 digits of one int64 chunk of an object code in ``FreeGroup.decode``, and its base
+_CHUNK_DIGITS = 27
+_CHUNK_BASE = 5 ** _CHUNK_DIGITS
 #: base-5 digits that one ``int`` call reads, under any int/str length limit of the interpreter
 _CODE_CHUNK = 512
 
@@ -457,8 +567,8 @@ def _base5(digits: bytes) -> int:
 class FreeGroup(Group):
     """Free group of rank 2; elements are reduced tuples of letters.
 
-    Letters are +1/-1 for a/a^-1 and +2/-2 for b/b^-1.  The exact evolution
-    engine interns words by their base-5 codes (``code``, ``translate_codes``),
+    Letters are +1/-1 for a/a^-1 and +2/-2 for b/b^-1.  The exact laws hold
+    words as their base-5 codes (``code``, ``translate_codes``, ``decode``),
     the word-ball searches of ``group_walks`` run over codes without building
     a word, and ``c1_search``'s memo stores packed bytes (``key``): in CPython
     ``hash(-1) == hash(-2)``, so letter tuples that differ only by A <-> B
@@ -491,11 +601,14 @@ class FreeGroup(Group):
         """The word's letters as base-5 digits, the first letter most significant; the empty word is 0.
 
         Distinct words have distinct codes, and a value that is not a word
-        raises or has the code of no word equal to it.  A word of n letters
-        has a code of at least 5**(n-1) >= 2**(n-1), so it is None, unbuilt,
-        when n exceeds the bit length of ``below``.  A word longer than
-        ``_PACKED_LETTERS`` is packed once, by no cached packer.
+        raises (one that is not a tuple, whatever its items) or has the code
+        of no word equal to it.  A word of n letters has a code of at least
+        5**(n-1) >= 2**(n-1), so it is None, unbuilt, when n exceeds the bit
+        length of ``below``.  A word longer than ``_PACKED_LETTERS`` is
+        packed once, by no cached packer.
         """
+        if not isinstance(x, tuple):
+            raise TypeError(f"not a letter tuple: {x!r}")
         if below is not None and len(x) > below.bit_length():
             return None
         packed = FreeGroup.key(x)
@@ -521,6 +634,51 @@ class FreeGroup(Group):
             out[back] = codes[back] // 5
             codes = out
         return codes
+
+    @staticmethod
+    def decode(codes) -> List[tuple]:
+        """The words of an array of codes, in order.
+
+        Object codes are cut into int64 chunks of ``_CHUNK_DIGITS`` base-5
+        digits; each chunk gives its digits in int64 passes, into one row of
+        letters per word, right-aligned.  A word's length is the count of its
+        nonzero digits, and the rows of each length are unpacked as signed
+        bytes by one ``struct`` per length.  Ascending codes come in ascending
+        length, so their words need no reordering.
+        """
+        import numpy as np
+
+        chunks = []  # least significant first
+        while codes.dtype == object and codes.max(initial=0) >= 2 ** 63:
+            chunks.append((codes % _CHUNK_BASE).astype(np.int64))
+            codes = codes // _CHUNK_BASE
+        chunks.append(codes.astype(np.int64))
+        top = int(chunks[-1].max(initial=0))
+        width = _CHUNK_DIGITS * (len(chunks) - 1) + next(n for n in itertools.count() if 5 ** n > top)
+        digits = np.zeros((len(codes), width), dtype=np.int8)
+        col = width
+        for chunk in chunks:
+            for _ in range(min(_CHUNK_DIGITS, col)):
+                col -= 1
+                chunk, digits[:, col] = np.divmod(chunk, 5)
+        letters = np.array(_LETTERS, dtype=np.int8)[digits]
+        lengths = np.count_nonzero(digits, axis=1)
+        order = np.argsort(lengths, kind="stable")
+        words: List[tuple] = []
+        start = 0
+        for k, count in enumerate(np.bincount(lengths).tolist()):
+            rows = order[start:start + count]
+            start += count
+            if k == 0:
+                words += [()] * count
+            elif count:
+                words += struct.Struct(f"{k}b").iter_unpack(letters[rows, width - k:].tobytes())
+        if (order[1:] > order[:-1]).all():
+            return words
+        out: List = [None] * len(words)
+        for i, w in zip(order.tolist(), words):
+            out[i] = w
+        return out
 
     @property
     def identity(self):
@@ -598,6 +756,21 @@ class FiniteCyclic(Group):
 
     def multiply(self, x, y):
         return (x + y) % self.p
+
+    def code(self, x, below: Optional[int] = None) -> Optional[int]:
+        """The residue itself; None for an int outside 0..p-1, and a value that is not an int raises."""
+        x = operator.index(x)
+        return x if 0 <= x < self.p else None
+
+    def translate_codes(self, codes, g):
+        """(c + g) mod p in one pass: int64 while p < 2**62, so that c + g fits, else object."""
+        if self.p >= 2 ** 62 and codes.dtype != object:
+            codes = codes.astype(object)
+        return (codes + g) % self.p
+
+    @staticmethod
+    def decode(codes) -> List[int]:
+        return codes.tolist()
 
     def inverse(self, x):
         return (-x) % self.p

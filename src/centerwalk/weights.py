@@ -122,9 +122,21 @@ def parse_weight(raw) -> Weight:
     raise ValueError(f"bad weight literal {raw!r}")
 
 
+def format_ratio(n: int, d: int) -> str:
+    """The "p/q" string of the int ratio n / d in lowest terms, that of ``str(Fraction(n, d))``, by one gcd.
+
+    A whole number is "p" and zero "0"; the sign goes to p.
+    """
+    if d == 0:
+        raise ZeroDivisionError(f"ratio {n}/0")
+    g = math.gcd(n, d) if d > 0 else -math.gcd(n, d)
+    n, d = n // g, d // g
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
 def format_weight(w: Weight):
     """Inverse of :func:`parse_weight`: exact weights as "p/q" strings, floats as-is."""
     if is_exact(w):
-        return str(Fraction(w))
+        return format_ratio(*w.as_integer_ratio())
     return float(w)
 

@@ -791,8 +791,15 @@ def test_cli_results_independent_of_hash_seed(tmp_path):
         # the killed ring's rows used to be stored in set order
         "green": ["green", "compare", "--graph", "ring.json", "--killing", "1/10", "--dec", "ring_dec.json",
                   "--trials", "5", "--seed", "3"],
-        # the exact laws come out of the evolution engine's interned ids
+        # the exact laws hold int codes, read back in code order, and the interning
+        # engine's ids elsewhere: neither order may reach the results
         "evolve": ["walk", "evolve", "--group", "f2", "--gens", "a,A,b,B", "--tmax", "6"],
+        "evolve-heisenberg": ["walk", "evolve", "--group", "heisenberg",
+                              "--gens", "[1,0,0],[0,1,0],[-1,0,0],[0,-1,0]", "--tmax", "5"],
+        "evolve-z2": ["walk", "evolve", "--group", "z:2", "--gens", "[1,0],[0,1],[-1,-1]", "--tmax", "6"],
+        "evolve-zmod": ["walk", "evolve", "--group", "zmod:7", "--gens", "1,3,5", "--tmax", "6"],
+        "evolve-wreath": ["walk", "evolve", "--group", "wreath", "--gens", "(1,{}),(-1,{}),(0,{0:1})",
+                          "--tmax", "4"],
         "entropy": ["walk", "entropy", "--group", "f2", "--gens", "a,A,b,B", "--t", "6",
                     "--paths", "40", "--seed", "5"],
     }

@@ -1,6 +1,7 @@
 """Exact evolution, Monte Carlo, bound fitting, escape, speed, entropy."""
 
 import collections
+import copy
 import functools
 import gc
 import hashlib
@@ -13,11 +14,13 @@ import sys
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import centerwalk as cw
 from centerwalk import markov_graph as mg
-from centerwalk.evolution import _mc_endpoints, _path_indices, _sample_steps, path_rng
+from centerwalk.evolution import _Translates, _mc_endpoints, _path_indices, _sample_steps, path_rng
+from centerwalk.groups import Packing
 from centerwalk.markov_graph import MAX_SUPPORT
 
 Z1 = cw.IntegerLattice(1)
@@ -260,63 +263,76 @@ def test_pruned_law_bits_are_pinned():
 
 
 def test_law_keyed_access_after_release():
+    # a coded law has no engine: keyed access searches x's code among its ascending keys
     dists = cw.walk_distributions(Z2, WALKS["z2"][1], 6)
     d = dists[6]
-    assert d._engine is None and d._lookup is None
+    assert not isinstance(d._coder, _Translates) and (d._keys[1:] > d._keys[:-1]).all()
     assert len(d) == 49 and d.total() == 1
-    assert d._lookup is None  # len, total, items and numerators need no lookup table
+    assert d._decoded is None  # len and total decode nothing, and a law this big keeps no elements
     assert (0, 0) in d and (7, 0) not in d
     assert d.prob((0, 0)) == Fraction(400, 4 ** 6) and d.prob((7, 0)) == 0
     assert d.log_prob((6, 0)) == pytest.approx(-6 * math.log(4))
     with pytest.raises(cw.PreconditionError, match="outside the support"):
         d.log_prob((7, 0))
-    # while a law holds the engine, keyed access finds the engine id in the law's ids
-    step = cw.step_measure(Z2, WALKS["z2"][1])
-    live = cw.evolve(cw.evolve(cw.SparseDistribution.point(Z2), step, prune_eps=0.1), step)
-    ref = cw.evolve(cw.evolve(cw.SparseDistribution.point(Z2), step, prune_eps=0.1), step)
+    # an interning law looks up its engine's ids while it holds the engine, and its own
+    # elements' ids 0..n-1 once released
+    group, gens, _ = WALKS["wreath"]
+    step = cw.step_measure(group, gens)
+    live = cw.evolve(cw.evolve(cw.SparseDistribution.point(group), step, prune_eps=0.1), step)
+    ref = cw.evolve(cw.evolve(cw.SparseDistribution.point(group), step, prune_eps=0.1), step)
     ref._release()
-    assert live._engine is not None
-    for x in [(0, 0), (1, 1), (2, 0), (1, 0), (7, 0), (-2, 0)]:
+    assert live._coder.steps and not ref._coder.steps and ref._coder._index is None
+    assert ref._keys.tolist() == list(range(len(ref))) and ref.support() == live.support()
+    far = (5, ((0, 1),))
+    for x in [group.identity, (2, ()), (1, ((0, 1),)), (0, ((0, 2),)), (-2, ()), far, [1]]:
         assert (x in live, live.prob(x)) == (x in ref, ref.prob(x))
         assert type(live.prob(x)) is Fraction
-    # by binary search: no table, neither by engine id nor a dict over the support
-    assert live._lookup is None
-    exact = cw.evolve(cw.evolve(cw.SparseDistribution.point(Z2), step), step)
-    for x in [(0, 0), (1, 1), (2, 0), (1, 0), (7, 0)]:
-        assert (x in exact, exact.prob(x)) == (x in dists[2], dists[2].prob(x))
-    assert exact.log_prob((2, 0)) == dists[2].log_prob((2, 0))
-    assert exact._lookup is None
+    assert ref._coder._index is not None
+    # every atom at t = 1 has mass 1/4: the pruning dropped nothing
+    exact = cw.walk_distributions(group, gens, 2)[2]
+    assert not ref.approximate and dict(ref.numerators()) == dict(exact.numerators())
+    for x in [group.identity, (2, ()), (1, ((0, 1),)), far]:
+        assert (x in exact, exact.prob(x)) == (x in ref, ref.prob(x))
 
 
-#: SHA-256 of [(t, denominator, list(numerators()))] of walk_distributions, recorded
-#: before the engine filled inverse translates and keyed F2 words by their bytes
+#: SHA-256 of [(t, denominator, atoms)] of walk_distributions.  The atoms are the
+#: list(numerators()) of the interning groups (bs, wreath), whose law order is the order
+#: of the engine's ids, and sorted for the coded groups, whose law order is code order;
+#: the sorted digests were recorded on the element engine before laws held int codes
 PINNED_LAWS = {
-    "f2": (F2, F2_GENS, 9, "dfc33b195dc9d3f4bab2566b593d4334ee8198596f55b6587bb7395d7b815657"),
+    "f2": (F2, F2_GENS, 9, "de6c0392571237d058a5802234129046e9f893f8bed4f02f1de06c1980b902d9"),
     # no step of the sequence but a and A has its inverse among the steps
-    "f2-sequence": (F2, cw.F2_SEQUENCE, 5, "ded30a5eab0264098808b73e0b8177716bcdfd08dcada37c48d6736cbec5d7b2"),
-    "z2": (Z2, WALKS["z2"][1], 20, "f82308269661c2f3d2b5856d40948b4231a9506a715ef6e5d3d763e978140cd7"),
-    "heisenberg": (*WALKS["heisenberg"][:2], 10, "dc616002816a5898c32530993bc735226a65cf34997361364758e8131c95fd92"),
+    "f2-sequence": (F2, cw.F2_SEQUENCE, 5, "f128b52ca911105194c094bacc3b0338bdba55fdfb8e8d3154568eb11e870701"),
+    "z2": (Z2, WALKS["z2"][1], 20, "30b50b0d61a09ec27327f666a895fc55b67532b566be99b3368715c9f25e2691"),
+    "heisenberg": (*WALKS["heisenberg"][:2], 10, "2d5cdc61e5b02dab7741cc8d38a1a4bdb492eb1cb67754f7d7415e318c10138f"),
     "bs": (*WALKS["bs"][:2], 9, "f906902c95e6cc74f2ee028352b32e7126e0c35f201e03aadb3bcfabd9f94fc8"),
     "wreath": (*WALKS["wreath"][:2], 7, "0ec06946b9655bad95c39249b276baa1b68597784f779d689268cdda28c506d8"),
-    "z": (Z1, Z_GENS, 30, "d61176a143c40fd465f6027f2fe62706393bfc5fe877a17887766d0343263267"),
+    "z": (Z1, Z_GENS, 30, "3edc8f556bf804d79f3f844efd65f0a1ed9f83e82d4110518f35f2f151965dcd"),
 }
 
 
 @pytest.mark.parametrize("walk", sorted(PINNED_LAWS))
 def test_engine_laws_are_pinned(walk):
-    # the atoms and their order: translates filled from a step's inverse never
-    # change which ids are new, nor the order in which they are interned
+    # interning groups: translates filled from a step's inverse never change which ids
+    # are new, nor the order in which they are interned
     group, gens, t_max, digest = PINNED_LAWS[walk]
+    order = list if group.coder() is None else sorted
     for laws in (cw.walk_distributions(group, gens, t_max), cw.walk_laws(group, gens, t_max)):
-        atoms = [(d.t, d.denominator, list(d.numerators())) for d in laws]
+        atoms = [(d.t, d.denominator, order(d.numerators())) for d in laws]
         assert hashlib.sha256(repr(atoms).encode()).hexdigest() == digest
+
+
+class _TupleF2(cw.FreeGroup):
+    """F2 without the code hooks: its laws intern the word tuples themselves."""
+
+    code = translate_codes = decode = None
 
 
 def test_engine_fills_inverse_translates():
     calls = []
 
-    class CountingF2(cw.FreeGroup):
-        # the engine computes translates in batches, one per step
+    class CountingF2(_TupleF2):
+        # the interning engine computes translates in batches, one per step
         def translates(self, xs, g):
             ys = super().translates(xs, g)
             calls.extend(ys)
@@ -343,17 +359,10 @@ def test_f2_keys_hash_apart():
     assert len(words) == 88_573
     # in CPython hash(-1) == hash(-2): words that differ by A <-> B collide as tuples
     assert hash((-1,)) == hash((-2,)) and len(set(map(hash, words))) == 35_778
-    # the engine indexes each word by its int code, and the codes hash apart
+    # the law's keys are the words' int codes, ascending, and the codes hash apart
     codes = list(map(F2.code, words))
     assert len(set(codes)) == len(set(map(hash, codes))) == len(words)
-    index = law._engine.index
-    assert all(type(c) is int for c in index) and [index[c] for c in codes] == law._ids.tolist()
-
-
-class _TupleF2(cw.FreeGroup):
-    """F2 without the code hooks: the engine indexes the word tuples themselves."""
-
-    code = translate_codes = None
+    assert law._keys.dtype == np.int64 and law._keys.tolist() == codes == sorted(codes)
 
 
 def _random_f2_word(rng, longest):
@@ -372,7 +381,7 @@ def _random_f2_steps(rng, longest):
 
 @pytest.mark.parametrize("seed", range(12))
 def test_engine_codes_match_a_tuple_index(seed):
-    # the same atoms in the same order, and the same lookups, from the int codes as from the tuples
+    # the same laws, as maps, and the same lookups, from the int codes as from the interned tuples
     rng = random.Random(f"codes/{seed}")
     steps = _random_f2_steps(rng, longest=1 if seed % 3 == 0 else 3)
     eps, t_max = (None, 6) if seed % 2 else (1e-4, 10)
@@ -380,7 +389,7 @@ def test_engine_codes_match_a_tuple_index(seed):
     plain = cw.walk_distributions(_TupleF2(), steps, t_max, prune_eps=eps)
     assert coded[-1].approximate == (eps is not None) == plain[-1].approximate
     for law, ref in zip(coded, plain):
-        assert (law.denominator, list(law.numerators())) == (ref.denominator, list(ref.numerators()))
+        assert (law.denominator, dict(law.numerators())) == (ref.denominator, dict(ref.numerators()))
         assert [law.prob(x) for x in ref.support()[:50]] == [ref.prob(x) for x in ref.support()[:50]]
 
 
@@ -394,14 +403,14 @@ def test_engine_codes_cross_into_object_dtype():
             law = cw.evolve(law, step)
         laws.append(law)
     law, ref = laws
-    assert (law.denominator, list(law.numerators())) == (ref.denominator, list(ref.numerators()))
-    assert law._engine._codes.dtype == object and max(map(len, law.support())) == 28
-    assert [law._engine.find(x) for x in law.support()] == law._ids.tolist()
+    assert (law.denominator, dict(law.numerators())) == (ref.denominator, dict(ref.numerators()))
+    assert law._keys.dtype == object and max(map(len, law.support())) == 28
+    assert law._keys.tolist() == sorted(map(F2.code, law.support()))
     assert law.prob((1, 1, 2, 2) * 7) == Fraction(1, 4 ** 7) and (1,) * 40 not in law
-    # a law evolved afresh codes its first batch one word at a time, past int64 too
+    # a step by other atoms translates the object codes as they are
     again = cw.evolve(law, cw.step_measure(F2, steps[:1]))
-    assert again._engine is not law._engine and again._engine._codes.dtype == object
-    assert list(again.numerators()) == list(cw.evolve(ref, cw.step_measure(ref.group, steps[:1])).numerators())
+    assert again._keys.dtype == object
+    assert dict(again.numerators()) == dict(cw.evolve(ref, cw.step_measure(ref.group, steps[:1])).numerators())
 
 
 def test_engine_lookups_of_non_words_miss():
@@ -409,9 +418,9 @@ def test_engine_lookups_of_non_words_miss():
 
     step = cw.step_measure(F2, F2_GENS)
     law = cw.evolve(cw.evolve(cw.evolve(cw.SparseDistribution.point(F2), step), step), step)
-    assert law._engine is not None and (1, 2, 1) in law and law.prob((1, 2, 1)) == Fraction(1, 64)
+    assert law._coder is F2 and (1, 2, 1) in law and law.prob((1, 2, 1)) == Fraction(1, 64)
     packs = set(groups._WORD_PACKS)
-    for x in [(3,), (300,), (1, -1), "ab", b"\x01", 5, (1,) * 10 ** 6]:
+    for x in [(3,), (300,), (1, -1), "ab", b"\x01", [1], 5, (1,) * 10 ** 6]:
         assert law.prob(x) == 0 and x not in law
         with pytest.raises(cw.PreconditionError, match="outside the support"):
             law.log_prob(x)
@@ -424,8 +433,7 @@ def test_engine_lookups_of_non_words_miss():
     (F2, ((1,), (2,), (1, 1), (-1,))),
 ], ids=["no-key", "keyed"])
 def test_engine_batch_leaves_dead_slots(group, batch):
-    from centerwalk.evolution import _Translates
-
+    # the interning engine, on vectors and on words alike
     x = [group.validate(g) for g in batch]
     engine = _Translates(group, [x[0]])
     assert engine.ids([x[0], x[1]]).tolist() == [0, 1]
@@ -439,25 +447,204 @@ def test_engine_batch_leaves_dead_slots(group, batch):
 
 @pytest.mark.parametrize("walk", ["z2", "heisenberg", "wreath", "f2"])
 def test_engine_ids_ascend_and_find_live_slots(walk):
+    # every law's keys ascend and are its elements' codes; only the interning
+    # engine (wreath) has slots, and some of them die
     group, gens, t_max = WALKS[walk]
     step = cw.step_measure(group, gens)
-    law, dead = cw.SparseDistribution.point(group), 0
+    law = cw.SparseDistribution.point(group)
     for _ in range(t_max):
         law = cw.evolve(law, step)
-        engine, ids = law._engine, law._ids
-        assert (ids[1:] > ids[:-1]).all()
-        assert [engine.find(x) for x in law.support()] == ids.tolist()
-        # a slot is dead (None) exactly when no id points at it
-        live = [i for i, y in enumerate(engine.elements) if y is not None]
-        assert live == sorted(engine.index.values())
-        dead = len(engine.elements) - len(live)
-    # on the tree of F2 every fresh translate is a new word: no slot dies
-    assert (dead > 0) == (walk != "f2")
+        coder, keys = law._coder, law._keys
+        assert (keys[1:] > keys[:-1]).all()
+        assert [coder.code(x) for x in law.support()] == keys.tolist()
+    if walk == "wreath":
+        live = [i for i, y in enumerate(coder.elements) if y is not None]
+        assert live == sorted(coder.index.values()) and len(live) < len(coder.elements)
+    else:
+        assert not isinstance(coder, _Translates)
     far = group.identity
     for _ in range(t_max + 3):
         far = group.multiply(far, gens[0])
     for x in [far, None, "x", (1,) * 40]:
-        assert engine.find(x) == len(engine.elements)
+        assert x not in law and law.prob(x) == 0
+
+
+#: the groups whose laws hold int codes: their own hooks (zmod, f2) or a packing
+CODED = {
+    "z": Z1, "z2": Z2, "z3": cw.IntegerLattice(3), "heisenberg": cw.Heisenberg(),
+    "zmod7": cw.FiniteCyclic(7), "f2": F2,
+}
+
+
+def _interning(group):
+    """The same group with no coder: its laws intern the elements, the reference engine."""
+    ref = copy.copy(group)
+    ref.coder = lambda: None
+    return ref
+
+
+def _random_steps(name, rng):
+    """2 to 4 random steps of the group, mostly without their inverses, and the first again."""
+    group = CODED[name]
+    if name == "f2":
+        steps = [_random_f2_word(rng, 3) for _ in range(rng.randint(2, 4))]
+    elif name == "zmod7":
+        steps = [rng.randrange(7) for _ in range(rng.randint(2, 4))]
+    else:
+        steps = [tuple(rng.randint(-2, 2) for _ in group.identity) for _ in range(rng.randint(2, 4))]
+    return tuple(steps + steps[:1])
+
+
+def _assert_same_laws(laws, refs):
+    """Equal as maps, with the same t, denominators and ``approximate`` flags."""
+    laws, refs = list(laws), list(refs)
+    assert len(laws) == len(refs)
+    for law, ref in zip(laws, refs):
+        assert (law.t, law.denominator, law.approximate, len(law)) == (ref.t, ref.denominator, ref.approximate, len(ref))
+        assert dict(law.numerators()) == dict(ref.numerators())
+        assert law.support() == tuple(law._coder.decode(law._keys)) and (law._keys[1:] > law._keys[:-1]).all()
+
+
+@pytest.mark.parametrize("eps", [None, 2e-3])
+@pytest.mark.parametrize("name", sorted(CODED))
+def test_coded_laws_match_the_element_engine(name, eps):
+    group, ref = CODED[name], _interning(CODED[name])
+    for seed in range(6):
+        steps = _random_steps(name, random.Random(f"coded/{name}/{seed}"))
+        t_max = 5 if name in ("f2", "z3", "heisenberg") else 8
+        _assert_same_laws(cw.walk_distributions(group, steps, t_max, prune_eps=eps),
+                          cw.walk_distributions(ref, steps, t_max, prune_eps=eps))
+
+
+@pytest.mark.parametrize("name", ["z", "z2", "z3", "heisenberg"])
+def test_packing_overflow_repacks_wider(name, monkeypatch):
+    # fields of 2 bits (c: 3) hold coordinates -2..1: the walk re-packs as it spreads
+    group, ref = CODED[name], _interning(CODED[name])
+    shear = name == "heisenberg"
+    narrow = Packing((2, 2, 3) if shear else (2,) * len(group.identity), shear=shear)
+    monkeypatch.setattr(type(group), "coder", lambda self: narrow)
+    for seed in range(4):
+        steps = _random_steps(name, random.Random(f"narrow/{name}/{seed}"))
+        laws = cw.walk_distributions(group, steps, 6)
+        _assert_same_laws(laws, cw.walk_distributions(ref, steps, 6))
+        assert laws[0]._coder is narrow
+    assert laws[-1]._coder.widths > narrow.widths
+    # one step past a field at once, and a re-pack that needs more than one doubling
+    far = tuple(9 for _ in group.identity)
+    _assert_same_laws(cw.walk_distributions(group, (far, group.identity), 3),
+                      cw.walk_distributions(ref, (far, group.identity), 3))
+
+
+@pytest.mark.parametrize("name, steps", [
+    ("z", ((10 ** 30,), (-1,), (-1,))),
+    ("z2", ((2 ** 40, 0), (0, -(2 ** 70)), (-1, 1))),
+    ("z3", ((2 ** 19, 0, 0), (0, 0, 1), (-1, -1, -1))),
+    ("heisenberg", ((10 ** 20, 0, 0), (0, 1, 0), (-1, 0, 0), (0, -1, 0))),
+    ("heisenberg", ((1, 0, 0), (0, 2 ** 20, 0), (0, 0, -1))),
+    ("zmod7", (3, 5, 5)),
+])
+def test_codes_cast_into_object_ints(name, steps):
+    group, ref = CODED[name], _interning(CODED[name])
+    for eps in (None, 1e-2):
+        laws = cw.walk_distributions(group, steps, 5, prune_eps=eps)
+        _assert_same_laws(laws, cw.walk_distributions(ref, steps, 5, prune_eps=eps))
+    if name != "zmod7":
+        law = laws[-1]
+        assert law._keys.dtype == object and law._coder.wide
+        small = [x for x in law.support() if max(map(abs, x)) < 2 ** 62]
+        assert small and all(law.prob(tuple(map(np.int64, x))) == law.prob(x) > 0 for x in small)
+
+
+def test_zmod_codes_past_int64():
+    group = cw.FiniteCyclic(2 ** 64 + 13)
+    steps = (2 ** 64, 1, 2 ** 63)
+    laws = cw.walk_distributions(group, steps, 5)
+    _assert_same_laws(laws, cw.walk_distributions(_interning(group), steps, 5))
+    assert laws[-1]._keys.dtype == object
+
+
+@pytest.mark.parametrize("name", sorted(CODED))
+def test_hand_made_coded_laws(name):
+    group, ref = CODED[name], _interning(CODED[name])
+    rng = random.Random(f"hand/{name}")
+    steps = _random_steps(name, rng)
+    start = {group.identity: 3}
+    for g in steps[:3]:
+        start[group.multiply(group.multiply(g, g), g)] = rng.randint(1, 4)
+    if name not in ("zmod7", "f2"):
+        # an atom past the default fields
+        start[tuple(10 ** 25 * (-1) ** i for i, _ in enumerate(group.identity))] = 2
+    den = sum(start.values())
+    law, base = cw.SparseDistribution(group, 0, start, den), cw.SparseDistribution(ref, 0, start, den)
+    assert dict(law.numerators()) == start and all(law.prob(x) == Fraction(n, den) for x, n in start.items())
+    odd = {steps[0]: 3, steps[1]: 1}
+    odd_law, odd_ref = cw.SparseDistribution(group, 1, odd, 4), cw.SparseDistribution(ref, 1, odd, 4)
+    laws, refs = [law], [base]
+    for step, step_ref in [(odd_law, odd_ref), (cw.step_measure(group, steps),) * 2, (odd_law, odd_ref)]:
+        laws.append(cw.evolve(laws[-1], step))
+        refs.append(cw.evolve(refs[-1], step_ref))
+    _assert_same_laws(laws, refs)
+    with pytest.raises(cw.StructuralError):
+        cw.SparseDistribution(group, 0, {"x": 1}, 1)
+
+
+NON_ELEMENTS = {
+    "z": [(), (1, 2), (0.5,), ("1",), [0], None, "0", (2 ** 80,), 0],
+    "z2": [(0,), (0, 0, 0), (0.5, 0), [0, 0], None, (2 ** 80, 0), (0, -(2 ** 90))],
+    "z3": [(0, 0), (0, 0, 0.5), None, (0, 0, 2 ** 70)],
+    "heisenberg": [(0, 0), (0, 0, 0, 0), (0.5, 0, 0), (2 ** 64, 0, 0), (0, 0, -(2 ** 64)), None],
+    "zmod7": [7, -1, 3.5, "3", (3,), None, 2 ** 70],
+    "f2": [(3,), (1, -1), "ab", b"\x01", [1], 5, None, (1,) * 40],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CODED))
+def test_coded_lookups_of_non_elements_miss(name):
+    group = CODED[name]
+    steps = _random_steps(name, random.Random(f"miss/{name}"))
+    law = cw.walk_distributions(group, steps, 4)[-1]
+    for x in NON_ELEMENTS[name]:
+        assert x not in law and law.prob(x) == 0
+        with pytest.raises(cw.PreconditionError, match="outside the support"):
+            law.log_prob(x)
+    for x, n in law.numerators():
+        assert x in law and law.prob(x) == Fraction(n, law.denominator)
+        # numpy ints equal to the coordinates find the atom, as in a dict
+        y = tuple(map(np.int64, x)) if isinstance(x, tuple) else np.int64(x)
+        assert law.prob(y) == law.prob(x)
+
+
+def test_long_word_lookup_codes_nothing(monkeypatch):
+    # a,a,b,B pruned reaches words past 27 letters: the law's keys are object ints
+    from centerwalk import groups
+
+    law = cw.walk_distributions(F2, ((1,), (1,), (2,), (-2,)), 40, prune_eps=1e-4)[-1]
+    assert law._keys.dtype == object and max(map(len, law.support())) > 27
+    word = max(law.support(), key=len)
+
+    def no_coding(digits):
+        raise AssertionError("a word longer than every word of the law was coded")
+
+    monkeypatch.setattr(groups, "_base5", no_coding)
+    for x in [(1,) * 10 ** 6, word + (1,) * 70]:
+        assert x not in law and law.prob(x) == 0
+    monkeypatch.undo()
+    assert law.prob(word) > 0 and word + (1,) not in law
+
+
+def test_unpruned_overflow_ends_before_the_sums():
+    # numerators that cannot be added: the overflow must come from the merge's count alone
+    class Unsummable:
+        def __add__(self, other):
+            raise AssertionError("a numerator sum was built")
+
+        __radd__ = __mul__ = __rmul__ = __add__
+
+    step = cw.step_measure(F2, F2_GENS)
+    law = cw.walk_distributions(F2, F2_GENS, 4)[-1]
+    law._weights = np.array([Unsummable() for _ in range(len(law))], dtype=object)
+    with pytest.raises(cw.SupportOverflowError, match="support 364 exceeds 240"):
+        cw.evolve(law, step, max_support=240)
 
 
 def _bisection_c_star(dists, distance, m=lambda x: 1.0, d_exp=0.0, bracket=(1e-6, 1e12), rel_tol=1e-6):

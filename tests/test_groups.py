@@ -355,6 +355,93 @@ def test_free_group_code_is_injective_and_follows_translates():
     assert f2.code(long) == functools.reduce(lambda c, d: 5 * c + d, (1, 3) * 3000, 0)
 
 
+def test_free_group_decode_reads_codes_back():
+    import numpy as np
+
+    f2 = cw.FreeGroup()
+    rng = random.Random("decode")
+    words = [()]
+    for n in (1, 2, 5, 27, 28, 54, 55, 120):
+        w = [rng.choice((1, -1, 2, -2))]
+        while len(w) < n:
+            w.append(rng.choice([v for v in (1, -1, 2, -2) if v != -w[-1]]))
+        words.append(tuple(w))
+    codes = np.array([f2.code(w) for w in words], dtype=object)
+    # ascending codes, shuffled codes, int64 codes and an empty array
+    assert f2.decode(codes) == words
+    order = list(range(len(words)))
+    rng.shuffle(order)
+    assert f2.decode(codes[order]) == [words[i] for i in order]
+    short = [w for w in words if len(w) <= 27]
+    assert f2.decode(np.array([f2.code(w) for w in short])) == short
+    assert f2.decode(np.array([], dtype=np.int64)) == []
+
+
+@pytest.mark.parametrize("spec", ["z:1", "z:2", "z:3", "heisenberg"])
+def test_packing_codes_follow_multiply(spec):
+    import numpy as np
+    from centerwalk.groups import FieldOverflow, Packing
+
+    group = cw.group_from_spec(spec)
+    packing = group.coder()
+    assert isinstance(packing, Packing) and not packing.wide
+    rng = random.Random(spec)
+    gens = [tuple(rng.randint(-3, 3) for _ in group.identity) for _ in range(4)]
+    xs = sorted({group.product(rng.choice(gens) for _ in range(rng.randrange(30))) for _ in range(300)})
+    codes = np.array([packing.code(x) for x in xs])
+    # codes ascend with the elements' lexicographic order, and decode back
+    assert codes.dtype == np.int64 and (codes[1:] > codes[:-1]).all() and packing.decode(codes) == xs
+    for g in gens + [group.inverse(g) for g in gens]:
+        assert packing.decode(packing.translate_codes(codes, g)) == [group.multiply(x, g) for x in xs]
+    # the fields hold -2**(w-1) .. 2**(w-1) - 1; a step past them is refused, never wrapped
+    top = tuple(packing.offsets[i] - 1 if i == 0 else 0 for i in range(len(packing.widths)))
+    assert packing.code(top) is not None and packing.code(group.multiply(top, top)) is None
+    edge = np.array([packing.code(top)])
+    with pytest.raises(FieldOverflow):
+        packing.translate_codes(edge, tuple(1 if i == 0 else 0 for i in range(len(top))))
+    with pytest.raises(FieldOverflow):
+        packing.translate_codes(codes, tuple(2 ** 70 if i == 0 else 0 for i in range(len(top))))
+    # a packing some doublings wider holds both, in object ints
+    wide = packing.wider()
+    while wide.widths[0] <= 71:
+        wide = wide.wider()
+    assert wide.wide
+    big = np.array([wide.code(top)], dtype=object)
+    step = tuple(2 ** 70 if i == 0 else 0 for i in range(len(top)))
+    assert wide.decode(wide.translate_codes(big, step)) == [group.multiply(top, step)]
+    for bad in [None, "x", (0,) * (len(top) + 1), tuple(0.5 for _ in top)]:
+        with pytest.raises(TypeError):
+            packing.code(bad)
+
+
+def test_wide_packing_casts_int64_codes():
+    import numpy as np
+    from centerwalk.groups import FieldOverflow, Packing
+
+    # 63 bits and a guard: wide, though the code of -2**62 + 1 fits an int64
+    wide = Packing((63,))
+    codes = np.array([wide.code((-(2 ** 62) + 1,))])
+    assert wide.wide and codes.dtype == np.int64
+    out = wide.translate_codes(codes, (2 ** 62,))
+    assert out.dtype == object and wide.decode(out) == [(1,)]
+    with pytest.raises(FieldOverflow):
+        wide.translate_codes(np.array([wide.code((2 ** 62 - 1,))]), (1,))
+
+
+def test_cyclic_codes_are_the_residues():
+    import numpy as np
+
+    for p in (7, 2 ** 70 + 1):
+        group = cw.FiniteCyclic(p)
+        xs = [0, 1, p // 2, p - 1]
+        codes = np.array([group.code(x) for x in xs], dtype=object if p > 2 ** 62 else np.int64)
+        assert group.code(p) is None and group.code(-1) is None and group.decode(codes) == xs
+        for g in (1, p - 1, p // 3):
+            assert group.translate_codes(codes, g).tolist() == [group.multiply(x, g) for x in xs]
+    with pytest.raises(TypeError):
+        cw.FiniteCyclic(7).code(1.0)
+
+
 def test_abelianization_images():
     f2 = cw.FreeGroup()
     comm = f2.parse_element("aabab AABAB".replace(" ", ""))
