@@ -29,10 +29,6 @@ from .group_walks import word_ball
 from .markov_graph import MAX_SUPPORT, _collector_paused, check_budget
 
 
-#: atoms of a law that keeps its decoded elements
-_KEEP_DECODED = 64
-
-
 class SparseDistribution:
     """Finitely supported probability measure on group elements at time t.
 
@@ -40,16 +36,17 @@ class SparseDistribution:
     Python-int numerators (object dtype) over the int ``denominator``.  The
     keys are the elements' codes under the law's coder: the group's own
     code hooks, a ``Packing`` of its coordinates (see ``Group.coder``), or,
-    for a group with neither, the ids of an interning ``_Translates``.  The
-    elements are decoded when ``support``, ``numerators`` or ``items`` are
-    called, in key order; ``prob``, ``log_prob`` and ``in`` binary-search
+    for a group with neither, the ids of an interning ``_Translates``.  A
+    law built from its elements (a step law, ``point``) keeps them, in key
+    order; an evolved law decodes them when ``support``, ``numerators`` or
+    ``items`` are called.  ``prob``, ``log_prob`` and ``in`` binary-search
     x's code among the keys, and a code that is not below the largest key
     plus one is not built.
     """
 
     #: True once pruning dropped an atom of this law or of a law it was evolved from
     approximate = False
-    #: the decoded elements of a law of at most ``_KEEP_DECODED`` atoms, and the largest key + 1, once read
+    #: the elements of a law built from them, in key order, and the largest key + 1, once read
     _decoded: Optional[List] = None
     _below: Optional[int] = None
 
@@ -70,8 +67,10 @@ class SparseDistribution:
             coder, keys = _encode(coder, elements)
             order = np.argsort(keys, kind="stable")
             keys, weights = keys[order], weights[order]
+            elements = [elements[i] for i in order.tolist()]
         self.group, self.t = group, t
         self._keys, self._weights, self._den, self._coder = keys, weights, denominator, coder
+        self._decoded = elements
 
     @classmethod
     def _atoms(cls, group: Group, t: int, keys, weights, den: int, coder) -> "SparseDistribution":
@@ -99,14 +98,9 @@ class SparseDistribution:
         return self._den
 
     def _elements(self) -> List:
-        """The elements of the atoms, decoded in key order; a law of at most ``_KEEP_DECODED`` atoms,
-        such as a step law, keeps them."""
+        """The elements of the atoms in key order: those the law was built from, else decoded."""
         xs = self._decoded
-        if xs is None:
-            xs = self._coder.decode(self._keys)
-            if len(xs) <= _KEEP_DECODED:
-                self._decoded = xs
-        return xs
+        return self._coder.decode(self._keys) if xs is None else xs
 
     def support(self) -> Tuple:
         return tuple(self._elements())
@@ -275,34 +269,11 @@ class _Translates:
         return table[ids]
 
 
-#: a key range at most this many times the keys' count is merged by a bitmap
-_DENSE = 4
-
-
 def _merge(parts):
-    """The ascending distinct keys of the parts, and each part's positions among them.
-
-    Keys whose range is at most ``_DENSE`` times their count, such as the
-    dense ids of an interning engine, are marked in a bitmap over the range;
-    others are sorted by ``np.unique``.
-    """
+    """The ascending distinct keys of the parts, and each part's positions among them."""
     import numpy as np
 
-    keys = np.concatenate(parts)
-    if keys.dtype != object:
-        lo = int(keys.min())
-        span = int(keys.max()) - lo + 1
-    if keys.dtype == object or span > _DENSE * len(keys):
-        support, inverse = np.unique(keys, return_inverse=True)
-    else:
-        keys -= lo
-        mark = np.zeros(span, dtype=bool)
-        mark[keys] = True
-        support = np.flatnonzero(mark)
-        position = np.empty(span, dtype=np.intp)
-        position[support] = np.arange(len(support))
-        inverse = position[keys]
-        support += lo
+    support, inverse = np.unique(np.concatenate(parts), return_inverse=True)
     n = len(parts[0])
     return support, [inverse[i:i + n] for i in range(0, len(inverse), n)]
 

@@ -123,13 +123,11 @@ def parse_weight(raw) -> Weight:
 
 
 def format_ratio(n: int, d: int) -> str:
-    """The "p/q" string of the int ratio n / d in lowest terms, that of ``str(Fraction(n, d))``, by one gcd.
+    """The "p/q" string of the int ratio n / d, d > 0, in lowest terms, that of ``str(Fraction(n, d))``, by one gcd.
 
-    A whole number is "p" and zero "0"; the sign goes to p.
+    A whole number is "p" and zero "0".
     """
-    if d == 0:
-        raise ZeroDivisionError(f"ratio {n}/0")
-    g = math.gcd(n, d) if d > 0 else -math.gcd(n, d)
+    g = math.gcd(n, d)
     n, d = n // g, d // g
     return str(n) if d == 1 else f"{n}/{d}"
 

@@ -731,6 +731,22 @@ def test_rational_literals_are_bounded():
         parse_weight("1e1000000000")
 
 
+def test_format_ratio_matches_fraction():
+    import random
+
+    rng = random.Random(31)
+    dens = [1, 2, 7, 12, 3 ** 48, 4 ** 30 * 5, 2 ** 64 + 1]
+    pairs = [(0, 1), (0, 3 ** 48), (6, 3), (3 ** 48, 3 ** 48), (2 * 3 ** 48, 3 ** 48), (-4, 6)]
+    for d in dens:
+        pairs += [(rng.randrange(-2 * d, 2 * d + 1), d) for _ in range(50)]
+        pairs += [(rng.randrange(1, 10 ** 6) * (d // math.gcd(d, 6)), d) for _ in range(10)]
+    pairs += [(rng.randrange(-10 ** 9, 10 ** 9), rng.randrange(1, 10 ** 9)) for _ in range(500)]
+    for n, d in pairs:
+        assert weights.format_ratio(n, d) == str(Fraction(n, d)), (n, d)
+    for w in (Fraction(0), Fraction(5), Fraction(-7, 3), Fraction(2, 3 ** 48)):
+        assert weights.format_weight(w) == str(w)
+
+
 def test_cli_prune_cut_names_t_and_eps(capsys):
     assert main(["walk", "evolve", "--group", "z:1", "--gens", "[1],[-1]", "--tmax", "2",
                  "--prune-eps", "0.9"]) == 3

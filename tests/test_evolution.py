@@ -268,7 +268,8 @@ def test_law_keyed_access_after_release():
     d = dists[6]
     assert not isinstance(d._coder, _Translates) and (d._keys[1:] > d._keys[:-1]).all()
     assert len(d) == 49 and d.total() == 1
-    assert d._decoded is None  # len and total decode nothing, and a law this big keeps no elements
+    assert d._decoded is None  # an evolved law keeps no elements, and len and total decode none
+    assert len(d.support()) == 49 and d._decoded is None
     assert (0, 0) in d and (7, 0) not in d
     assert d.prob((0, 0)) == Fraction(400, 4 ** 6) and d.prob((7, 0)) == 0
     assert d.log_prob((6, 0)) == pytest.approx(-6 * math.log(4))
